@@ -47,10 +47,12 @@ def cmd_invariants(args):
 
 
 def cmd_cohomology_model(args):
- model = exteralg.TemperedCohomologyModel(args.delta, args.q, args.k)
- rows = [(deg, dim) for deg, dim in
-         exteralg.model_dims(args.delta, args.q, args.k)]
- _print_table(rows, ["degree", "dimension"])
+ try:
+  model = exteralg.TemperedCohomologyModel(args.delta, args.q, args.k)
+ except ValueError as e:
+  print("usage error: %s" % e, file=sys.stderr)
+  return 2
+ _print_table(model.dims, ["degree", "dimension"])
  checks = [("freeness", exteralg.freeness_check(model)),
            ("poincare_adjoint", exteralg.poincare_adjoint_check(model)),
            ("isometry", exteralg.isometry_check(model, trials=20))]

@@ -4,6 +4,7 @@ Poincare adjointness, freeness and the isometry property.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,34 @@ class MetricSpaceQ:
   for k in range(1, dim + 1):
    if _det([row[:k] for row in self.gram[:k]]) <= 0:
     raise ValueError("gram matrix must be positive definite")
+  self._compound = {}
+
+ def compound_gram(self, k):
+  """The k-th compound Gram matrix: by Cauchy-Binet, the inner product of
+  the basis k-vectors e_ka and e_kb is the Gram minor det(G[ka, kb]).
+  Built once per degree k and stored sparsely: each strictly increasing
+  k-subset ka maps to the (kb, minor) pairs whose minor is nonzero."""
+  table = self._compound.get(k)
+  if table is None:
+   subsets = list(itertools.combinations(range(self.dim), k))
+   table = {ka: [] for ka in subsets}
+   for i, ka in enumerate(subsets):
+    for kb in subsets[i:]:
+     minor = _det([[self.gram[r][c] for c in kb] for r in ka])
+     if minor:
+      table[ka].append((kb, minor))
+      if kb != ka:
+       table[kb].append((ka, minor))
+   self._compound[k] = table
+  return table
+
+ def compound_row(self, idx):
+  """Row idx of the compound Gram matrix of degree len(idx)."""
+  row = self.compound_gram(len(idx)).get(idx)
+  if row is None:
+   raise ValueError("index tuple %r is not a strictly increasing subset "
+                    "of range(%d)" % (idx, self.dim))
+  return row
 
  def __eq__(self, other):
   return isinstance(other, MetricSpaceQ) and self.dim == other.dim and \
@@ -47,6 +76,12 @@ def _det(m):
  return det
 
 
+def _check_index(idx):
+ if list(idx) != sorted(set(idx)):
+  raise ValueError("index tuples must be strictly increasing")
+ return idx
+
+
 class ExteriorElement:
  """Element of the exterior algebra, keyed by strictly increasing tuples."""
 
@@ -55,9 +90,7 @@ class ExteriorElement:
   self.coeffs = {}
   if coeffs:
    for idx, c in coeffs.items():
-    idx = tuple(idx)
-    if list(idx) != sorted(set(idx)):
-     raise ValueError("index tuples must be strictly increasing")
+    idx = _check_index(tuple(idx))
     c = Fraction(c)
     if c:
      self.coeffs[idx] = c
@@ -101,6 +134,7 @@ class ExteriorElement:
                     for k, c in sorted(self.coeffs.items()))
 
 
+@functools.lru_cache(maxsize=4096)
 def _merge(a, b):
  """Concatenate index tuples, return (sign, sorted tuple) or None."""
  if set(a) & set(b):
@@ -150,16 +184,16 @@ def eval_pairing(a, b):
 
 
 def induced_inner(a, b):
- """Inner product on the exterior algebra induced by the gram matrix."""
+ """Inner product on the exterior algebra induced by the gram matrix; the
+ Gram minors are read from the ambient space's cached compound Gram
+ matrix (Cauchy-Binet)."""
  a._same(b)
- gram = a.ambient.gram
  total = Fraction(0)
  for ka, ca in a.coeffs.items():
-  for kb, cb in b.coeffs.items():
-   if len(ka) != len(kb):
-    continue
-   sub = [[gram[i][j] for j in kb] for i in ka]
-   total += ca * cb * _det(sub)
+  for kb, minor in a.ambient.compound_row(ka):
+   cb = b.coeffs.get(kb)
+   if cb:
+    total += ca * cb * minor
  return total
 
 
@@ -195,8 +229,11 @@ def adjointness_check(space, trials, seed=20260823):
 
 
 def model_dims(delta, q, k):
+ """(degree, dimension) of each graded piece; validates delta and k."""
  if delta < 0:
   raise ValueError("delta must be nonnegative")
+ if k < 1:
+  raise ValueError("k must be positive")
  return [(q + i, k * math.comb(delta, i)) for i in range(delta + 1)]
 
 
@@ -206,6 +243,7 @@ class TemperedCohomologyModel:
 
  def __init__(self, delta, q, k, long_weyl=None, gen_matrix=None,
               gram=None):
+  self.dims = model_dims(delta, q, k)
   self.delta = delta
   self.q = q
   self.k = k
@@ -240,9 +278,13 @@ class TemperedCohomologyModel:
   """Right action of an exterior element on a module element."""
   out = {}
   for (g, s), c in f.items():
-   se = ExteriorElement(self.space, {s: c})
-   for key, cc in wedge(se, x).coeffs.items():
-    out[(g, key)] = out.get((g, key), Fraction(0)) + cc
+   _check_index(s)
+   c = Fraction(c)
+   for kx, cx in x.coeffs.items():
+    m = _merge(s, kx)
+    if m:
+     key = (g, m[1])
+     out[key] = out.get(key, Fraction(0)) + m[0] * c * cx
   return {k: v for k, v in out.items() if v}
 
  def apply_w(self, x):
@@ -272,15 +314,16 @@ class TemperedCohomologyModel:
   return total
 
  def module_inner(self, f1, f2):
-  """Metric with orthonormal generators and the induced exterior metric."""
+  """Metric with orthonormal generators and the induced exterior metric,
+  read from the cached compound Gram matrix (Cauchy-Binet)."""
+  for _, s2 in f2:   # validate the keys that no row of f1 reaches
+   self.space.compound_row(s2)
   total = Fraction(0)
-  for (g1, s1), c1 in f1.items():
-   for (g2, s2), c2 in f2.items():
-    if g1 != g2 or len(s1) != len(s2):
-     continue
-    total += c1 * c2 * induced_inner(
-        ExteriorElement(self.space, {s1: Fraction(1)}),
-        ExteriorElement(self.space, {s2: Fraction(1)}))
+  for (g, s1), c1 in f1.items():
+   for s2, minor in self.space.compound_row(s1):
+    c2 = f2.get((g, s2))
+    if c2:
+     total += c1 * c2 * minor
   return total
 
 
@@ -347,6 +390,7 @@ def isometry_check(model, trials=50, seed=20260823):
  for _, nu in cases:
   if nu.is_zero():
    continue
+  n_nu = induced_inner(nu, nu)
   for trial in range(3):
    om = {(g, ()): Fraction(rng.randint(-5, 5)) for g in range(model.k)}
    om = {k: v for k, v in om.items() if v}
@@ -355,7 +399,6 @@ def isometry_check(model, trials=50, seed=20260823):
    n_om = model.module_inner(om, om)
    prod = model.act(om, nu)
    n_prod = model.module_inner(prod, prod)
-   n_nu = induced_inner(nu, nu)
    if n_prod != n_om * n_nu:
     return False
  return True

@@ -184,15 +184,19 @@ class VolumeLedger:
 
  def _membership_class(self, target):
   """Smallest scaling class: integer axiom combination (rational class),
-  half-integer (square-root class), or none."""
-  rows = []
-  for _, form, _ in self.axioms:
-   rows.append([int(x) for x in self._vec(form)])
-  ech = _hnf([r[:] for r in rows], len(self.symbols))
+  half-integer (square-root class), or none.  The axioms and the target
+  are scaled by one common denominator, which keeps the lattice exact."""
+  forms = [form for _, form, _ in self.axioms]
+  den = math.lcm(*(Fraction(x).denominator for form in forms + [target]
+                   for x in form.values()))
+
+  def ints(form, scale):
+   return [int(form[s] * den * scale) if s in form else 0
+           for s in self.symbols]
+
+  ech = _hnf([ints(form, 1) for form in forms], len(self.symbols))
   for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
-   t = [int(x * scale) for x in self._vec(target)]
-   if any(Fraction(x * scale).denominator != 1 for x in self._vec(target)):
-    continue
+   t = ints(target, scale)
    for col, row in ech:
     if t[col] % row[col] == 0:
      f = t[col] // row[col]

@@ -499,19 +499,22 @@ def parse_expr(text):
  def atom(tok):
   return PeriodScalar.gen(tok)
 
- def read():
+ def peek():
   if pos[0] >= len(toks):
    raise ValueError("unexpected end of expression")
-  tok = toks[pos[0]]
+  return toks[pos[0]]
+
+ def read():
+  tok = peek()
   pos[0] += 1
   if tok == ")":
    raise ValueError("unexpected ')'")
   if tok != "(":
    return atom(tok)
-  op = toks[pos[0]]
+  op = peek()
   pos[0] += 1
   args = []
-  while toks[pos[0]] != ")":
+  while peek() != ")":
    if op == "pow" and len(args) == 1:
     args.append(Fraction(toks[pos[0]]))
     pos[0] += 1

@@ -92,6 +92,7 @@ def test_root_system_invariants():
 
 
 def test_exterior_algebra_model():
+ t0 = time.monotonic()
  # contraction adjointness: exhaustive over basis plus 1000 random trials
  assert ex.adjointness_check(ex.MetricSpaceQ(4), trials=1000)
  gram = [[2, 1, 0], [1, 2, 0], [0, 0, 5]]
@@ -104,6 +105,7 @@ def test_exterior_algebra_model():
    assert ex.freeness_check(m), (delta, q, k)
    assert ex.poincare_adjoint_check(m), (delta, q, k)
    assert ex.isometry_check(m, trials=1000), (delta, q, k)
+ assert time.monotonic() - t0 < 10.0
 
 
 def test_torsion_ledger_and_rotation():

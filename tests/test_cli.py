@@ -33,6 +33,19 @@ class TestCohomologyModel:
   assert code == 0
   assert "freeness" in out and "FAIL" not in out
 
+ @pytest.mark.parametrize("flag,value,msg", [("--delta", "-1", "delta"),
+                                             ("--k", "0", "k must be")])
+ def test_usage_error(self, capsys, flag, value, msg):
+  argv = {"--delta": "3", "--q": "3", "--k": "1"}
+  argv[flag] = value
+  code = main(["cohomology-model"] + [x for kv in argv.items() for x in kv])
+  captured = capsys.readouterr()
+  assert code == 2
+  assert captured.out == ""
+  lines = captured.err.splitlines()
+  assert len(lines) == 1 and lines[0].startswith("usage error: ")
+  assert msg in lines[0]
+
 
 class TestHodge:
  def test_tensor_table(self, capsys):

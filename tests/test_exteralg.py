@@ -63,6 +63,96 @@ class TestAlgebra:
    ex.MetricSpaceQ(2, [[1, 2], [3, 1]])
 
 
+def _leibniz_det(m):
+ """Determinant by the permutation expansion, independent of the
+ elimination in the package."""
+ n = len(m)
+ total = Fraction(0)
+ for perm in itertools.permutations(range(n)):
+  inversions = sum(perm[i] > perm[j]
+                   for i in range(n) for j in range(i + 1, n))
+  term = Fraction((-1) ** inversions)
+  for i, j in enumerate(perm):
+   term *= m[i][j]
+  total += term
+ return total
+
+
+def _per_pair_inner(a, b):
+ """Reference: one Gram minor per pair of equal-degree basis k-vectors."""
+ gram = a.ambient.gram
+ total = Fraction(0)
+ for ka, ca in a.coeffs.items():
+  for kb, cb in b.coeffs.items():
+   if len(ka) == len(kb):
+    total += ca * cb * _leibniz_det([[gram[i][j] for j in kb] for i in ka])
+ return total
+
+
+GRAM3 = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+GRAM4 = [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 5, 2], [1, 0, 2, 6]]
+
+
+class TestInducedMetric:
+ @pytest.mark.parametrize("gram", [GRAM3, GRAM4])
+ def test_gram_determinant_identity(self, gram):
+  # <v1 ^ ... ^ vk, w1 ^ ... ^ wk> = det[<vi, wj>]  (Cauchy-Binet)
+  sp = ex.MetricSpaceQ(len(gram), gram)
+  rng = random.Random(17)
+  for k in range(sp.dim + 1):
+   for _ in range(10):
+    vs = [ex._rand_elem(sp, 1, rng) for _ in range(k)]
+    ws = [ex._rand_elem(sp, 1, rng) for _ in range(k)]
+    v_wedge, w_wedge = E(sp, ()), E(sp, ())
+    for v, w in zip(vs, ws):
+     v_wedge, w_wedge = ex.wedge(v_wedge, v), ex.wedge(w_wedge, w)
+    inner = [[sum(v.coeffs.get((i,), 0) * gram[i][j] * w.coeffs.get((j,), 0)
+                  for i in range(sp.dim) for j in range(sp.dim))
+              for w in ws] for v in vs]
+    assert ex.induced_inner(v_wedge, w_wedge) == _leibniz_det(inner)
+
+ @pytest.mark.parametrize("gram", [GRAM3, GRAM4])
+ def test_matches_per_pair_minors(self, gram):
+  sp = ex.MetricSpaceQ(len(gram), gram)
+  rng = random.Random(29)
+  for _ in range(20):
+   a = b = E(sp, (), 0)
+   for deg in range(sp.dim + 1):
+    if rng.random() < 0.6:
+     a = a + ex._rand_elem(sp, deg, rng)
+    if rng.random() < 0.6:
+     b = b + ex._rand_elem(sp, deg, rng)
+   assert ex.induced_inner(a, b) == _per_pair_inner(a, b)
+   assert ex.induced_inner(a, b) == ex.induced_inner(b, a)
+
+ def test_module_inner_matches_per_pair_minors(self):
+  m = ex.TemperedCohomologyModel(3, 1, 2, gram=GRAM3)
+  rng = random.Random(31)
+  for _ in range(20):
+   f1, f2 = {}, {}
+   for f in (f1, f2):
+    for g in range(m.k):
+     for deg in range(m.delta + 1):
+      for s, c in ex._rand_elem(m.space, deg, rng).coeffs.items():
+       if rng.random() < 0.5:
+        f[(g, s)] = c
+   want = sum((_per_pair_inner(E(m.space, s1, c1), E(m.space, s2, c2))
+               for (g1, s1), c1 in f1.items()
+               for (g2, s2), c2 in f2.items() if g1 == g2), Fraction(0))
+   assert m.module_inner(f1, f2) == want
+
+ def test_bad_index_tuples_rejected(self):
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  good = {(0, (0, 1)): Fraction(1)}
+  for bad in ((1, 0), (0, 0), (0, 3)):
+   with pytest.raises(ValueError):
+    m.module_inner({(0, bad): Fraction(1)}, good)
+   with pytest.raises(ValueError):
+    m.module_inner(good, {(0, bad): Fraction(1)})
+  with pytest.raises(ValueError):
+   m.act({(0, (1, 0)): Fraction(1)}, E(m.space, (2,)))
+
+
 class TestAdjointness:
  @pytest.mark.parametrize("dim", [1, 2, 3, 4])
  def test_exhaustive_small(self, dim):
@@ -84,6 +174,12 @@ class TestModel:
  def test_long_weyl_must_be_involution(self):
   with pytest.raises(ValueError):
    ex.TemperedCohomologyModel(2, 1, 1, long_weyl=[[0, 1], [0, 1]])
+
+ def test_needs_generators_and_nonnegative_delta(self):
+  with pytest.raises(ValueError):
+   ex.TemperedCohomologyModel(2, 1, 0)
+  with pytest.raises(ValueError):
+   ex.TemperedCohomologyModel(-1, 1, 1)
 
  def test_freeness(self):
   for delta, q, k in ((3, 3, 1), (2, 1, 2), (4, 2, 1)):

@@ -121,6 +121,23 @@ class TestLedger:
   rec = VolumeLedger().without("rt2").derive("oinkA")
   assert rec["class"] == "sqrtQ*"
 
+ def test_default_classes(self):
+  led = VolumeLedger()
+  classes = {name: led.derive(name)["class"] for name in gc.TARGETS}
+  assert classes == {"oinkA": "sqrtQ*", "oink1": "Q*",
+                     "buggerme": "sqrtQ*", "kp-compare": "sqrtQ*"}
+
+ def test_halved_axioms_derive_in_rational_class(self):
+  # halving every axiom turns the lattice L into L/2, and 2t lies in L
+  # iff t lies in L/2: every target, at worst sqrtQ* before, is now Q*
+  halved = [(name, {s: v / 2 for s, v in form.items()}, kind)
+            for name, form, kind in gc.default_axioms()]
+  led = VolumeLedger(halved)
+  for name in gc.TARGETS:
+   rec = led.derive(name)
+   assert rec["class"] == "Q*", name
+   assert led.replay(rec)
+
  def test_unknown_target(self):
   with pytest.raises(ValueError):
    VolumeLedger().derive("nonsense")

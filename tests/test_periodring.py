@@ -159,6 +159,11 @@ class TestParse:
  def test_atom(self):
   assert parse_expr("pi") == g("pi")
 
+ @pytest.mark.parametrize("text", ["(mul a", "(", ""])
+ def test_truncated_input_is_value_error(self, text):
+  with pytest.raises(ValueError, match="unexpected end of expression"):
+   parse_expr(text)
+
 
 # ---------------------------------------------------------------------------
 # dual route: numeric period matrices vs the symbolic closed forms
