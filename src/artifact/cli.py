@@ -10,6 +10,9 @@ Subcommands:
  torsion           volume-ledger derivations
  rotation          quadratic-field rotation between two lattices
  verify-all        run every identity up to a bound; exit 0 iff all pass
+
+Exit status: 0 when every identity checked passes, 1 when one fails, 2 on a
+usage error (a bad argument or input file), reported as one line on stderr.
 """
 
 import argparse
@@ -47,11 +50,7 @@ def cmd_invariants(args):
 
 
 def cmd_cohomology_model(args):
- try:
-  model = exteralg.TemperedCohomologyModel(args.delta, args.q, args.k)
- except ValueError as e:
-  print("usage error: %s" % e, file=sys.stderr)
-  return 2
+ model = exteralg.TemperedCohomologyModel(args.delta, args.q, args.k)
  _print_table(model.dims, ["degree", "dimension"])
  checks = [("freeness", exteralg.freeness_check(model)),
            ("poincare_adjoint", exteralg.poincare_adjoint_check(model)),
@@ -149,24 +148,33 @@ def cmd_torsion(args):
 
 def _read_matrix(path):
  """Whitespace-separated rationals, row-major; lines starting with '#'
- are comments."""
+ are comments.  Every failure to read one is a ValueError."""
  vals = []
- with open(path) as fh:
+ try:
+  fh = open(path)
+ except OSError as e:
+  raise ValueError("%s: %s" % (path, e.strerror))
+ with fh:
   for line in fh:
    line = line.strip()
    if not line or line.startswith("#"):
     continue
-   vals.extend(Fraction(tok) for tok in line.split())
+   for tok in line.split():
+    try:
+     vals.append(Fraction(tok))
+    except ZeroDivisionError:
+     raise ValueError("%s: zero denominator in %r" % (path, tok))
  if len(vals) != 9:
   raise ValueError("%s: expected 9 entries, got %d" % (path, len(vals)))
  return [vals[0:3], vals[3:6], vals[6:9]]
 
 
 def cmd_rotation(args):
+ # a matrix that cannot be read is a usage error; only hypothesis failures
+ # of the lemma itself print FAIL
+ mats = [_read_matrix(p) for p in (args.v1, args.v2, args.sigma)]
  try:
-  ok, desc = ggpcheck.rotation_check(_read_matrix(args.v1),
-                                     _read_matrix(args.v2),
-                                     _read_matrix(args.sigma))
+  ok, desc = ggpcheck.rotation_check(*mats)
  except ValueError as e:
   print("FAIL: %s" % e)
   return 1
@@ -177,11 +185,7 @@ def cmd_rotation(args):
 
 
 def cmd_verify_all(args):
- try:
-  status, _, lines = ggpcheck.verify_all(args.n_max)
- except ValueError as e:
-  print("usage error: %s" % e, file=sys.stderr)
-  return 2
+ status, _, lines = ggpcheck.verify_all(args.n_max)
  for line in lines:
   print(line)
  return status
@@ -250,7 +254,14 @@ def build_parser():
 
 def main(argv=None):
  args = build_parser().parse_args(argv)
- return args.func(args)
+ try:
+  return args.func(args)
+ except (periodring.InconsistentRelations, ggpcheck.LedgerUnderdetermined):
+  # verdicts about the declared data, not about the command line
+  raise
+ except ValueError as e:
+  print("usage error: %s" % e, file=sys.stderr)
+  return 2
 
 
 if __name__ == "__main__":

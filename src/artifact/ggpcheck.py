@@ -66,14 +66,14 @@ def run_case(case, n, extra=None):
  cond = periodring.condensate(case, n)
  if extra is not None:
   cond = cond * extra
+ # twopii is the last column and never a pivot, so reduction commutes
+ # with powers of it: one residue gives all three verdicts
  reduced = periodring.reduce(cond, rels, mod)
  m_found = reduced.exps.get("twopii", Fraction(0))
  gamma1 = {"exponent": -m_found, "pass": m_found == m}
- rest = periodring.reduce(reduced * PeriodScalar.gen("twopii", -m_found),
-                          rels, mod)
+ rest = reduced * PeriodScalar.gen("twopii", -m_found)
  gamma2 = {"residual": repr(rest), "pass": rest.is_one()}
- residual = periodring.reduce(cond * PeriodScalar.gen("twopii", -m),
-                              rels, mod)
+ residual = reduced * PeriodScalar.gen("twopii", -m)
  condensate = {"residual": repr(residual), "m": m,
                "pass": residual.is_one()}
  return CaseReport(case, n, table1, gamma1, gamma2, condensate, m)
@@ -109,6 +109,16 @@ def _merge_lin(*parts):
   for k, v in part.items():
    out[k] = out.get(k, Fraction(0)) + v
  return {k: v for k, v in out.items() if v}
+
+
+def _sub_scaled(acc, f, form):
+ """acc -= f * form in place, dropping the entries that cancel."""
+ for k, v in form.items():
+  w = acc.get(k, 0) - f * v
+  if w:
+   acc[k] = w
+  else:
+   del acc[k]
 
 
 def default_axioms():
@@ -179,9 +189,6 @@ class VolumeLedger:
  def without(self, *names):
   return VolumeLedger([a for a in self.axioms if a[0] not in names])
 
- def _vec(self, form):
-  return [form.get(s, Fraction(0)) for s in self.symbols]
-
  def _membership_class(self, target):
   """Smallest scaling class: integer axiom combination (rational class),
   half-integer (square-root class), or none.  The axioms and the target
@@ -206,38 +213,35 @@ class VolumeLedger:
   return None
 
  def _solve(self, target):
-  """One rational coefficient vector with sum(c_a * axiom_a) = target."""
-  ncols = len(self.axioms)
-  nrows = len(self.symbols)
-  mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+  """One rational coefficient vector with sum(c_a * axiom_a) = target.
+
+  Sparse elimination over the axiom forms in axiom order: each axiom
+  independent of the earlier ones becomes a pivot row, carrying its
+  combination of axioms.  The pivots are the greedy basis of the axiom
+  span, so the target's coefficients on it are unique."""
+  pivots = []  # (pivot symbol, row with 1 there, combination of axioms)
+
+  def eliminate(form, combo):
+   form = {s: v for s, v in form.items() if v}
+   for sym, row, rcombo in pivots:
+    f = form.get(sym)
+    if f:
+     _sub_scaled(form, f, row)
+     _sub_scaled(combo, f, rcombo)
+   return form, combo
+
   for j, (_, form, _) in enumerate(self.axioms):
-   for i, v in enumerate(self._vec(form)):
-    mat[i][j] = v
-  for i, v in enumerate(self._vec(target)):
-   mat[i][ncols] = v
-  pivots = []
-  r = 0
-  for c in range(ncols):
-   piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-   if piv is None:
-    continue
-   mat[r], mat[piv] = mat[piv], mat[r]
-   inv = 1 / mat[r][c]
-   mat[r] = [x * inv for x in mat[r]]
-   for i in range(nrows):
-    if i != r and mat[i][c]:
-     f = mat[i][c]
-     mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-   pivots.append((r, c))
-   r += 1
-  for i in range(r, nrows):
-   if mat[i][ncols]:
-    raise LedgerUnderdetermined("underdetermined")
-  coeffs = {}
-  for row, col in pivots:
-   if mat[row][ncols]:
-    coeffs[self.axioms[col][0]] = mat[row][ncols]
-  return coeffs
+   rem, combo = eliminate(form, {j: Fraction(1)})
+   if rem:
+    sym = next(iter(rem))
+    inv = 1 / rem[sym]
+    pivots.append((sym, {s: v * inv for s, v in rem.items()},
+                   {a: v * inv for a, v in combo.items()}))
+  rem, combo = eliminate(target, {})
+  if rem:
+   raise LedgerUnderdetermined("underdetermined")
+  # the combination of the target is minus its elimination multipliers
+  return {self.axioms[a][0]: -v for a, v in sorted(combo.items())}
 
  def derive(self, name):
   """Derive the named target; records and returns the derivation."""
@@ -410,11 +414,9 @@ def rotation_check(v1, v2, sigma):
  for name, basis in (("v1", v1), ("v2", v2)):
   if _det3(basis) == 0:
    raise ValueError("%s is not a basis" % name)
-  binv = _mat_inv_q(basis)
+  btinv = _mat_inv_q([[basis[j][i] for j in range(3)] for i in range(3)])
   for row in basis:
-   img = _matvec(sigma, row)
-   bt = [[basis[j][i] for j in range(3)] for i in range(3)]
-   coords = _matvec(_mat_inv_q(bt), img)
+   coords = _matvec(btinv, _matvec(sigma, row))
    if any(c.denominator != 1 for c in coords):
     raise ValueError("%s is not sigma-stable" % name)
  # invariant line: kernel of sigma - 1, forced one-dimensional by order 3

@@ -29,7 +29,8 @@ class PeriodScalar:
   self.exps = {}
   if exps:
    for g, e in exps.items():
-    e = Fraction(e)
+    if type(e) is not Fraction:
+     e = Fraction(e)
     if e:
      self.exps[g] = e
   self._normalize()
@@ -55,7 +56,8 @@ class PeriodScalar:
  def __mul__(self, other):
   out = dict(self.exps)
   for g, e in other.exps.items():
-   out[g] = out.get(g, Fraction(0)) + e
+   mine = out.get(g)
+   out[g] = e if mine is None else mine + e
   return PeriodScalar(out)
 
  def __truediv__(self, other):
@@ -144,14 +146,23 @@ def _column_order(gens):
  return sorted(gens, key=rank)
 
 
-def _to_int_vector(x, cols, scale=2):
- v = []
- for g in cols:
-  e = x.exps.get(g, Fraction(0)) * scale
-  if e.denominator != 1:
+def _to_int_vector(x, index):
+ """Exponents of x at doubled scale (exponent 1/2 -> 1): a dense vector
+ over the indexed columns, and a {generator: int} dict for the generators
+ outside the index."""
+ v = [0] * len(index)
+ rest = {}
+ for g, e in x.exps.items():
+  d = e.denominator
+  if d > 2:
    raise ValueError("exponent denominator beyond 2 not supported: %r" % (x,))
-  v.append(int(e))
- return v
+  a = e.numerator * (2 // d)
+  k = index.get(g)
+  if k is None:
+   rest[g] = a
+  else:
+   v[k] = a
+ return v, rest
 
 
 def _hnf(rows, ncols):
@@ -188,28 +199,24 @@ class InconsistentRelations(ValueError):
  pass
 
 
-def reduce(x, rels, mod="Q"):
- """Canonical residue of x against the relation set, mod Q* or sqrt(Q*).
+def _echelon(rels, mod, unit):
+ """Hermite echelon of the relation set's integer lattice at one modulus.
 
- Returns a PeriodScalar; the empty product means x is trivial at the
- requested level.  Raises InconsistentRelations if the relations force a
- multiplicative relation between powers of pi and 2*pi*i themselves.
- """
- if mod not in ("Q", "sqrtQ"):
-  raise ValueError("mod must be 'Q' or 'sqrtQ'")
- gens = set(x.exps)
+ Columns are the set's generators, its rational generators and i, in
+ _column_order; entries are exponents at doubled scale, and unit is the
+ doubled-scale exponent at which a generator of rational square class is
+ trivial.  Returns (cols, {gen: col}, basis) with basis rows as (pivot
+ column, pivot entry, nonzero entries of the row)."""
+ gens = {"i"}
  for r, _lev in rels.relations:
   gens.update(r.exps)
  gens.update(rels.rational_gens)
- gens.update(["i"])
  cols = _column_order(gens)
- idx = {g: k for k, g in enumerate(cols)}
+ index = {g: k for k, g in enumerate(cols)}
  n = len(cols)
-
- # all vectors live at doubled scale (exponent 1/2 -> entry 1)
  lattice = []
  for r, lev in rels.relations:
-  v = _to_int_vector(r, cols)
+  v, _ = _to_int_vector(r, index)
   if mod == "Q":
    # x ~ 1 mod Q* contributes x itself; x ~ 1 mod sqrt(Q*) only x^2
    mult = 2 if lev == "Q" else 4
@@ -219,7 +226,7 @@ def reduce(x, rels, mod="Q"):
   if mult == 1 and any(a % 2 for a in v):
    raise ValueError("half-integral relation exponents are not supported")
   lattice.append([a * mult // 2 for a in v])
- # unit-type generators
+ # unit-type generators: g^base is rational, stored at doubled scale
  for g in cols:
   base = None
   if _auto_sqrt_class(g):
@@ -228,8 +235,7 @@ def reduce(x, rels, mod="Q"):
    base = 1  # g rational
   if base is not None:
    v = [0] * n
-   # doubled scale: exponent e of g is stored as 2e; g^base trivial mod Q
-   v[idx[g]] = 2 * base if mod == "Q" else base
+   v[index[g]] = base * unit // 2
    lattice.append(v)
 
  basis = _hnf(lattice, n)
@@ -238,14 +244,37 @@ def reduce(x, rels, mod="Q"):
    raise InconsistentRelations(
     "relation set forces a rational relation among pi powers: " +
     "*".join("%s^%d" % (cols[k], row[k]) for k in range(n) if row[k]))
+ return cols, index, [(c, row[c], [(k, a) for k, a in enumerate(row) if a])
+                      for c, row in basis]
 
- t = _to_int_vector(x, cols)
- for c, row in basis:
-  q = t[c] // row[c]
+
+def reduce(x, rels, mod="Q"):
+ """Canonical residue of x against the relation set, mod Q* or sqrt(Q*).
+
+ Returns a PeriodScalar; the empty product means x is trivial at the
+ requested level.  Raises InconsistentRelations if the relations force a
+ multiplicative relation between powers of pi and 2*pi*i themselves.  Each
+ call echelonizes the set's lattice once.  A generator the set does not
+ mention has no column: its residue is its own exponent, taken modulo the
+ unit row when it is of rational square class (sqrtD, sqrtdisc.*).
+ """
+ if mod not in ("Q", "sqrtQ"):
+  raise ValueError("mod must be 'Q' or 'sqrtQ'")
+ unit = 4 if mod == "Q" else 2
+ cols, index, basis = _echelon(rels, mod, unit)
+ t, rest = _to_int_vector(x, index)
+ for c, p, row in basis:
+  q = t[c] // p
   if q:
-   for k in range(n):
-    t[k] -= q * row[k]
- return PeriodScalar({cols[k]: Fraction(t[k], 2) for k in range(n) if t[k]})
+   for k, a in row:
+    t[k] -= q * a
+ out = {cols[k]: Fraction(a, 2) for k, a in enumerate(t) if a}
+ for g, a in rest.items():
+  if _auto_sqrt_class(g):
+   a %= unit
+  if a:
+   out[g] = Fraction(a, 2)
+ return PeriodScalar(out)
 
 
 def is_trivial(x, rels, mod="Q"):

@@ -248,8 +248,8 @@ def weyl_order_bruteforce(rtype, rank):
 def _restricted_pair(g):
  """(big system, small system) of restricted roots, in shared coordinates.
 
- Returns (big, small, rank) with each system a list of vectors, or None for
- groups where the two systems coincide.
+ Returns (big type, big, small, rank) with each system a list of vectors,
+ or None for groups where the two systems coincide.
  """
  if g.product:
   raise UnsupportedGroup("restricted pairs are per-factor data")
@@ -261,8 +261,8 @@ def _restricted_pair(g):
   if m == 0:
    raise UnsupportedGroup("not tabulated: rank too small")
   if n % 2 == 0:
-   return roots("C", m), roots("D", m), m
-  return roots("BC", m), roots("B", m), m
+   return "C", roots("C", m), roots("D", m), m
+  return "BC", roots("BC", m), roots("B", m), m
  p, q = g.signature
  if p % 2 == 0 or q % 2 == 0:
   raise UnsupportedGroup("not tabulated: delta = 0 signature")
@@ -273,7 +273,7 @@ def _restricted_pair(g):
   small.append(tuple(r) + (0,) * l)
  for r in roots("B", l):
   small.append((0,) * k + tuple(r))
- return big, small, k + l
+ return "B", big, small, k + l
 
 
 def weyl_index(g):
@@ -288,13 +288,14 @@ def weyl_index(g):
 
 def chamber_check(g):
  """Count big-system chambers inside one small-system chamber by orbit
- enumeration and compare with the tabulated index."""
+ enumeration and compare with the tabulated index; the orbit size must
+ also match the closed-form order of the big Weyl group."""
  if isinstance(g, str):
   g = GroupDescriptor.parse(g)
  pair = _restricted_pair(g)
  if pair is None:
   return weyl_index(g) == 1
- big, small, rank = pair
+ big_type, big, small, rank = pair
  if rank > 4:
   raise UnsupportedGroup("brute force limited to rank 4")
  big = [tuple(Fraction(x) for x in r) for r in big]
@@ -310,7 +311,7 @@ def chamber_check(g):
     return False
   return True
  count = sum(1 for x in orbit if dominant(x))
- return count == weyl_index(g) and len(orbit) == weyl_order_from_roots(big)
+ return count == weyl_index(g) and len(orbit) == weyl_order(big_type, rank)
 
 
 def _positive(a):
@@ -320,11 +321,6 @@ def _positive(a):
   if x < 0:
    return False
  return False
-
-
-def weyl_order_from_roots(big):
- """|W| as the size of a generic orbit."""
- return len(_generic_orbit(big))
 
 
 def _simple_roots(system):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from artifact import periodring
 from artifact.cli import main
 
 
@@ -134,3 +135,60 @@ class TestVerifyAll:
  def test_usage_error(self, capsys):
   code = main(["verify-all", "--n-max", "0"])
   assert code == 2
+
+
+class TestUsageErrors:
+ """Bad arguments and unreadable input files print one line on stderr and
+ exit 2; exit 1 stays reserved for an identity that fails."""
+
+ @pytest.mark.parametrize("argv,msg", [
+     (["check", "--case", "pgl-q", "--n", "13"], "between 1 and 12"),
+     (["lfactor", "--case", "pgl-q", "--n", "0"], "n must be positive"),
+     (["invariants", "--group", "foo"], "foo"),
+     (["hodge", "--case", "pgl-q", "--n", "0", "--show", "M"],
+      "n must be positive"),
+     (["period", "--expr", "(mul a"], "unexpected end of expression"),
+     (["period", "--expr", "(pow Q0 1/3)", "--case", "pgl-q"],
+      "denominator beyond 2"),
+     (["verify-all", "--n-max", "13"], "n-max"),
+ ])
+ def test_one_line_exit_2(self, capsys, argv, msg):
+  code = main(argv)
+  captured = capsys.readouterr()
+  assert code == 2
+  assert captured.out == ""
+  lines = captured.err.splitlines()
+  assert len(lines) == 1 and lines[0].startswith("usage error: ")
+  assert msg in lines[0]
+
+ def _rotation(self, capsys, tmp_path, v1_text):
+  v1 = tmp_path / "v1.txt"
+  s = tmp_path / "s.txt"
+  if v1_text is not None:
+   v1.write_text(v1_text)
+  s.write_text("0 1 0\n0 0 1\n1 0 0\n")
+  code = main(["rotation", "--v1", str(v1), "--v2", str(s),
+               "--sigma", str(s)])
+  captured = capsys.readouterr()
+  return code, captured.out, captured.err.splitlines()
+
+ def test_rotation_missing_file(self, capsys, tmp_path):
+  code, out, err = self._rotation(capsys, tmp_path, None)
+  assert code == 2 and out == ""
+  assert len(err) == 1 and err[0].startswith("usage error: ")
+  assert "v1.txt" in err[0]
+
+ @pytest.mark.parametrize("text", ["1 1 x\n1 -1 0\n0 1 -1\n",
+                                   "1 0 1/0\n1 -1 0\n0 1 -1\n",
+                                   "1 1 1\n1 -1 0\n"])
+ def test_rotation_unreadable_matrix(self, capsys, tmp_path, text):
+  code, out, err = self._rotation(capsys, tmp_path, text)
+  assert code == 2 and out == ""
+  assert len(err) == 1 and err[0].startswith("usage error: ")
+
+ def test_inconsistent_relations_not_a_usage_error(self, monkeypatch):
+  g = periodring.PeriodScalar.gen
+  bad = periodring.RelationSet([(g("Q0") * g("pi"), "Q"), (g("Q0"), "Q")])
+  monkeypatch.setattr(periodring, "case_relations", lambda case, n: bad)
+  with pytest.raises(periodring.InconsistentRelations):
+   main(["period", "--expr", "Q0", "--case", "pgl-q"])

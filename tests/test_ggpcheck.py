@@ -12,6 +12,7 @@ from artifact.ggpcheck import (run_case, c_infty, torsion_ledger,
                                VolumeLedger, LedgerUnderdetermined,
                                rotation_check, verify_all, QSqrt,
                                _matvec, _matmul, _frac_mat)
+from reference_kernels import dense_solve, three_reduce_verdicts
 
 
 class TestRunCase:
@@ -238,3 +239,61 @@ class TestVerifyAll:
       3, perturb=("so-even", 2, PeriodScalar.gen("pi", Fraction(1, 2))))
   assert status != 0
   assert any("first failing identity: so-even n=2" in l for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against the dense references
+
+AXIOM_NAMES = [name for name, _, _ in gc.default_axioms()]
+FAULTS = (PeriodScalar.gen("pi", Fraction(1, 2)), PeriodScalar.gen("twopii"),
+          PeriodScalar.gen("twopii", -1))
+
+
+def _solve_or_none(fn, ledger, target):
+ try:
+  return list(fn(ledger, target).items())
+ except LedgerUnderdetermined:
+  return None
+
+
+class TestSparseSolve:
+ def test_default_ledger_matches_dense(self):
+  led = VolumeLedger()
+  for name, target in gc.TARGETS.items():
+   got = list(led._solve(target).items())
+   assert got == list(dense_solve(led, target).items()), name
+
+ @pytest.mark.parametrize("removed", AXIOM_NAMES)
+ def test_single_removal_matches_dense(self, removed):
+  led = VolumeLedger().without(removed)
+  for name, target in gc.TARGETS.items():
+   got = _solve_or_none(VolumeLedger._solve, led, target)
+   assert got == _solve_or_none(dense_solve, led, target), (removed, name)
+
+ def test_explicit_zero_entries_read_as_absent(self):
+  # the public constructor does not drop zero coefficients; a dependent
+  # axiom and the targets carry one here
+  axioms = [(name, dict(form, zz=Fraction(0)), kind)
+            for name, form, kind in gc.default_axioms()]
+  name, form, kind = axioms[0]
+  axioms.append(("dup", dict(form), kind))
+  led = VolumeLedger(axioms)
+  for name, target in gc.TARGETS.items():
+   target = dict(target, zz=Fraction(0))
+   assert _solve_or_none(VolumeLedger._solve, led, target) == \
+       _solve_or_none(dense_solve, led, target) is not None, name
+
+ def test_underdetermined_target(self):
+  with pytest.raises(LedgerUnderdetermined):
+   VolumeLedger().without("rt2")._solve(gc.TARGETS["buggerme"])
+
+
+class TestOneReduction:
+ @pytest.mark.parametrize("case", CASES)
+ def test_verdicts_match_three_reductions(self, case):
+  for n in range(1, 13):
+   for extra in (None,) + FAULTS:
+    rep = run_case(case, n, extra=extra)
+    want = three_reduce_verdicts(case, n, extra)
+    assert (rep.gamma1, rep.gamma2, rep.condensate) == want, \
+        (case, n, extra)

@@ -5,6 +5,7 @@ oracle."""
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from artifact.periodring import (PeriodScalar, RelationSet,
@@ -12,8 +13,9 @@ from artifact.periodring import (PeriodScalar, RelationSet,
                                  CASES, cancellation_exponent,
                                  case_relations, vol_L, beilinson_volume,
                                  deligne_c, condensate, condensate_residual,
-                                 parse_expr)
+                                 parse_expr, _hnf)
 import oracle_periods as orc
+from reference_kernels import dense_reduce
 
 
 g = PeriodScalar.gen
@@ -239,3 +241,101 @@ class TestNumericOracle:
     # their ratio is rational times a power of i times rationals
     r = lhs / rhs
     assert r.is_rational() or r.re == 0, (j, sign)
+
+
+# ---------------------------------------------------------------------------
+# the sparse reduce against the dense reference
+
+OUTSIDE = ("sqrtdisc.7", "free", "pi", "twopii", "sqrtD", "i")
+
+
+def _random_scalar(rng, gens):
+ exps = {}
+ for name in rng.sample(gens, min(len(gens), 8)):
+  exps[name] = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+ return PeriodScalar(exps)
+
+
+class TestSparseReduce:
+ @pytest.mark.parametrize("case", CASES)
+ def test_matches_dense_reference(self, case):
+  rng = random.Random(CASES.index(case))
+  for n in range(1, 13):
+   rels = case_relations(case, n)
+   gens = sorted({s for r, _ in rels.relations for s in r.exps} |
+                 set(rels.rational_gens)) + list(OUTSIDE)
+   for mod in ("Q", "sqrtQ"):
+    for _ in range(6):
+     x = _random_scalar(rng, gens)
+     assert reduce(x, rels, mod) == dense_reduce(x, rels, mod), \
+         (case, n, mod, x)
+    for name in OUTSIDE:
+     x = g(name, Fraction(rng.randint(-7, 7), 2))
+     assert reduce(x, rels, mod) == dense_reduce(x, rels, mod), \
+         (case, n, mod, x)
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_twopii_powers_commute_with_reduce(self, case):
+  # twopii is never a pivot, which is what lets run_case read all three
+  # verdicts off one residue
+  for n in range(1, 13):
+   rels = case_relations(case, n)
+   for mod in ("Q", "sqrtQ"):
+    x = condensate(case, n) * g("pi", half)
+    base = reduce(x, rels, mod)
+    for k in (-3, -1, 1, 2):
+     assert reduce(x * g("twopii", k), rels, mod) == base * g("twopii", k)
+
+ def test_inconsistent_on_every_call(self):
+  rels = RelationSet([(g("Q0.s") * g("twopii"), "Q"), (g("Q0.s"), "Q")])
+  for _ in range(3):
+   with pytest.raises(InconsistentRelations):
+    reduce(g("Q0.s"), rels, "Q")
+
+ def test_denominator_beyond_two_rejected(self):
+  rels = case_relations("pgl-q", 2)
+  for name in ("Q0", "free", "sqrtdisc.3"):
+   with pytest.raises(ValueError, match="denominator beyond 2"):
+    reduce(g(name, Fraction(1, 3)), rels, "Q")
+  with pytest.raises(ValueError, match="denominator beyond 2"):
+   reduce(g("Q0"), RelationSet([(g("Q0", Fraction(1, 3)), "Q")]), "Q")
+
+ def test_bad_mod(self):
+  with pytest.raises(ValueError, match="mod must be"):
+   reduce(g("Q0"), RelationSet(), "R")
+
+
+def _residue(basis, t):
+ t = list(t)
+ for c, row in basis:
+  q = t[c] // row[c]
+  for k in range(len(t)):
+   t[k] -= q * row[k]
+ return t
+
+
+_rows = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+             max_size=5),
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5)))
+
+
+class TestHnfProperties:
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_rows)
+ def test_residue_constant_on_cosets(self, data):
+  rows, t, coeffs = data
+  n = len(t)
+  basis = _hnf(rows, n)
+  shifted = list(t)
+  for c, row in zip(coeffs, rows):
+   shifted = [a + c * b for a, b in zip(shifted, row)]
+  assert _residue(basis, t) == _residue(basis, shifted)
+  # the echelon spans the rows: each reduces to zero
+  for row in rows:
+   assert not any(_residue(basis, row))
+  # pivots are positive and the residue sits in [0, pivot) at each pivot
+  res = _residue(basis, t)
+  for c, row in basis:
+   assert row[c] > 0 and 0 <= res[c] < row[c]

@@ -97,6 +97,14 @@ class TestWeylIndex:
  def test_chamber_enumeration(self, g):
   assert rs.chamber_check(g)
 
+ @pytest.mark.parametrize("g,rtype", [("SO(5,3)", "B"), ("SL(6)/R", "C"),
+                                      ("SL(7)/R", "BC")])
+ def test_chamber_orbit_checked_against_closed_form(self, monkeypatch, g,
+                                                     rtype):
+  # negative control: a wrong closed-form Weyl order must fail the check
+  monkeypatch.setitem(rs._WEYL_CLOSED, rtype, lambda n: 1)
+  assert rs.chamber_check(g) is False
+
 
 class TestMacdonald:
  @pytest.mark.parametrize("g", ["SU(%d)" % k for k in range(2, 7)] +
