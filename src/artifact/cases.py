@@ -1,0 +1,142 @@
+"""The four case families as plain data.
+
+A family is one classical group pair.  The families differ only in the
+data below, and every layer reads it from the family's CaseSpec instead of
+branching on a family name.  get(name, n) is the one place that
+canonicalizes a family name and checks n.
+"""
+
+from fractions import Fraction
+
+
+class CaseSpec:
+ """One family's data; the fields marked (n) are functions of n.
+
+ name, aliases  canonical family name and its other spellings
+ mod            level of the period reduction: "Q" or "sqrtQ"
+ r(n), m(n)     central shift and predicted power of 2*pi*i in the full
+                cancellation
+ e              power of the central value (2 where it is a square), and so
+                of the Deligne period in the condensate
+ twists         whether the condensate runs over both quadratic twists
+ over_e         whether the standard motives live over the quadratic field
+ shift          orthogonal families only: 0 for so-even, 1 for so-odd
+ groups(n)      (G, H) real-group descriptors
+ discriminants(n)
+                (Delta_G, Delta_H) as {(kind, a): multiplicity} maps of
+                Gamma_kind(s+a)
+ targets(n)     closed-form pi exponents of the four computed columns
+ factors(n)     {"M"/"N": (pairing, rank)}: the factor's standard motive is
+                the rank-dimensional one of that pairing ("linear",
+                "orthogonal" or "symplectic")
+ """
+
+ __slots__ = ("name", "aliases", "mod", "r", "m", "e", "twists", "over_e",
+              "shift", "groups", "discriminants", "targets", "factors")
+
+ def __init__(self, **fields):
+  for k, v in fields.items():
+   setattr(self, k, v)
+
+
+def _gammas(kind, *parts):
+ """{(kind, a): multiplicity} from (arguments, multiplicity) parts; equal
+ arguments add up."""
+ out = {}
+ for args, mult in parts:
+  for a in args:
+   out[(kind, a)] = out.get((kind, a), 0) + mult
+ return out
+
+
+def _targets(dk, dg, rho, ad):
+ return {"compact_volume_ratio": Fraction(dk),
+         "discriminant_ratio": Fraction(dg),
+         "rho_at_center": Fraction(rho),
+         "adjoint_at_zero": Fraction(ad)}
+
+
+def _linear_targets(dk, dg, n):
+ return _targets(dk, dg, -Fraction(2, 3) * n * (n + 1) * (n + 2),
+                 -Fraction(1, 3) * n * (n + 1) * (2 * n + 1))
+
+
+def _linear_factors(n):
+ return {"M": ("linear", n), "N": ("linear", n + 1)}
+
+
+def _evens(top):
+ return range(2, 2 * top + 1, 2)
+
+
+PGL_Q = CaseSpec(
+    name="pgl-q", aliases=("pglq",), mod="Q",
+    r=lambda n: n, m=lambda n: n * (n + 1), e=2,
+    twists=True, over_e=False, shift=None,
+    groups=lambda n: (" x ".join(["PGL(%d)/R" % n, "PGL(%d)/R" % (n + 1)] * 2),
+                      "GL(%d)/R x GL(%d)/R" % (n, n)),
+    discriminants=lambda n: (
+        _gammas("R", (range(2, n + 1), 4), ((n + 1,), 2)),
+        _gammas("R", (range(1, n + 1), 2))),
+    targets=lambda n: _linear_targets(2 * n - 2 * (n // 2),
+                                      2 * ((n // 2) - n), n),
+    factors=_linear_factors)
+
+PGL_E = CaseSpec(
+    name="pgl-e", aliases=("pgle",), mod="sqrtQ",
+    r=lambda n: n, m=lambda n: n * (n + 1), e=2,
+    twists=False, over_e=True, shift=None,
+    groups=lambda n: ("PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n),
+    discriminants=lambda n: (
+        _gammas("C", (range(2, n + 1), 2), ((n + 1,), 1)),
+        _gammas("C", (range(1, n + 1), 1))),
+    targets=lambda n: _linear_targets(n - 1, 1 - n, n),
+    factors=_linear_factors)
+
+SO_EVEN = CaseSpec(
+    name="so-even", aliases=("so-even-e", "soeven"), mod="sqrtQ",
+    r=lambda n: 2 * n - 1, m=lambda n: 2 * n * n, e=1,
+    twists=False, over_e=True, shift=0,
+    groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1),
+                      "SO(%d)/C" % (2 * n)),
+    discriminants=lambda n: (
+        _gammas("C", (_evens(n - 1), 2), ((n, 2 * n), 1)),
+        _gammas("C", (_evens(n - 1), 1), ((n,), 1))),
+    targets=lambda n: _targets(
+        n, -n,
+        -Fraction(1, 3) * (2 * n - 1) * 2 * n * (2 * n + 1) - n * (n + 1),
+        -Fraction(8, 3) * (n - 1) * n * (n + 1) + n * n - 3 * n),
+    factors=lambda n: {"M": ("orthogonal", 2 * n),
+                       "N": ("symplectic", 2 * n)})
+
+SO_ODD = CaseSpec(
+    name="so-odd", aliases=("so-odd-e", "soodd"), mod="sqrtQ",
+    r=lambda n: 2 * n, m=lambda n: 2 * n * (n + 1), e=1,
+    twists=False, over_e=True, shift=1,
+    groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
+                      "SO(%d)/C" % (2 * n + 1)),
+    discriminants=lambda n: (
+        _gammas("C", (_evens(n), 2), ((n + 1,), 1)),
+        _gammas("C", (_evens(n), 1))),
+    targets=lambda n: _targets(
+        n + 1, -(n + 1),
+        -Fraction(1, 3) * 2 * n * (2 * n + 1) * (2 * n + 2) - n * (n + 1),
+        -Fraction(4, 3) * n * (n + 1) * (2 * n + 1) + n * (n + 1)),
+    factors=lambda n: {"M": ("orthogonal", 2 * n + 2),
+                       "N": ("symplectic", 2 * n)})
+
+SPECS = {s.name: s for s in (PGL_Q, PGL_E, SO_EVEN, SO_ODD)}
+CASES = tuple(SPECS)
+
+_CANON = {a: s for s in SPECS.values() for a in (s.name,) + s.aliases}
+
+
+def get(name, n):
+ """The CaseSpec of a family name or alias ('_' for '-' and any letter
+ case accepted), after checking n >= 1."""
+ spec = _CANON.get(str(name).replace("_", "-").lower())
+ if spec is None:
+  raise ValueError("unknown case: %r" % (name,))
+ if n < 1:
+  raise ValueError("n must be positive")
+ return spec

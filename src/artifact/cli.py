@@ -20,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import cases
 from . import rootsys
 from . import exteralg
 from . import hodge
@@ -200,7 +201,6 @@ def build_parser():
  q.add_argument("--group", required=True,
                 help="descriptor, e.g. 'SL(4)/R' or 'PGL(2)/C x PGL(3)/C'")
  q.add_argument("--json", action="store_true")
- q.add_argument("--md", action="store_true")
  q.set_defaults(func=cmd_invariants)
 
  q = sub.add_parser("cohomology-model", help="exterior module model")
@@ -210,31 +210,29 @@ def build_parser():
  q.set_defaults(func=cmd_cohomology_model)
 
  q = sub.add_parser("hodge", help="case structure multiplicity tables")
- q.add_argument("--case", required=True, choices=periodring.CASES)
+ q.add_argument("--case", required=True, choices=cases.CASES)
  q.add_argument("--n", type=int, required=True)
  q.add_argument("--show", required=True, choices=_SHOW)
  q.set_defaults(func=cmd_hodge)
 
  q = sub.add_parser("lfactor", help="exponent table row")
- q.add_argument("--case", required=True, choices=periodring.CASES)
+ q.add_argument("--case", required=True, choices=cases.CASES)
  q.add_argument("--n", type=int, required=True)
  q.add_argument("--json", action="store_true")
- q.add_argument("--md", action="store_true")
  q.set_defaults(func=cmd_lfactor)
 
  q = sub.add_parser("period", help="reduce a period s-expression")
  q.add_argument("--expr", required=True,
                 help="e.g. '(mul (pow twopii 2) (conj Q0.s))'")
- q.add_argument("--case", choices=periodring.CASES)
+ q.add_argument("--case", choices=cases.CASES)
  q.add_argument("--n", type=int, default=1)
  q.add_argument("--mod", choices=("Q", "sqrtQ"), default="Q")
  q.set_defaults(func=cmd_period)
 
  q = sub.add_parser("check", help="full verdict for one case")
- q.add_argument("--case", required=True, choices=periodring.CASES)
+ q.add_argument("--case", required=True, choices=cases.CASES)
  q.add_argument("--n", type=int, required=True)
  q.add_argument("--json", action="store_true")
- q.add_argument("--md", action="store_true")
  q.set_defaults(func=cmd_check)
 
  q = sub.add_parser("torsion", help="volume ledger derivations")

@@ -5,17 +5,18 @@ derivations, and the quadratic-field rotation lemma."""
 from fractions import Fraction
 import math
 
+from . import cases
 from . import lgamma
+from . import linalg
 from . import periodring
-from .periodring import PeriodScalar, _canon_case, _hnf, CASES
+from .periodring import PeriodScalar, _hnf
 
 
 # ---------------------------------------------------------------------------
 # case reports
 
 class CaseReport:
- def __init__(self, case, n, table1, gamma1, gamma2, condensate, m_expected,
-              ledger=None):
+ def __init__(self, case, n, table1, gamma1, gamma2, condensate, m_expected):
   self.case = case
   self.n = n
   self.table1 = table1
@@ -23,7 +24,6 @@ class CaseReport:
   self.gamma2 = gamma2
   self.condensate = condensate
   self.m_expected = m_expected
-  self.ledger = ledger
 
  def passed(self):
   return all(r["pass"] for r in self.table1) and self.gamma1["pass"] and \
@@ -55,20 +55,19 @@ def run_case(case, n, extra=None):
  """Full verdict for one case/n: exponent table, the two auxiliary scalar
  reductions, and the final cancellation residual.  extra, if given, is a
  PeriodScalar multiplied into the period ratio (perturbation hook)."""
- case = _canon_case(case)
  if not 1 <= n <= 12:
   raise ValueError("n must be between 1 and 12")
+ spec = cases.get(case, n)
+ case, m = spec.name, spec.m(n)
  table1 = lgamma.table1_row(case, n)
- m = periodring.cancellation_exponent(case, n)
  rels = periodring.case_relations(case, n)
- mod = "Q" if case == "pgl-q" else "sqrtQ"
 
  cond = periodring.condensate(case, n)
  if extra is not None:
   cond = cond * extra
  # twopii is the last column and never a pivot, so reduction commutes
  # with powers of it: one residue gives all three verdicts
- reduced = periodring.reduce(cond, rels, mod)
+ reduced = periodring.reduce(cond, rels, spec.mod)
  m_found = reduced.exps.get("twopii", Fraction(0))
  gamma1 = {"exponent": -m_found, "pass": m_found == m}
  rest = reduced * PeriodScalar.gen("twopii", -m_found)
@@ -354,24 +353,6 @@ def _frac_mat(m):
  return [[Fraction(x) for x in row] for row in m]
 
 
-def _mat_inv_q(m):
- n = len(m)
- a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-      for i, row in enumerate(m)]
- for c in range(n):
-  piv = next((r for r in range(c, n) if a[r][c]), None)
-  if piv is None:
-   raise ValueError("singular matrix")
-  a[c], a[piv] = a[piv], a[c]
-  inv = 1 / a[c][c]
-  a[c] = [x * inv for x in a[c]]
-  for r in range(n):
-   if r != c and a[r][c]:
-    f = a[r][c]
-    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
- return [row[n:] for row in a]
-
-
 def _det3(m):
  return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
          - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -381,7 +362,7 @@ def _det3(m):
 def _primitive_axis_vector(basis, axis):
  """Shortest lattice vector on the invariant line."""
  bt = [[basis[j][i] for j in range(3)] for i in range(3)]
- coords = _matvec(_mat_inv_q(bt), axis)
+ coords = _matvec(linalg.inv(bt), axis)
  den = math.lcm(*(c.denominator for c in coords))
  ints = [int(c * den) for c in coords]
  g = math.gcd(*ints)
@@ -414,7 +395,7 @@ def rotation_check(v1, v2, sigma):
  for name, basis in (("v1", v1), ("v2", v2)):
   if _det3(basis) == 0:
    raise ValueError("%s is not a basis" % name)
-  btinv = _mat_inv_q([[basis[j][i] for j in range(3)] for i in range(3)])
+  btinv = linalg.inv([[basis[j][i] for j in range(3)] for i in range(3)])
   for row in basis:
    coords = _matvec(btinv, _matvec(sigma, row))
    if any(c.denominator != 1 for c in coords):
@@ -456,7 +437,7 @@ def rotation_check(v1, v2, sigma):
  cols_to = [u1, _matvec(sigma, u1), [Fraction(0)] * 3]
  ffrom = [[cols_from[j][i] for j in range(3)] for i in range(3)]
  fto = [[cols_to[j][i] for j in range(3)] for i in range(3)]
- fmat = _matmul(fto, _mat_inv_q(ffrom))
+ fmat = _matmul(fto, linalg.inv(ffrom))
  # conformality of the plane map, forced by sigma-equivariance
  fu2 = _matvec(fmat, u2)
  fsu2 = _matvec(fmat, _matvec(sigma, u2))
@@ -482,7 +463,7 @@ def rotation_check(v1, v2, sigma):
     raise AssertionError("constructed map is not a sigma-commuting "
                          "rotation")
  # change of basis of the second lattice through alpha, in the first basis
- b1inv = _mat_inv_q(v1)
+ b1inv = linalg.inv(v1)
  change = []
  for row in v2:
   img = [QSqrt(b)] * 3
@@ -498,12 +479,7 @@ def rotation_check(v1, v2, sigma):
     acc = acc + QSqrt(b, b1inv[k][i]) * img[k]
    coords.append(acc)
   change.append(coords)
- det = (change[0][0] * (change[1][1] * change[2][2] -
-                        change[1][2] * change[2][1]) -
-        change[0][1] * (change[1][0] * change[2][2] -
-                        change[1][2] * change[2][0]) +
-        change[0][2] * (change[1][0] * change[2][1] -
-                        change[1][1] * change[2][0]))
+ det = _det3(change)
  if det.is_zero():
   raise AssertionError("rotation does not carry the spans over")
  desc = {"b": b, "scale": r, "alpha": alpha, "change_of_basis": change,
@@ -526,7 +502,7 @@ def verify_all(n_max, perturb=None):
  lines = []
  status = 0
  first_fail = None
- for case in CASES:
+ for case in cases.CASES:
   for n in range(1, n_max + 1):
    extra = None
    if perturb and perturb[0] == case and perturb[1] == n:

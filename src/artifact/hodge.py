@@ -4,9 +4,7 @@ operations (tensor, dual, Tate twist, adjoint, restriction of scalars) that
 feed the archimedean L-factor and period computations.
 """
 
-import math
-
-from .periodring import _canon_case, CASES
+from . import cases
 
 
 class HodgeStructure:
@@ -182,34 +180,9 @@ def deligne_data(a):
  return dplus, dminus, pplus, pminus
 
 
-class CaseDescriptor:
- """Per-family constants: central shift r, predicted power m of 2*pi*i
- in the final cancellation, and squaring exponent e."""
-
- def __init__(self, case, n):
-  self.case = _canon_case(case)
-  self.n = n
-  if n < 1:
-   raise ValueError("n must be positive")
-  if self.case in ("pgl-q", "pgl-e"):
-   self.r = n
-   self.m = n * (n + 1)
-   self.e = 2
-  elif self.case == "so-even":
-   self.r = 2 * n - 1
-   self.m = 2 * n * n
-   self.e = 1
-  else:
-   self.r = 2 * n
-   self.m = 2 * n * (n + 1)
-   self.e = 1
-
- def __repr__(self):
-  return "CaseDescriptor(%s, n=%d, r=%d, m=%d, e=%d)" % (
-      self.case, self.n, self.r, self.m, self.e)
-
-
-def _linear_std(rank, over_e, psi=False):
+def _linear_std(rank, over_e, psi):
+ """Standard structure of a linear or symplectic factor: weight rank-1,
+ one line per piece."""
  w = rank - 1
  mult = {(w - i, i): 1 for i in range(rank)}
  if over_e or w % 2:
@@ -218,48 +191,29 @@ def _linear_std(rank, over_e, psi=False):
  return HodgeStructure(w, mult, fplus=fp, fminus=fm)
 
 
-def _so_even_std(k, over_e):
- """Standard structure of the even orthogonal group SO_2k: weight 2k-2,
- rank 2k, doubled middle piece."""
- w = 2 * k - 2
+def _orthogonal_std(rank, over_e):
+ """Standard structure of the even orthogonal group SO_rank: weight
+ rank-2, doubled middle piece."""
+ w = rank - 2
  mult = {(w - i, i): 1 for i in range(w + 1)}
- mult[(k - 1, k - 1)] = 2
+ mult[(w // 2, w // 2)] = 2
  if over_e:
   return HodgeStructure(w, mult, over_e=True)
  return HodgeStructure(w, mult, fplus=1, fminus=1)
 
 
-def _so_odd_std(k, over_e):
- """Standard structure of SO_{2k+1}: weight 2k-1, rank 2k, no diagonal."""
- w = 2 * k - 1
- mult = {(w - i, i): 1 for i in range(w + 1)}
- return HodgeStructure(w, mult, over_e=over_e)
-
-
 def standard_motive(case, n, factor, psi=False):
- case = _canon_case(case)
- if n < 1:
-  raise ValueError("n must be positive")
+ spec = cases.get(case, n)
  if factor not in ("M", "N"):
   raise ValueError("factor must be M or N")
- if case == "pgl-q":
-  return _linear_std(n if factor == "M" else n + 1, over_e=False, psi=psi)
- if case == "pgl-e":
-  return _linear_std(n if factor == "M" else n + 1, over_e=True)
- if case == "so-even":
-  return _so_even_std(n, True) if factor == "M" else _so_odd_std(n, True)
- if case == "so-odd":
-  return _so_even_std(n + 1, True) if factor == "M" else _so_odd_std(n, True)
- raise ValueError("unsupported case %r" % (case,))
+ pairing, rank = spec.factors(n)[factor]
+ if pairing == "orthogonal":
+  return _orthogonal_std(rank, spec.over_e)
+ return _linear_std(rank, spec.over_e, psi)
 
 
 def case_adjoint(case, n, factor):
  """Adjoint structure of the given factor's group, with the pairing the
  case family dictates."""
- case = _canon_case(case)
  std = standard_motive(case, n, factor)
- if case in ("pgl-q", "pgl-e"):
-  return adjoint(std, "linear")
- if factor == "N":
-  return adjoint(std, "symplectic")
- return adjoint(std, "orthogonal")
+ return adjoint(std, cases.get(case, n).factors(n)[factor][0])

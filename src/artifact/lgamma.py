@@ -5,9 +5,10 @@ computed pi-exponent against its closed-form target.
 
 from fractions import Fraction
 
-from . import rootsys
-from .periodring import PeriodScalar, _canon_case
+from . import cases
 from . import hodge
+from . import rootsys
+from .periodring import PeriodScalar
 
 
 class GammaProduct:
@@ -99,54 +100,7 @@ def gamma_consistency(m):
      m * (m + 1) * (m + 2) // 6
 
 
-def _gc(*args):
- """Gamma_C at the given fixed integer arguments (as a constant product)."""
- out = {}
- for a in args:
-  out[("C", a)] = out.get(("C", a), 0) + 1
- return GammaProduct(out)
-
-
-def _gr(*args):
- out = {}
- for a in args:
-  out[("R", a)] = out.get(("R", a), 0) + 1
- return GammaProduct(out)
-
-
-def case_group_descriptors(case, n):
- """(G, H) real-group descriptor strings for the case family."""
- case = _canon_case(case)
- if case == "pgl-q":
-  g = " x ".join(["PGL(%d)/R" % n, "PGL(%d)/R" % (n + 1)] * 2)
-  return g, "GL(%d)/R x GL(%d)/R" % (n, n)
- if case == "pgl-e":
-  return "PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n
- if case == "so-even":
-  return "SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1), "SO(%d)/C" % (2 * n)
- return "SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2), \
-     "SO(%d)/C" % (2 * n + 1)
-
-
-def discriminant_factors(case, n):
- """(Delta_G, Delta_H) archimedean discriminant Gamma-products."""
- case = _canon_case(case)
- if case == "pgl-q":
-  dg = (_gr(*range(2, n + 1)) ** 4) * (_gr(n + 1) ** 2)
-  dh = _gr(*range(1, n + 1)) ** 2
- elif case == "pgl-e":
-  dg = (_gc(*range(2, n + 1)) ** 2) * _gc(n + 1)
-  dh = _gc(*range(1, n + 1))
- elif case == "so-even":
-  dg = (_gc(*(2 * i for i in range(1, n))) ** 2) * _gc(n) * _gc(2 * n)
-  dh = _gc(*(2 * i for i in range(1, n))) * _gc(n)
- else:
-  dg = (_gc(*(2 * i for i in range(1, n + 1))) ** 2) * _gc(n + 1)
-  dh = _gc(*(2 * i for i in range(1, n + 1)))
- return dg, dh
-
-
-def _doubled(case, h):
+def _doubled(h):
  """Pass from one factor pair to the full real group: restriction of
  scalars for the imaginary-quadratic cases, a plain second copy for the
  squared split case."""
@@ -175,60 +129,27 @@ def adjoint_structure(case, n):
                              fminus=adm.fminus + adn.fminus)
 
 
-def _expected(case, n):
- case = _canon_case(case)
- if case == "pgl-q":
-  dk = 2 * n - 2 * (n // 2)
-  dg = 2 * ((n // 2) - n)
-  rho = -Fraction(2, 3) * n * (n + 1) * (n + 2)
-  ad = -Fraction(1, 3) * n * (n + 1) * (2 * n + 1)
- elif case == "pgl-e":
-  dk = n - 1
-  dg = 1 - n
-  rho = -Fraction(2, 3) * n * (n + 1) * (n + 2)
-  ad = -Fraction(1, 3) * n * (n + 1) * (2 * n + 1)
- elif case == "so-even":
-  dk = n
-  dg = -n
-  rho = -Fraction(1, 3) * (2 * n - 1) * 2 * n * (2 * n + 1) - n * (n + 1)
-  ad = -Fraction(8, 3) * (n - 1) * n * (n + 1) + n * n - 3 * n
- else:
-  dk = n + 1
-  dg = -(n + 1)
-  rho = -Fraction(1, 3) * 2 * n * (2 * n + 1) * (2 * n + 2) - n * (n + 1)
-  ad = -Fraction(4, 3) * n * (n + 1) * (2 * n + 1) + n * (n + 1)
- return {"compact_volume_ratio": Fraction(dk),
-         "discriminant_ratio": Fraction(dg),
-         "rho_at_center": Fraction(rho),
-         "adjoint_at_zero": Fraction(ad),
-         "ratio": Fraction(rho) - Fraction(ad)}
-
-
 def table1_row(case, n):
  """Compute all five exponent columns from first principles and compare
  each against its closed-form target."""
- case = _canon_case(case)
- if n < 1:
-  raise ValueError("n must be positive")
- desc = hodge.CaseDescriptor(case, n)
- expected = _expected(case, n)
+ spec = cases.get(case, n)
+ expected = spec.targets(n)
+ expected["ratio"] = expected["rho_at_center"] - expected["adjoint_at_zero"]
  computed = {}
 
- gdesc, hdesc = case_group_descriptors(case, n)
- gi = rootsys.invariants(gdesc)
- hi = rootsys.invariants(hdesc)
+ gi, hi = (rootsys.invariants(d) for d in spec.groups(n))
  computed["compact_volume_ratio"] = \
      Fraction(gi.d_K + gi.r_K, 2) - Fraction(hi.d_K + hi.r_K)
 
- dg, dh = discriminant_factors(case, n)
+ dg, dh = (GammaProduct(d) for d in spec.discriminants(n))
  computed["discriminant_ratio"] = pi_exponent(
      leading_coeff(dg / (dh ** 2), 0))
 
- tens = _doubled(case, tensor_structure(case, n))
- computed["rho_at_center"] = desc.e * pi_exponent(
-     leading_coeff(l_infinity(tens), desc.r))
+ tens = _doubled(tensor_structure(spec.name, n))
+ computed["rho_at_center"] = spec.e * pi_exponent(
+     leading_coeff(l_infinity(tens), spec.r(n)))
 
- adj = _doubled(case, adjoint_structure(case, n))
+ adj = _doubled(adjoint_structure(spec.name, n))
  computed["adjoint_at_zero"] = pi_exponent(
      leading_coeff(l_infinity(adj), 0))
 

@@ -21,6 +21,8 @@ is written never matters.
 
 from fractions import Fraction
 
+from . import cases
+
 
 class PeriodScalar:
  """Formal product of generators with Fraction exponents."""
@@ -277,12 +279,8 @@ def reduce(x, rels, mod="Q"):
  return PeriodScalar(out)
 
 
-def is_trivial(x, rels, mod="Q"):
- return reduce(x, rels, mod).is_one()
-
-
 # ---------------------------------------------------------------------------
-# case data for the four rank families
+# period data of the case families (see cases.py for the per-family data)
 #
 # Indeterminate names: Qp / Rq are period ratios of the two factors, dM /
 # dMpsi / dN are period determinants, cMp/cMm/cNp/cNm are the two period
@@ -290,183 +288,129 @@ def is_trivial(x, rels, mod="Q"):
 # determinants, Delta / Xi are the discriminant and unitary part of the
 # orthogonal Gram determinant.
 
-CASES = ("pgl-q", "pgl-e", "so-even", "so-odd")
 
-
-def _canon_case(case):
- c = str(case).replace("_", "-").lower()
- alias = {"pgl-q": "pgl-q", "pglq": "pgl-q", "pgl-e": "pgl-e", "pgle": "pgl-e",
-          "so-even": "so-even", "so-even-e": "so-even", "soeven": "so-even",
-          "so-odd": "so-odd", "so-odd-e": "so-odd", "soodd": "so-odd"}
- if c not in alias:
-  raise ValueError("unknown case: %r" % (case,))
- return alias[c]
-
-
-def cancellation_exponent(case, n):
- """Exponent m of (2 pi i)^m expected from the full cancellation."""
- case = _canon_case(case)
- if case in ("pgl-q", "pgl-e"):
-  return n * (n + 1)
- if case == "so-even":
-  return 2 * n * n
- return 2 * n * (n + 1)
-
-
-def case_relations(case, n):
- case = _canon_case(case)
+def _split_relations(n):
  g = PeriodScalar.gen
  rels = []
- if case == "pgl-q":
-  j = n - 1
-  t = j // 2
-  for p in range(j + 1):
-   if p < j - p:
-    rels.append((g("Q%d" % p) * g("Q%d" % (j - p)) * g("i", 2 * j), "Q"))
-  if j % 2 == 0:
-   rels.append((g("Q%d" % t), "Q"))  # real middle eigenvector
-  for q in range(j + 2):
-   if q < j + 1 - q:
-    rels.append((g("R%d" % q) * g("R%d" % (j + 1 - q)) * g("i", 2 * (j + 1)),
-                 "Q"))
-  if (j + 1) % 2 == 0:
-   rels.append((g("R%d" % ((j + 1) // 2)), "Q"))
-  rels.append((g("dM", 2) * g("twopii", j * (j + 1)), "Q"))
-  rels.append((g("dMpsi", 2) * g("twopii", j * (j + 1)), "Q"))
-  rels.append((g("dN", 2) * g("twopii", (j + 1) * (j + 2)), "Q"))
-  if j % 2 == 0:
-   x = g("cNp") * g("cNm") * g("dN", -1)
-   for q in range(t + 1):
-    x = x * g("R%d" % q)
-   rels.append((x, "Q"))
-  else:
-   x = g("cMp") * g("cMm") * g("dM", -1)
-   for p in range(t + 1):
-    x = x * g("Q%d" % p)
-   rels.append((x, "Q"))
-  return RelationSet(rels)
- if case == "pgl-e":
-  j = n - 1
-  for p in range(j + 1):
-   rels.append((g("Q%d.sb" % p) * g("Q%d.s" % (j - p)) * g("i", 2 * j), "Q"))
-  for q in range(j + 2):
-   rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
-                g("i", 2 * (j + 1)), "Q"))
-  x = g("detA", 2) * g("twopii", j * (j + 1))
-  for p in range(j + 1):
-   x = x * g("Q%d.s" % p, -1)
+ j = n - 1
+ t = j // 2
+ for p in range(j + 1):
+  if p < j - p:
+   rels.append((g("Q%d" % p) * g("Q%d" % (j - p)) * g("i", 2 * j), "Q"))
+ if j % 2 == 0:
+  rels.append((g("Q%d" % t), "Q"))  # real middle eigenvector
+ for q in range(j + 2):
+  if q < j + 1 - q:
+   rels.append((g("R%d" % q) * g("R%d" % (j + 1 - q)) * g("i", 2 * (j + 1)),
+                "Q"))
+ if (j + 1) % 2 == 0:
+  rels.append((g("R%d" % ((j + 1) // 2)), "Q"))
+ rels.append((g("dM", 2) * g("twopii", j * (j + 1)), "Q"))
+ rels.append((g("dMpsi", 2) * g("twopii", j * (j + 1)), "Q"))
+ rels.append((g("dN", 2) * g("twopii", (j + 1) * (j + 2)), "Q"))
+ if j % 2 == 0:
+  x = g("cNp") * g("cNm") * g("dN", -1)
+  for q in range(t + 1):
+   x = x * g("R%d" % q)
   rels.append((x, "Q"))
-  x = g("detB", 2) * g("twopii", (j + 1) * (j + 2))
-  for q in range(j + 2):
-   x = x * g("R%d.s" % q, -1)
-  rels.append((x, "Q"))
-  return RelationSet(rels)
- # orthogonal cases
- rels.append((g("Delta.s") * g("Delta.sb"), "Q"))
- rels.append((g("Xi.s") * g("Xi.sb"), "Q"))
- rels.append((g("Xi.s", 2) * g("Delta.s") * g("Delta.sb", -1), "Q"))
- rels.append((g("detB", 2) * g("twopii", 2 * n * (2 * n - 1)), "Q"))
- if case == "so-even":
-  rels.append((g("detA", 2) * g("Delta.s") * g("twopii", 2 * n * (2 * n - 2)),
-               "Q"))
  else:
-  rels.append((g("detA", 2) * g("Delta.s") * g("twopii", 2 * n * (2 * n + 2)),
-               "Q"))
+  x = g("cMp") * g("cMm") * g("dM", -1)
+  for p in range(t + 1):
+   x = x * g("Q%d" % p)
+  rels.append((x, "Q"))
+ return RelationSet(rels)
+
+
+def _quadratic_relations(n):
+ g = PeriodScalar.gen
+ rels = []
+ j = n - 1
+ for p in range(j + 1):
+  rels.append((g("Q%d.sb" % p) * g("Q%d.s" % (j - p)) * g("i", 2 * j), "Q"))
+ for q in range(j + 2):
+  rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
+               g("i", 2 * (j + 1)), "Q"))
+ x = g("detA", 2) * g("twopii", j * (j + 1))
+ for p in range(j + 1):
+  x = x * g("Q%d.s" % p, -1)
+ rels.append((x, "Q"))
+ x = g("detB", 2) * g("twopii", (j + 1) * (j + 2))
+ for q in range(j + 2):
+  x = x * g("R%d.s" % q, -1)
+ rels.append((x, "Q"))
+ return RelationSet(rels)
+
+
+def _orthogonal_relations(n, shift):
+ g = PeriodScalar.gen
+ rels = [(g("Delta.s") * g("Delta.sb"), "Q"),
+         (g("Xi.s") * g("Xi.sb"), "Q"),
+         (g("Xi.s", 2) * g("Delta.s") * g("Delta.sb", -1), "Q"),
+         (g("detB", 2) * g("twopii", 2 * n * (2 * n - 1)), "Q"),
+         (g("detA", 2) * g("Delta.s") *
+          g("twopii", 2 * n * (2 * n - 2 + 4 * shift)), "Q")]
  return RelationSet(rels, rational_gens=[x for k in range(2 * n + 2)
                                          for x in ("Q%d" % k, "R%d" % k)])
 
 
+def case_relations(case, n):
+ spec = cases.get(case, n)
+ if spec.shift is not None:
+  return _orthogonal_relations(n, spec.shift)
+ return (_quadratic_relations if spec.over_e else _split_relations)(n)
+
+
+def _orthogonal_ratios(prefix, top):
+ """prod_{p < top} prefix_p^-(2 top - 2p): the real period ratios of an
+ orthogonal factor."""
+ out = PeriodScalar.one()
+ for p in range(top):
+  out = out * PeriodScalar.gen("%s%d" % (prefix, p), -(2 * top - 2 * p))
+ return out
+
+
 def vol_L(case, n, which):
  """Lattice volume of the Betti realization, as a period scalar."""
- case = _canon_case(case)
+ spec = cases.get(case, n)
  if which not in ("M", "N"):
   raise ValueError("which must be 'M' or 'N'")
  g = PeriodScalar.gen
- out = PeriodScalar.one()
- if case == "pgl-q":
-  j = n - 1
-  rng = range(j + 1) if which == "M" else range(j + 2)
-  for p in rng:
-   out = out * g(("Q%d" if which == "M" else "R%d") % p, p)
-  return out
- if case == "pgl-e":
-  j = n - 1
-  rng = range(j + 1) if which == "M" else range(j + 2)
-  nm = "Q%d" if which == "M" else "R%d"
-  for p in rng:
-   out = out * g(nm % p + ".s", p) * g(nm % p + ".sb", p)
-  return out
- if case == "so-even":
+ if spec.shift is not None:
   if which == "N":
-   out = g("sqrtD", n * n)
-   for q in range(n):
-    out = out * g("R%d" % q, -(2 * n - 2 * q))
-   return out
-  out = g("sqrtD", n * n - n)
-  for p in range(n - 1):
-   out = out * g("Q%d" % p, -(2 * n - 2 - 2 * p))
-  return out * g("Delta.s", n - 1) * g("Xi.s", n - 1)
- # so-odd: N is the odd orthogonal factor of rank 2n+1, M has rank 2n+2
- if which == "N":
-  out = g("sqrtD", n * n)
-  for q in range(n):
-   out = out * g("R%d" % q, -(2 * n - 2 * q))
-  return out
- for p in range(n):
-  out = out * g("Q%d" % p, -(2 * n - 2 * p))
- return out * g("Delta.s", n) * g("Xi.s", n)
-
-
-def beilinson_volume(lstar, volHB, volF1):
- """Motivic-cohomology volume rewrite: lstar * volHB / volF1."""
- return lstar * volHB / volF1
-
-
-def pair_volume(case, n):
- return vol_L(case, n, "M") * vol_L(case, n, "N")
+   return g("sqrtD", n * n) * _orthogonal_ratios("R", n)
+  k = n - 1 + spec.shift  # M is the orthogonal factor SO(2k + 2)
+  return g("sqrtD", (1 - spec.shift) * n * (n - 1)) * \
+      _orthogonal_ratios("Q", k) * g("Delta.s", k) * g("Xi.s", k)
+ nm = "Q%d" if which == "M" else "R%d"
+ out = PeriodScalar.one()
+ for p in range(n if which == "M" else n + 1):
+  if spec.over_e:
+   out = out * g(nm % p + ".s", p) * g(nm % p + ".sb", p)
+  else:
+   out = out * g(nm % p, p)
+ return out
 
 
 def deligne_c(case, n, sign=1, psi=False):
  """Deligne period of the centrally twisted tensor motive.
 
  sign picks c^+ or c^-; psi applies the quadratic twist to the first
- factor (pgl-q only).
+ factor (families whose condensate runs over both twists only).
  """
- case = _canon_case(case)
+ spec = cases.get(case, n)
  if sign not in (1, -1):
   raise ValueError("sign must be +1 or -1")
- if psi and case != "pgl-q":
+ if psi and not spec.twists:
   raise ValueError("quadratic twist only applies to pgl-q")
  g = PeriodScalar.gen
- if case == "pgl-q":
-  j = n - 1
-  t = j // 2
-  schi = -1 if psi else 1
-  dX = "dMpsi" if psi else "dM"
-  out = g("twopii", Fraction((j + 1) * (j + 1) * (j + 2), 2))
-  if j % 2 == 0:
-   out = out * g(dX, t + 1) * g("dN", t)
-   for p in range(t):
-    out = out * g("Q%d" % p, p - t)
-   for q in range(t + 1):
-    out = out * g("R%d" % q, q - t)
-   # the odd Tate twist flips the Betti sign of the trailing minor
-   out = out * g("cNp" if -sign * schi > 0 else "cNm")
-  else:
-   out = out * g(dX, t + 1) * g("dN", t + 1)
-   for p in range(t + 1):
-    out = out * g("Q%d" % p, p - t)
-   for q in range(t + 1):
-    out = out * g("R%d" % q, q - t - 1)
-   # the trailing minor keeps the target sign; the twisted minor equals the
-   # opposite-sign untwisted one up to a Gauss power of i
-   if psi:
-    out = out * g("cMp" if sign < 0 else "cMm") * g("i", -(t + 1))
-   else:
-    out = out * g("cMp" if sign > 0 else "cMm")
-  return out
- if case == "pgl-e":
-  j = n - 1
+ if spec.shift is not None:
+  s = spec.shift
+  out = g("twopii", 4 * n * n * (2 * n - 1 + 3 * s))
+  out = out * (g("i") * g("sqrtD")) ** (-2 * n * (n + s))
+  out = out * _orthogonal_ratios("Q", n - 1 + s) * _orthogonal_ratios("R", n)
+  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n + 2 * s)
+ j = n - 1
+ if spec.over_e:
   out = g("twopii", (j + 1) * (j + 1) * (j + 2))
   out = out * (g("i") * g("sqrtD")) ** Fraction(-(j + 1) * (j + 2), 2)
   for p in range(j + 1):
@@ -474,21 +418,31 @@ def deligne_c(case, n, sign=1, psi=False):
   for q in range(j + 2):
    out = out * g("R%d.s" % q, -(j + 1 - q))
   return out * g("detA", j + 2) * g("detB", j + 1)
- if case == "so-even":
-  out = g("twopii", 4 * n * n * (2 * n - 1))
-  out = out * (g("i") * g("sqrtD")) ** (-2 * n * n)
-  for p in range(n - 1):
-   out = out * g("Q%d" % p, -(2 * n - 2 - 2 * p))
-  for q in range(n):
-   out = out * g("R%d" % q, -(2 * n - 2 * q))
-  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n)
- out = g("twopii", 4 * n * n * (2 * n + 2))
- out = out * (g("i") * g("sqrtD")) ** (-2 * n * (n + 1))
- for p in range(n):
-  out = out * g("Q%d" % p, -(2 * n - 2 * p))
- for q in range(n):
-  out = out * g("R%d" % q, -(2 * n - 2 * q))
- return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n + 2)
+ t = j // 2
+ schi = -1 if psi else 1
+ dX = "dMpsi" if psi else "dM"
+ out = g("twopii", Fraction((j + 1) * (j + 1) * (j + 2), 2))
+ if j % 2 == 0:
+  out = out * g(dX, t + 1) * g("dN", t)
+  for p in range(t):
+   out = out * g("Q%d" % p, p - t)
+  for q in range(t + 1):
+   out = out * g("R%d" % q, q - t)
+  # the odd Tate twist flips the Betti sign of the trailing minor
+  out = out * g("cNp" if -sign * schi > 0 else "cNm")
+ else:
+  out = out * g(dX, t + 1) * g("dN", t + 1)
+  for p in range(t + 1):
+   out = out * g("Q%d" % p, p - t)
+  for q in range(t + 1):
+   out = out * g("R%d" % q, q - t - 1)
+  # the trailing minor keeps the target sign; the twisted minor equals the
+  # opposite-sign untwisted one up to a Gauss power of i
+  if psi:
+   out = out * g("cMp" if sign < 0 else "cMm") * g("i", -(t + 1))
+  else:
+   out = out * g("cMp" if sign > 0 else "cMm")
+ return out
 
 
 def condensate(case, n, sign=1):
@@ -498,23 +452,19 @@ def condensate(case, n, sign=1):
  c^2 / (vol_M vol_N); for the imaginary quadratic pairs it is c^2/(vol vol)
  or c/(vol vol) depending on whether the central value is a square.
  """
- case = _canon_case(case)
- vv = pair_volume(case, n)
- if case == "pgl-q":
-  num = (deligne_c(case, n, sign) ** 2) * (deligne_c(case, n, sign, psi=True) ** 2)
-  return num / vv ** 2
- if case == "pgl-e":
-  return deligne_c(case, n, sign) ** 2 / vv
- return deligne_c(case, n, sign) / vv
+ spec = cases.get(case, n)
+ twists = (False, True) if spec.twists else (False,)
+ out = (vol_L(case, n, "M") * vol_L(case, n, "N")) ** -len(twists)
+ for psi in twists:
+  out = out * deligne_c(case, n, sign, psi) ** spec.e
+ return out
 
 
 def condensate_residual(case, n, sign=1):
  """Residual of condensate/(2 pi i)^m; empty means the identity holds."""
- case = _canon_case(case)
- m = cancellation_exponent(case, n)
- x = condensate(case, n, sign) * PeriodScalar.gen("twopii", -m)
- mod = "Q" if case == "pgl-q" else "sqrtQ"
- return reduce(x, case_relations(case, n), mod)
+ spec = cases.get(case, n)
+ x = condensate(case, n, sign) * PeriodScalar.gen("twopii", -spec.m(n))
+ return reduce(x, case_relations(case, n), spec.mod)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import math
 import re
 
+from . import linalg
 from .periodring import PeriodScalar
 
 
@@ -86,12 +87,10 @@ class GroupInvariants:
   self.q = (self.d_symm - self.delta) // 2
   self.weyl_index = weyl_index
   self.delta_K = PeriodScalar.gen("pi", Fraction(d_K + r_K, 2))
-  self.delta_GoverK = "Delta_G/Delta_K"
 
  def as_dict(self):
   d = {f: getattr(self, f) for f in self.fields}
   d["delta_K"] = repr(self.delta_K)
-  d["delta_GoverK"] = self.delta_GoverK
   return d
 
 
@@ -203,8 +202,6 @@ _WEYL_CLOSED = {
  "D": lambda n: 2 ** max(n - 1, 0) * math.factorial(n),
  "F4": lambda n: 1152,
  "G2": lambda n: 12,
- "E6": lambda n: 51840,
- "E7": lambda n: 2903040,
 }
 
 
@@ -411,22 +408,6 @@ def _gram(basis):
  return [[_tr_prod(x, y) for y in basis] for x in basis]
 
 
-def _inv_matrix(m):
- n = len(m)
- a = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-      for i, row in enumerate(m)]
- for c in range(n):
-  piv = next(r for r in range(c, n) if a[r][c])
-  a[c], a[piv] = a[piv], a[c]
-  f = a[c][c]
-  a[c] = [x / f for x in a[c]]
-  for r in range(n):
-   if r != c and a[r][c]:
-    g = a[r][c]
-    a[r] = [x - g * y for x, y in zip(a[r], a[c])]
- return [row[n:] for row in a]
-
-
 def _gl_cartan(n):
  basis = []
  for i in range(n):
@@ -450,10 +431,6 @@ def _so_cartan(n):
  return basis
 
 
-def _sp_cartan(k):
- return _so_cartan(2 * k)
-
-
 def dual_trace_form(g):
  """Constant c with (dual of tr-form on a_G) = c * (tr-form on dual Cartan).
 
@@ -475,7 +452,8 @@ def dual_trace_form(g):
   if n < 2:
    raise UnsupportedGroup("degenerate rank")
   basis = _so_cartan(n)
-  dual_basis = _so_cartan(n) if n % 2 == 0 else _sp_cartan(n // 2)
+  # the dual of SO_(2k+1) is Sp_2k, whose split Cartan is that of SO_2k
+  dual_basis = _so_cartan(n - n % 2)
  else:
   raise UnsupportedGroup("unsupported family for dual_trace_form")
  # restriction of scalars doubles both sides identically, so the constant
@@ -488,7 +466,7 @@ def dual_trace_form(g):
  else:
   gram = _gram(basis)
   dgram = _gram(dual_basis)
- induced = _inv_matrix(gram)
+ induced = linalg.inv(gram)
  c = None
  k = len(induced)
  for i in range(k):

@@ -12,7 +12,7 @@ import json
 import os
 
 from artifact.cli import main
-from artifact.periodring import CASES
+from artifact.cases import CASES
 
 PATH = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
 
@@ -31,6 +31,10 @@ def commands():
   for n in range(1, 13):
    out.append(["check", "--case", case, "--n", str(n)])
    out.append(["check", "--case", case, "--n", str(n), "--json"])
+   out.append(["lfactor", "--case", case, "--n", str(n)])
+   out.append(["lfactor", "--case", case, "--n", str(n), "--json"])
+   for show in ("M", "N", "AdM", "AdN", "MxN"):
+    out.append(["hodge", "--case", case, "--n", str(n), "--show", show])
  for expr in PERIOD_EXPRS:
   for case in CASES:
    for mod in ("Q", "sqrtQ"):

@@ -5,7 +5,7 @@ case verdict, and the dense Fraction Gauss-Jordan ledger solve."""
 
 from fractions import Fraction
 
-from artifact import periodring
+from artifact import cases, periodring
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  _auto_sqrt_class, _column_order, _hnf)
 from artifact.ggpcheck import LedgerUnderdetermined
@@ -67,7 +67,7 @@ def dense_reduce(x, rels, mod="Q"):
 
 def three_reduce_verdicts(case, n, extra=None):
  """(gamma1, gamma2, condensate) of one case, one reduction each."""
- m = periodring.cancellation_exponent(case, n)
+ m = cases.get(case, n).m(n)
  rels = periodring.case_relations(case, n)
  mod = "Q" if case == "pgl-q" else "sqrtQ"
  cond = periodring.condensate(case, n)

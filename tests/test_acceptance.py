@@ -19,8 +19,9 @@ from artifact import ggpcheck as gc
 from artifact import hodge as hg
 from artifact import lgamma as lg
 from artifact import rootsys as rs
-from artifact.periodring import (CASES, PeriodScalar, cancellation_exponent,
-                                 condensate_residual)
+from artifact import cases
+from artifact.cases import CASES
+from artifact.periodring import PeriodScalar, condensate_residual
 
 from test_ggpcheck import SIGMA, V1, rational_rotation
 from test_hodge import (_mults, oracle_linear_adjoint, oracle_square,
@@ -55,7 +56,7 @@ def test_cancellation_identities():
  }
  for case in CASES:
   for n in range(1, 9):
-   assert cancellation_exponent(case, n) == expected[case](n)
+   assert cases.get(case, n).m(n) == expected[case](n)
    for sign in (1, -1):
     res = condensate_residual(case, n, sign)
     assert res.is_one(), (case, n, sign, res)

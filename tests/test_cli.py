@@ -20,6 +20,7 @@ class TestInvariants:
   code, out = run(capsys, "invariants", "--group", "SL(4)/R")
   assert code == 0
   assert "delta" in out and "weyl_index" in out
+  assert "delta_GoverK" not in out
 
  def test_json(self, capsys):
   code, out = run(capsys, "invariants", "--group", "PGL(2)/C", "--json")
@@ -75,6 +76,26 @@ class TestPeriod:
                   "(mul (pow twopii 2) (conj Q0.s))")
   assert code == 0
   assert "twopii^2" in out and "Q0.sb" in out
+
+
+class TestPeriodCase:
+ def test_large_n_accepted(self, capsys):
+  # only check and verify-all cap n at 12
+  code, out = run(capsys, "period", "--expr", "(mul Q0 dM)", "--case",
+                  "pgl-q", "--n", "40")
+  assert code == 0 and out.strip()
+
+
+class TestRemovedFlags:
+ @pytest.mark.parametrize("argv", [
+     ["invariants", "--group", "SL(4)/R", "--md"],
+     ["lfactor", "--case", "pgl-q", "--n", "2", "--md"],
+     ["check", "--case", "pgl-q", "--n", "2", "--md"]])
+ def test_md_is_rejected(self, capsys, argv):
+  with pytest.raises(SystemExit) as exc:
+   main(argv)
+  assert exc.value.code == 2
+  assert "--md" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -150,6 +171,10 @@ class TestUsageErrors:
      (["period", "--expr", "(mul a"], "unexpected end of expression"),
      (["period", "--expr", "(pow Q0 1/3)", "--case", "pgl-q"],
       "denominator beyond 2"),
+     (["period", "--expr", "Q0", "--case", "pgl-q", "--n", "0"],
+      "n must be positive"),
+     (["period", "--expr", "Q0", "--case", "pgl-q", "--n", "-2"],
+      "n must be positive"),
      (["verify-all", "--n-max", "13"], "n-max"),
  ])
  def test_one_line_exit_2(self, capsys, argv, msg):

@@ -264,3 +264,25 @@ class TestIsometry:
   prod = m.act(om, nu)
   assert m.module_inner(prod, prod) == \
       m.module_inner(om, om) * ex.induced_inner(nu, nu)
+
+
+def _drop_mirrored_minors(space):
+ """Break the induced metric: keep only the upper triangle of every
+ compound Gram table, as a table that forgot its mirrored entries would."""
+ for k in range(space.dim + 1):
+  for ka, row in space.compound_gram(k).items():
+   row[:] = [(kb, minor) for kb, minor in row if kb >= ka]
+
+
+class TestIsometryWitness:
+ """The isometry identity reads one metric on both sides, so only the
+ Cauchy-Binet witness inside isometry_check can see a wrong one."""
+
+ @pytest.mark.parametrize("delta,q,k", [(3, 1, 1), (4, 2, 1), (4, 3, 2)])
+ def test_broken_induced_metric_fails(self, delta, q, k):
+  gram = GRAM3 if delta == 3 else GRAM4
+  m = ex.TemperedCohomologyModel(delta, q, k, gram=gram)
+  assert ex.isometry_check(m, trials=30)
+  _drop_mirrored_minors(m.space)
+  assert not ex.isometry_check(m, trials=30)
+

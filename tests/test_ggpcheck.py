@@ -7,7 +7,8 @@ import random
 import pytest
 
 from artifact import ggpcheck as gc
-from artifact.periodring import PeriodScalar, CASES
+from artifact.cases import CASES
+from artifact.periodring import PeriodScalar
 from artifact.ggpcheck import (run_case, c_infty, torsion_ledger,
                                VolumeLedger, LedgerUnderdetermined,
                                rotation_check, verify_all, QSqrt,

@@ -1,6 +1,6 @@
 """CLI outputs pinned byte for byte: verify-all --n-max 12, torsion, check
-(text and --json) for every case and n, and period reductions under both
-moduli.  Regenerate with tests/make_golden.py only when a change of output
+and lfactor (text and --json) and every hodge --show for every case and n,
+and period reductions under both moduli.  Regenerate with tests/make_golden.py only when a change of output
 is intended."""
 
 import json
@@ -22,5 +22,8 @@ def test_output_is_byte_identical(entry):
 
 def test_golden_covers_every_command():
  seen = {" ".join(e["argv"][:1]) for e in GOLDEN}
- assert seen == {"verify-all", "torsion", "check", "period"}
+ assert seen == {"verify-all", "torsion", "check", "lfactor", "hodge",
+                 "period"}
  assert sum(e["argv"][0] == "check" for e in GOLDEN) == 96
+ assert sum(e["argv"][0] == "lfactor" for e in GOLDEN) == 96
+ assert sum(e["argv"][0] == "hodge" for e in GOLDEN) == 240

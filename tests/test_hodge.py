@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from artifact import hodge as hg
-from artifact.periodring import CASES
+from artifact.cases import CASES
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +184,6 @@ class TestDeligneData:
  def test_flagged_needs_restriction(self):
   with pytest.raises(ValueError):
    hg.deligne_data(hg.unit(over_e=True))
-
-
-class TestCaseDescriptor:
- def test_constants(self):
-  for n in range(1, 9):
-   for case in ("pgl-q", "pgl-e"):
-    d = hg.CaseDescriptor(case, n)
-    assert (d.r, d.m, d.e) == (n, n * (n + 1), 2)
-   d = hg.CaseDescriptor("so-even", n)
-   assert (d.r, d.m, d.e) == (2 * n - 1, 2 * n * n, 1)
-   d = hg.CaseDescriptor("so-odd", n)
-   assert (d.r, d.m, d.e) == (2 * n, 2 * n * (n + 1), 1)
 
 
 class TestOracles:

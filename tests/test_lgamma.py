@@ -7,7 +7,9 @@ import pytest
 
 from artifact import lgamma as lg
 from artifact import hodge as hg
-from artifact.periodring import CASES, PeriodScalar
+from artifact import cases
+from artifact.cases import CASES
+from artifact.periodring import PeriodScalar
 
 
 class TestGammaProduct:
@@ -104,10 +106,10 @@ class TestTable:
   # the center value doubles the single product's exponent
   for case in ("pgl-q", "pgl-e"):
    for n in (1, 2, 3):
-    desc = hg.CaseDescriptor(case, n)
+    spec = cases.get(case, n)
     single = lg.pi_exponent(lg.leading_coeff(
-        lg.l_infinity(lg._doubled(case, lg.tensor_structure(case, n))),
-        desc.r))
+        lg.l_infinity(lg._doubled(lg.tensor_structure(case, n))),
+        spec.r(n)))
     rows = {r["name"]: r["computed_exp"]
             for r in lg.table1_row(case, n)}
     assert rows["rho_at_center"] == 2 * single
@@ -117,7 +119,7 @@ class TestTable:
   for case in ("pgl-q", "so-even"):
    for n in (1, 2, 3):
     t = lg.tensor_structure(case, n)
-    r = hg.CaseDescriptor(case, n).r
+    r = cases.get(case, n).r(n)
     if t.over_e:
      t = hg.restrict_scalars(t)
     for s0 in (-1, 0, 2):

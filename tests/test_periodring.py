@@ -8,10 +8,11 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from artifact import cases
+from artifact.cases import CASES
 from artifact.periodring import (PeriodScalar, RelationSet,
-                                 InconsistentRelations, reduce, is_trivial,
-                                 CASES, cancellation_exponent,
-                                 case_relations, vol_L, beilinson_volume,
+                                 InconsistentRelations, reduce,
+                                 case_relations, vol_L,
                                  deligne_c, condensate, condensate_residual,
                                  parse_expr, _hnf)
 import oracle_periods as orc
@@ -64,7 +65,7 @@ class TestReduce:
  def test_pair_collapses(self):
   rels = self._rels(3)
   x = g("Q1.s") * g("Q2.sb")
-  assert is_trivial(x, rels, "Q")
+  assert reduce(x, rels, "Q").is_one()
 
  def test_norm_square_derived(self):
   # |Q_p|^2 |Q_{p*}|^2 is rational: derived, not hard-coded
@@ -73,7 +74,7 @@ class TestReduce:
    for p in range(w + 1):
     x = (g("Q%d.s" % p) * g("Q%d.sb" % p) *
          g("Q%d.s" % (w - p)) * g("Q%d.sb" % (w - p)))
-    assert is_trivial(x, rels, "Q"), (w, p)
+    assert reduce(x, rels, "Q").is_one(), (w, p)
 
  def test_idempotent(self):
   rels = self._rels(2)
@@ -95,12 +96,12 @@ class TestReduce:
 
  def test_declared_sqrt_symbol_drops(self):
   rels = RelationSet(rational_gens=("Delta.s",))
-  assert is_trivial(g("Delta.s", half) * g("Delta.sb", half), rels,
-                    "sqrtQ") is False
+  assert not reduce(g("Delta.s", half) * g("Delta.sb", half), rels,
+                    "sqrtQ").is_one()
   rels2 = RelationSet([(g("Delta.s") * g("Delta.sb"), "Q")],
                       rational_gens=("Delta.s", "Delta.sb"))
-  assert is_trivial(g("Delta.s", half) * g("Delta.sb", half), rels2,
-                    "sqrtQ")
+  assert reduce(g("Delta.s", half) * g("Delta.sb", half), rels2,
+                "sqrtQ").is_one()
 
  def test_inconsistent(self):
   rels = RelationSet([(g("Q0.s") * g("pi"), "Q"),
@@ -122,11 +123,6 @@ class TestVolumes:
   assert v.exps.get("Xi.s") == 1
   assert v.exps.get("Q0") == -2
 
- def test_beilinson_volume(self):
-  one = PeriodScalar.one()
-  assert beilinson_volume(one, one, one).is_one()
-  assert beilinson_volume(g("pi", -2), one, g("pi", -1)) == g("pi", -1)
-
 
 class TestCancellation:
  """The four symbolic cancellation identities: every indeterminate drops
@@ -140,10 +136,10 @@ class TestCancellation:
 
  def test_exponents(self):
   for n in range(1, 9):
-   assert cancellation_exponent("pgl-q", n) == n * (n + 1)
-   assert cancellation_exponent("pgl-e", n) == n * (n + 1)
-   assert cancellation_exponent("so-even", n) == 2 * n * n
-   assert cancellation_exponent("so-odd", n) == 2 * n * (n + 1)
+   assert cases.get("pgl-q", n).m(n) == n * (n + 1)
+   assert cases.get("pgl-e", n).m(n) == n * (n + 1)
+   assert cases.get("so-even", n).m(n) == 2 * n * n
+   assert cases.get("so-odd", n).m(n) == 2 * n * (n + 1)
 
  def test_perturbation_names_residual(self):
   rels = case_relations("pgl-q", 3)

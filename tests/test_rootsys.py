@@ -49,7 +49,6 @@ class TestInvariants:
   iv = rs.invariants("SL(4)/R")
   assert iv.delta_K == PeriodScalar.gen("pi",
                                         Fraction(iv.d_K + iv.r_K, 2))
-  assert iv.delta_GoverK == "Delta_G/Delta_K"
 
  def test_unsupported(self):
   with pytest.raises(rs.UnsupportedGroup):
