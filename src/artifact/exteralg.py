@@ -16,7 +16,7 @@ class MetricSpaceQ:
  def __init__(self, dim, gram=None):
   self.dim = dim
   if gram is None:
-   gram = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+   gram = linalg.identity(dim)
   self.gram = [[Fraction(x) for x in row] for row in gram]
   for i in range(dim):
    for j in range(dim):
@@ -30,20 +30,10 @@ class MetricSpaceQ:
  def compound_gram(self, k):
   """The k-th compound Gram matrix: by Cauchy-Binet, the inner product of
   the basis k-vectors e_ka and e_kb is the Gram minor det(G[ka, kb]).
-  Built once per degree k and stored sparsely: each strictly increasing
-  k-subset ka maps to the (kb, minor) pairs whose minor is nonzero."""
+  Built once per degree k and stored sparsely, as linalg.compound."""
   table = self._compound.get(k)
   if table is None:
-   subsets = list(itertools.combinations(range(self.dim), k))
-   table = {ka: [] for ka in subsets}
-   for i, ka in enumerate(subsets):
-    for kb in subsets[i:]:
-     minor = linalg.det([[self.gram[r][c] for c in kb] for r in ka])
-     if minor:
-      table[ka].append((kb, minor))
-      if kb != ka:
-       table[kb].append((ka, minor))
-   self._compound[k] = table
+   table = self._compound[k] = linalg.compound(self.gram, k)
   return table
 
  def compound_row(self, idx):
@@ -232,16 +222,18 @@ class TemperedCohomologyModel:
   self.k = k
   self.space = MetricSpaceQ(delta, gram)
   if long_weyl is None:
-   long_weyl = [[Fraction(int(i == j)) for j in range(delta)]
-                for i in range(delta)]
+   long_weyl = linalg.identity(delta)
   self.w = [[Fraction(x) for x in row] for row in long_weyl]
-  sq = [[sum(self.w[i][l] * self.w[l][j] for l in range(delta))
-         for j in range(delta)] for i in range(delta)]
-  if sq != [[Fraction(int(i == j)) for j in range(delta)]
-            for i in range(delta)]:
+  if linalg.matmul(self.w, self.w) != linalg.identity(delta):
    raise ValueError("long Weyl involution must square to the identity")
+  # row s of the i-th compound of w^T is the image of e_s under the
+  # multiplicative extension of w: the sum of det(w[t, s]) e_t
+  wt = linalg.transpose(self.w)
+  self.w_compound = [{s: dict(row) for s, row in
+                      linalg.compound(wt, i).items()}
+                     for i in range(delta + 1)]
   if gen_matrix is None:
-   gen_matrix = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+   gen_matrix = linalg.identity(k)
   self.gen_matrix = [[Fraction(x) for x in row] for row in gen_matrix]
 
  # module elements: dict (gen index, subset tuple) -> Fraction
@@ -272,28 +264,23 @@ class TemperedCohomologyModel:
 
  def apply_w(self, x):
   """Extend the long-Weyl map multiplicatively to the exterior algebra."""
-  out = ExteriorElement(self.space, {})
+  out = {}
   for s, c in x.coeffs.items():
-   term = ExteriorElement(self.space, {(): c})
-   for i in s:
-    img = ExteriorElement(self.space,
-                          {(j,): self.w[j][i] for j in range(self.delta)
-                           if self.w[j][i]})
-    term = wedge(term, img)
-   out = out + term
-  return out
+   for t, minor in self.w_compound[len(s)][s].items():
+    out[t] = out.get(t, Fraction(0)) + c * minor
+  return ExteriorElement(self.space, out)
 
  def pairing(self, f1, f2):
-  """Top-degree pairing with the w twist folded into the second slot."""
+  """Top-degree pairing with the w twist folded into the second slot.  The
+  e_top coefficient of e_s1 ^ w(e_s2) is one minor: det(w[t, s2]) for the
+  complement t of s1, times the sign that sorts s1 + t."""
   total = Fraction(0)
-  top = tuple(range(self.delta))
   for (g1, s1), c1 in f1.items():
+   t = tuple(i for i in range(self.delta) if i not in s1)
+   sign = _merge(s1, t)[0]
    for (g2, s2), c2 in f2.items():
-    if g1 != g2:
-     continue
-    e2 = self.apply_w(ExteriorElement(self.space, {s2: Fraction(1)}))
-    prod = wedge(ExteriorElement(self.space, {s1: Fraction(1)}), e2)
-    total += c1 * c2 * prod.coeffs.get(top, Fraction(0))
+    if g1 == g2 and len(s2) == len(t):
+     total += sign * c1 * c2 * self.w_compound[len(t)][s2].get(t, 0)
   return total
 
  def module_inner(self, f1, f2):
@@ -333,12 +320,9 @@ def freeness_check(model):
  return True
 
 
-def poincare_adjoint_check(model, signed=True):
- """<f1 . X, f2> = +- <f1, (wX) . f2> over all basis triples.
-
- The exact sign in our conventions is (-1)^(deg f2 - q); the unsigned
- comparison is convention-free.  Checks both.
- """
+def poincare_adjoint_check(model):
+ """<f1 . X, f2> = (-1)^(deg f2 - q) <f1, (wX) . f2> over all basis
+ triples; the sign is the exact one in our conventions."""
  d = model.delta
  for d1 in range(d):
   d2 = d - 1 - d1
@@ -352,9 +336,7 @@ def poincare_adjoint_check(model, signed=True):
       f2 = {(g, s2): Fraction(1)}
       lhs = model.pairing(model.act(f1, X), f2)
       rhs = model.pairing(f1, model.act(f2, wX))
-      if abs(lhs) != abs(rhs):
-       return False
-      if signed and lhs != ((-1) ** len(s2)) * rhs:
+      if lhs != ((-1) ** len(s2)) * rhs:
        return False
  return True
 

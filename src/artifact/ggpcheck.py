@@ -78,18 +78,6 @@ def run_case(case, n, extra=None):
  return CaseReport(case, n, table1, gamma1, gamma2, condensate, m)
 
 
-def c_infty(case, n):
- """Product of the three archimedean exponent columns, as a power of pi;
- always a half-integral power."""
- rows = {r["name"]: r["computed_exp"] for r in lgamma.table1_row(case, n)}
- exp = rows["compact_volume_ratio"] + rows["discriminant_ratio"] + \
-     rows["ratio"]
- if exp.denominator > 2:
-  raise AssertionError("archimedean constant is not a half-integral "
-                       "power of pi: %s" % exp)
- return PeriodScalar.gen("pi", exp)
-
-
 # ---------------------------------------------------------------------------
 # torsion / volume ledger
 
@@ -344,11 +332,6 @@ def _matvec(m, v):
  return [sum(r[j] * v[j] for j in range(len(v))) for r in m]
 
 
-def _matmul(a, b):
- return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-          for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def _frac_mat(m):
  return [[Fraction(x) for x in row] for row in m]
 
@@ -359,18 +342,16 @@ def _det3(m):
          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _primitive_axis_vector(basis, axis):
- """Shortest lattice vector on the invariant line."""
- bt = [[basis[j][i] for j in range(3)] for i in range(3)]
- coords = _matvec(linalg.inv(bt), axis)
+def _primitive_axis_vector(basis, binv, axis):
+ """Shortest lattice vector on the invariant line; binv is the inverse of
+ the basis, whose rows span the lattice."""
+ coords = linalg.matmul([axis], binv)[0]
  den = math.lcm(*(c.denominator for c in coords))
  ints = [int(c * den) for c in coords]
  g = math.gcd(*ints)
  if g == 0:
   raise ValueError("axis misses the lattice")
- ints = [i // g for i in ints]
- return [sum(Fraction(ints[j]) * basis[j][i] for j in range(3))
-         for i in range(3)]
+ return linalg.matmul([[i // g for i in ints]], basis)[0]
 
 
 def rotation_check(v1, v2, sigma):
@@ -382,38 +363,37 @@ def rotation_check(v1, v2, sigma):
  (True, description) with the square class b and the rotation matrix over
  Q(sqrt b); raises ValueError with a diagnostic when a hypothesis fails.
  """
+ matmul, transpose = linalg.matmul, linalg.transpose
  v1 = _frac_mat(v1)
  v2 = _frac_mat(v2)
  sigma = _frac_mat(sigma)
- ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
- st = [[sigma[j][i] for j in range(3)] for i in range(3)]
- if _matmul(st, sigma) != ident:
+ ident = linalg.identity(3)
+ st = transpose(sigma)
+ if matmul(st, sigma) != ident:
   raise ValueError("sigma is not orthogonal")
- s2 = _matmul(sigma, sigma)
- if _matmul(s2, sigma) != ident or sigma == ident:
+ s2 = matmul(sigma, sigma)
+ if matmul(s2, sigma) != ident or sigma == ident:
   raise ValueError("sigma must have order exactly 3")
+ inverses = []
  for name, basis in (("v1", v1), ("v2", v2)):
   if _det3(basis) == 0:
    raise ValueError("%s is not a basis" % name)
-  btinv = linalg.inv([[basis[j][i] for j in range(3)] for i in range(3)])
-  for row in basis:
-   coords = _matvec(btinv, _matvec(sigma, row))
-   if any(c.denominator != 1 for c in coords):
-    raise ValueError("%s is not sigma-stable" % name)
- # invariant line: kernel of sigma - 1, forced one-dimensional by order 3
- axis = [sigma[0][0] + sigma[1][0] + sigma[2][0],
-         sigma[0][1] + sigma[1][1] + sigma[2][1],
-         sigma[0][2] + sigma[1][2] + sigma[2][2]]
- if all(x == 0 for x in axis):
-  probe = [Fraction(1), Fraction(0), Fraction(0)]
-  axis = [a + b + c for a, b, c in
-          zip(probe, _matvec(sigma, probe), _matvec(s2, probe))]
- if all(x == 0 for x in axis):
-  raise ValueError("no sigma-invariant axis")
+  binv = linalg.inv(basis)
+  # row i of B sigma^T B^-1 holds the coordinates of sigma(row i of B)
+  if any(c.denominator != 1
+         for row in matmul(matmul(basis, st), binv) for c in row):
+   raise ValueError("%s is not sigma-stable" % name)
+  inverses.append(binv)
+ # invariant line: kernel of sigma - 1, forced one-dimensional by order 3.
+ # 1 + sigma + sigma^2 = 1 + sigma + sigma^T is three times the projection
+ # onto it and symmetric, so its first nonzero row spans it
+ proj = [[ident[i][j] + sigma[i][j] + st[i][j] for j in range(3)]
+         for i in range(3)]
+ axis = next(row for row in proj if any(row))
  if _det3(v1) ** 2 != _det3(v2) ** 2:
   raise ValueError("lattice volumes differ")
- a1 = _primitive_axis_vector(v1, axis)
- a2 = _primitive_axis_vector(v2, axis)
+ a1 = _primitive_axis_vector(v1, inverses[0], axis)
+ a2 = _primitive_axis_vector(v2, inverses[1], axis)
  if _dot(a1, a1) != _dot(a2, a2):
   raise ValueError("sigma-invariant volumes differ")
 
@@ -433,52 +413,31 @@ def rotation_check(v1, v2, sigma):
   raise AssertionError("square-class split failed")
  # the linear map fixing the axis and sending (u2, sigma u2) to
  # (u1, sigma u1); scaled by 1/sqrt(b0) it is a rotation
- cols_from = [u2, _matvec(sigma, u2), axis]
- cols_to = [u1, _matvec(sigma, u1), [Fraction(0)] * 3]
- ffrom = [[cols_from[j][i] for j in range(3)] for i in range(3)]
- fto = [[cols_to[j][i] for j in range(3)] for i in range(3)]
- fmat = _matmul(fto, linalg.inv(ffrom))
+ fmat = matmul(transpose([u1, _matvec(sigma, u1), [Fraction(0)] * 3]),
+               linalg.inv(transpose([u2, _matvec(sigma, u2), axis])))
  # conformality of the plane map, forced by sigma-equivariance
  fu2 = _matvec(fmat, u2)
  fsu2 = _matvec(fmat, _matvec(sigma, u2))
  if _dot(fu2, fu2) != b0 * _dot(u2, u2) or \
     _dot(fu2, fsu2) != b0 * _dot(u2, _matvec(sigma, u2)):
   raise AssertionError("plane map is not conformal")
- axis_proj = [[axis[i] * axis[j] / _dot(axis, axis) for j in range(3)]
-              for i in range(3)]
+ n_axis = _dot(axis, axis)
  scale = 1 / (r * b)  # 1/sqrt(b0) = sqrt(b)/(r b)
- alpha = [[QSqrt(b, axis_proj[i][j], scale * fmat[i][j]) for j in range(3)]
-          for i in range(3)]
+ alpha = [[QSqrt(b, x * y / n_axis, scale * f) for y, f in zip(axis, frow)]
+          for x, frow in zip(axis, fmat)]
+
+ def lift(m):
+  return [[QSqrt(b, x) for x in row] for row in m]
+
  # exact checks over Q(sqrt b): orthogonality and sigma-equivariance
- zero = QSqrt(b)
- for i in range(3):
-  for j in range(3):
-   acc = zero
-   com = zero
-   for k in range(3):
-    acc = acc + alpha[k][i] * alpha[k][j]
-    com = com + (alpha[i][k] * QSqrt(b, sigma[k][j]) -
-                 QSqrt(b, sigma[i][k]) * alpha[k][j])
-   if acc != QSqrt(b, int(i == j)) or not com.is_zero():
-    raise AssertionError("constructed map is not a sigma-commuting "
-                         "rotation")
- # change of basis of the second lattice through alpha, in the first basis
- b1inv = linalg.inv(v1)
- change = []
- for row in v2:
-  img = [QSqrt(b)] * 3
-  for i in range(3):
-   acc = QSqrt(b)
-   for j in range(3):
-    acc = acc + alpha[i][j] * QSqrt(b, row[j])
-   img[i] = acc
-  coords = []
-  for i in range(3):
-   acc = QSqrt(b)
-   for k in range(3):
-    acc = acc + QSqrt(b, b1inv[k][i]) * img[k]
-   coords.append(acc)
-  change.append(coords)
+ sig = lift(sigma)
+ if matmul(transpose(alpha), alpha) != lift(ident) or \
+    matmul(alpha, sig) != matmul(sig, alpha):
+  raise AssertionError("constructed map is not a sigma-commuting "
+                       "rotation")
+ # change of basis of the second lattice through alpha, in the first
+ # basis: row i of V2 alpha^T V1^-1 holds the coordinates of alpha(row i)
+ change = matmul(matmul(lift(v2), transpose(alpha)), lift(inverses[0]))
  det = _det3(change)
  if det.is_zero():
   raise AssertionError("rotation does not carry the spans over")

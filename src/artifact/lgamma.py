@@ -93,13 +93,6 @@ def pi_exponent(ps):
  return ps.exps.get("pi", Fraction(0))
 
 
-def gamma_consistency(m):
- if m < 1:
-  raise ValueError("m must be positive")
- return sum(i * (m + 1 - i) for i in range(1, m + 1)) == \
-     m * (m + 1) * (m + 2) // 6
-
-
 def _doubled(h):
  """Pass from one factor pair to the full real group: restriction of
  scalars for the imaginary-quadratic cases, a plain second copy for the

@@ -1,7 +1,28 @@
-"""Exact linear algebra over Q: determinant and inverse of square matrices
-of Fractions, both by Gaussian elimination."""
+"""Exact linear algebra: determinant, inverse and compound matrices of
+square matrices of Fractions, by Gaussian elimination, and the identity,
+transpose and product of matrices over any ring."""
 
 from fractions import Fraction
+import functools
+import itertools
+import operator
+
+
+def identity(n):
+ return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(m):
+ return [list(col) for col in zip(*m)]
+
+
+def matmul(a, b):
+ """Product of an l x m and an m x n matrix, m >= 1.  Entries are summed
+ with + alone, so it needs no zero of the ring: it serves Fractions and
+ QSqrt alike."""
+ cols = transpose(b)
+ return [[functools.reduce(operator.add, map(operator.mul, row, col))
+          for col in cols] for row in a]
 
 
 def det(m):
@@ -26,8 +47,7 @@ def det(m):
 def inv(m):
  """Inverse by Gauss-Jordan on [m | 1]; ValueError if m is singular."""
  n = len(m)
- a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-      for i, row in enumerate(m)]
+ a = [list(row) + e for row, e in zip(m, identity(n))]
  for c in range(n):
   piv = next((r for r in range(c, n) if a[r][c]), None)
   if piv is None:
@@ -40,3 +60,18 @@ def inv(m):
     f = a[r][c]
     a[r] = [x - f * y for x, y in zip(a[r], a[c])]
  return [row[n:] for row in a]
+
+
+def compound(m, k):
+ """The k-th compound of the n x n matrix m, sparse: each strictly
+ increasing k-subset r of range(n) maps to the (c, minor) pairs, c in
+ increasing order, whose minor det(m[r, c]) is nonzero."""
+ subsets = list(itertools.combinations(range(len(m)), k))
+ out = {}
+ for r in subsets:
+  out[r] = []
+  for c in subsets:
+   minor = det([[m[i][j] for j in c] for i in r])
+   if minor:
+    out[r].append((c, minor))
+ return out

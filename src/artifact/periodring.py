@@ -495,7 +495,10 @@ def parse_expr(text):
   args = []
   while peek() != ")":
    if op == "pow" and len(args) == 1:
-    args.append(Fraction(toks[pos[0]]))
+    try:
+     args.append(Fraction(toks[pos[0]]))
+    except ZeroDivisionError:
+     raise ValueError("zero denominator in exponent %r" % (toks[pos[0]],))
     pos[0] += 1
    else:
     args.append(read())

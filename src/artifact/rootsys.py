@@ -456,17 +456,11 @@ def dual_trace_form(g):
   dual_basis = _so_cartan(n - n % 2)
  else:
   raise UnsupportedGroup("unsupported family for dual_trace_form")
- # restriction of scalars doubles both sides identically, so the constant
- # is unchanged; handle it by doubling the block structure
- if g.base == "ComplexAsReal":
-  basis = basis + basis
-  dual_basis = dual_basis + dual_basis
-  gram = _block_diag(_gram(basis[:len(basis) // 2]))
-  dgram = _block_diag(_gram(dual_basis[:len(dual_basis) // 2]))
- else:
-  gram = _gram(basis)
-  dgram = _gram(dual_basis)
- induced = linalg.inv(gram)
+ # restriction of scalars doubles both Gram matrices block-diagonally, and
+ # the inverse of a block-diagonal matrix is block-diagonal in the
+ # inverses, so one block of each gives the same constant
+ induced = linalg.inv(_gram(basis))
+ dgram = _gram(dual_basis)
  c = None
  k = len(induced)
  for i in range(k):
@@ -481,13 +475,3 @@ def dual_trace_form(g):
    elif c != r:
     raise UnsupportedGroup("forms are not proportional")
  return c
-
-
-def _block_diag(m):
- k = len(m)
- out = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
- for i in range(k):
-  for j in range(k):
-   out[i][j] = m[i][j]
-   out[k + i][k + j] = m[i][j]
- return out

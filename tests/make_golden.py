@@ -14,7 +14,8 @@ import os
 from artifact.cli import main
 from artifact.cases import CASES
 
-PATH = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+PATH = os.path.join(DATA, "golden_cli.json")
 
 PERIOD_EXPRS = (
     "(mul (pow twopii 2) (conj Q0.s))",
@@ -22,6 +23,23 @@ PERIOD_EXPRS = (
     "(mul (pow sqrtdisc.7 3) pi (pow free 1/2) (pow twopii -3))",
     "(mul (pow detA 2) Delta.s (conj Xi.s) (pow R1.s 2))",
     "(mul (pow sqrtD 3) (pow i 1/2) (pow Q1 2) (pow R2 -2) (pow detB 1/2))",
+)
+
+GROUPS = tuple("SL(%d)/R" % n for n in range(4, 10)) + (
+    "SO(3,3)", "SO(5,3)", "SO(5,5)", "SO(7,3)", "SO(7,1)", "SL(4)/C",
+    "PGL(4)/C", "SO(5)/C", "PGL(2)/C x PGL(3)/C")
+
+# (v1, v2, sigma) matrix files under tests/data/rotation: three instances
+# of the lemma (b = 1 trivial and rational, b = 3) and four failed
+# hypotheses
+ROTATIONS = (
+    ("v1", "v1", "sigma"),
+    ("v1", "v2_rational", "sigma"),
+    ("v1", "v2_sqrt3", "sigma"),
+    ("v1", "v2_unstable", "sigma"),
+    ("v1", "v2_long_axis", "sigma"),
+    ("v1", "v1", "sigma_scaled"),
+    ("v1", "v1", "sigma_identity"),
 )
 
 
@@ -40,13 +58,31 @@ def commands():
    for mod in ("Q", "sqrtQ"):
     out.append(["period", "--expr", expr, "--case", case, "--n", "5",
                 "--mod", mod])
+ for delta in range(5):
+  for q, k in ((1, 1), (2, 1), (3, 2)):
+   out.append(["cohomology-model", "--delta", str(delta), "--q", str(q),
+               "--k", str(k)])
+ for group in GROUPS:
+  out.append(["invariants", "--group", group])
+  out.append(["invariants", "--group", group, "--json"])
+ for v1, v2, sigma in ROTATIONS:
+  out.append(["rotation"] + [x for flag, name in
+                             (("--v1", v1), ("--v2", v2), ("--sigma", sigma))
+                             for x in (flag, "rotation/%s.txt" % name)])
  return out
 
 
 def run(argv):
+ """Output and exit code of one command, run from tests/data, which the
+ rotation matrix files are named relative to."""
  buf = io.StringIO()
- with contextlib.redirect_stdout(buf):
-  code = main(argv)
+ cwd = os.getcwd()
+ os.chdir(DATA)
+ try:
+  with contextlib.redirect_stdout(buf):
+   code = main(argv)
+ finally:
+  os.chdir(cwd)
  return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
 
 

@@ -1,11 +1,14 @@
 """Straightforward dense versions of the exact kernels, kept as references
 for the equivalence tests: a reduction that rebuilds the whole relation
 lattice on every call with a per-column integer vector, the three-reduction
-case verdict, and the dense Fraction Gauss-Jordan ledger solve."""
+case verdict, the dense Fraction Gauss-Jordan ledger solve, and the long
+Weyl map and twisted pairing of the exterior model built by wedging
+degree-1 images."""
 
 from fractions import Fraction
 
 from artifact import cases, periodring
+from artifact.exteralg import ExteriorElement, wedge
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  _auto_sqrt_class, _column_order, _hnf)
 from artifact.ggpcheck import LedgerUnderdetermined
@@ -118,3 +121,31 @@ def dense_solve(ledger, target):
   if mat[row][ncols]:
    coeffs[ledger.axioms[col][0]] = mat[row][ncols]
  return coeffs
+
+
+def wedge_apply_w(model, x):
+ """Extend the long-Weyl map multiplicatively to the exterior algebra."""
+ out = ExteriorElement(model.space, {})
+ for s, c in x.coeffs.items():
+  term = ExteriorElement(model.space, {(): c})
+  for i in s:
+   img = ExteriorElement(model.space,
+                         {(j,): model.w[j][i] for j in range(model.delta)
+                          if model.w[j][i]})
+   term = wedge(term, img)
+  out = out + term
+ return out
+
+
+def wedge_pairing(model, f1, f2):
+ """Top-degree pairing with the w twist folded into the second slot."""
+ total = Fraction(0)
+ top = tuple(range(model.delta))
+ for (g1, s1), c1 in f1.items():
+  for (g2, s2), c2 in f2.items():
+   if g1 != g2:
+    continue
+   e2 = wedge_apply_w(model, ExteriorElement(model.space, {s2: Fraction(1)}))
+   prod = wedge(ExteriorElement(model.space, {s1: Fraction(1)}), e2)
+   total += c1 * c2 * prod.coeffs.get(top, Fraction(0))
+ return total

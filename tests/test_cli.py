@@ -169,6 +169,7 @@ class TestUsageErrors:
      (["hodge", "--case", "pgl-q", "--n", "0", "--show", "M"],
       "n must be positive"),
      (["period", "--expr", "(mul a"], "unexpected end of expression"),
+     (["period", "--expr", "(pow a 1/0)"], "zero denominator"),
      (["period", "--expr", "(pow Q0 1/3)", "--case", "pgl-q"],
       "denominator beyond 2"),
      (["period", "--expr", "Q0", "--case", "pgl-q", "--n", "0"],

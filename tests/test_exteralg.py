@@ -9,6 +9,7 @@ import random
 import pytest
 
 from artifact import exteralg as ex
+from reference_kernels import wedge_apply_w, wedge_pairing
 
 
 def E(sp, idx, c=1):
@@ -238,6 +239,55 @@ class TestPoincareAdjoint:
        assert lhs == ((-1) ** len(s2)) * rhs
        assert lhs != -((-1) ** len(s2)) * rhs
   assert found_nonzero
+
+
+# involutions that are not symmetric: w and its transpose act differently
+# on the exterior algebra, while the Poincare identity holds for both
+SKEW_INVOLUTIONS = [
+    [[1, 1, 0], [0, -1, 0], [0, 0, 1]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [2, -2, 1, 0], [0, 0, 0, -1]],
+]
+
+
+def _rand_module_elem(m, rng):
+ out = {}
+ for g in range(m.k):
+  for deg in range(m.delta + 1):
+   for s, c in ex._rand_elem(m.space, deg, rng).coeffs.items():
+    if rng.random() < 0.5:
+     out[(g, s)] = c
+ return out
+
+
+class TestLongWeylOrientation:
+ """apply_w and pairing against the wedge-built references, which extend
+ w e_i = sum_j w[j][i] e_j multiplicatively."""
+
+ def test_image_is_a_column(self):
+  m = ex.TemperedCohomologyModel(3, 1, 1, long_weyl=SKEW_INVOLUTIONS[0])
+  assert m.apply_w(E(m.space, (1,))) == E(m.space, (0,)) - E(m.space, (1,))
+  assert m.apply_w(E(m.space, (1, 2))) == \
+      E(m.space, (0, 2)) - E(m.space, (1, 2))
+
+ @pytest.mark.parametrize("w", SKEW_INVOLUTIONS)
+ def test_apply_w_matches_wedge_reference(self, w):
+  m = ex.TemperedCohomologyModel(len(w), 1, 2, long_weyl=w)
+  rng = random.Random(37)
+  for deg in range(m.delta + 1):
+   for s in itertools.combinations(range(m.delta), deg):
+    assert m.apply_w(E(m.space, s)) == wedge_apply_w(m, E(m.space, s))
+   for _ in range(5):
+    x = ex._rand_elem(m.space, deg, rng)
+    assert m.apply_w(x) == wedge_apply_w(m, x)
+
+ @pytest.mark.parametrize("w", SKEW_INVOLUTIONS)
+ def test_pairing_matches_wedge_reference(self, w):
+  m = ex.TemperedCohomologyModel(len(w), 2, 2, long_weyl=w)
+  rng = random.Random(41)
+  for _ in range(20):
+   f1, f2 = _rand_module_elem(m, rng), _rand_module_elem(m, rng)
+   assert m.pairing(f1, f2) == wedge_pairing(m, f1, f2)
+  assert ex.poincare_adjoint_check(m)
 
 
 class TestIsometry:

@@ -9,10 +9,11 @@ import pytest
 from artifact import ggpcheck as gc
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
-from artifact.ggpcheck import (run_case, c_infty, torsion_ledger,
+from artifact.ggpcheck import (run_case, torsion_ledger,
                                VolumeLedger, LedgerUnderdetermined,
                                rotation_check, verify_all, QSqrt,
-                               _matvec, _matmul, _frac_mat)
+                               _matvec, _frac_mat)
+from artifact.linalg import identity, matmul, transpose
 from reference_kernels import dense_solve, three_reduce_verdicts
 
 
@@ -56,25 +57,6 @@ class TestRunCase:
   rep = run_case("pgl-q", 3, extra=PeriodScalar.gen("Q0", 1))
   assert not rep.passed()
   assert rep.failing() == "condensate"
-
-
-class TestCInfty:
- def test_pgl_e_n1(self):
-  assert c_infty("pgl-e", 1) == PeriodScalar.gen("pi", -2)
-
- def test_pgl_q_n1(self):
-  assert c_infty("pgl-q", 1) == PeriodScalar.gen("pi", -2)
-
- def test_so_even_composition(self):
-  for n in (1, 2, 3):
-   exp = c_infty("so-even", n).exps.get("pi", Fraction(0))
-   assert exp == n - n - 2 * n * n
-
- def test_half_integrality(self):
-  for case in CASES:
-   for n in range(1, 9):
-    exp = c_infty(case, n).exps.get("pi", Fraction(0))
-    assert exp.denominator <= 2, (case, n, exp)
 
 
 class TestLedger:
@@ -159,7 +141,7 @@ def rational_rotation(t):
  b = (1 - p + q) / 3
  c = (1 - p - 2 * q) / 3
  sig = _frac_mat(SIGMA)
- s2 = _matmul(sig, sig)
+ s2 = matmul(sig, sig)
  return [[a * (i == j) + b * sig[i][j] + c * s2[i][j] for j in range(3)]
          for i in range(3)]
 
@@ -174,9 +156,7 @@ class TestRotation:
   for _ in range(100):
    t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
    alpha0 = rational_rotation(t)
-   at = [[alpha0[j][i] for j in range(3)] for i in range(3)]
-   assert _matmul(at, alpha0) == _frac_mat(
-       [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+   assert matmul(transpose(alpha0), alpha0) == identity(3)
    v2 = [_matvec(alpha0, row) for row in _frac_mat(V1)]
    ok, desc = rotation_check(V1, v2, SIGMA)
    assert ok and desc["b"] == 1
@@ -190,6 +170,22 @@ class TestRotation:
   ok, desc = rotation_check(V1, v2, SIGMA)
   assert ok and desc["b"] == 3
   assert any(x.y != 0 for row in desc["alpha"] for x in row)
+  assert not desc["change_det"].is_zero()
+
+ def test_axis_off_the_diagonal(self):
+  # conjugating by a sign change moves the invariant axis of sigma to
+  # (1, 1, -1); the lemma holds there as for the coordinate cycle
+  d = [1, 1, -1]
+  sig = [[d[i] * SIGMA[i][j] * d[j] for j in range(3)] for i in range(3)]
+
+  def flip(m):
+   return [[x * e for x, e in zip(row, d)] for row in m]
+
+  ok, desc = rotation_check(flip(V1), flip(V1), sig)
+  assert ok and desc["b"] == 1 and desc["scale"] == 1
+  ok, desc = rotation_check(flip(V1), flip([[1, 1, -2], [0, 1, -1],
+                                            [1, 1, 1]]), sig)
+  assert ok and desc["b"] == 3
   assert not desc["change_det"].is_zero()
 
  def test_unequal_axis_volume(self):

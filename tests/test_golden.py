@@ -1,13 +1,15 @@
 """CLI outputs pinned byte for byte: verify-all --n-max 12, torsion, check
 and lfactor (text and --json) and every hodge --show for every case and n,
-and period reductions under both moduli.  Regenerate with tests/make_golden.py only when a change of output
-is intended."""
+period reductions under both moduli, cohomology-model for delta 0..4,
+invariants (text and --json) for the acceptance groups, and rotation on the
+matrix files under tests/data/rotation.  Regenerate with
+tests/make_golden.py only when a change of output is intended."""
 
 import json
 
 import pytest
 
-from make_golden import PATH, run
+from make_golden import GROUPS, PATH, ROTATIONS, run
 
 with open(PATH) as _fh:
  GOLDEN = json.load(_fh)
@@ -23,7 +25,16 @@ def test_output_is_byte_identical(entry):
 def test_golden_covers_every_command():
  seen = {" ".join(e["argv"][:1]) for e in GOLDEN}
  assert seen == {"verify-all", "torsion", "check", "lfactor", "hodge",
-                 "period"}
+                 "period", "cohomology-model", "invariants", "rotation"}
  assert sum(e["argv"][0] == "check" for e in GOLDEN) == 96
  assert sum(e["argv"][0] == "lfactor" for e in GOLDEN) == 96
  assert sum(e["argv"][0] == "hodge" for e in GOLDEN) == 240
+ assert sum(e["argv"][0] == "cohomology-model" for e in GOLDEN) == 15
+ assert sum(e["argv"][0] == "invariants" for e in GOLDEN) == 2 * len(GROUPS)
+ rotations = [e for e in GOLDEN if e["argv"][0] == "rotation"]
+ assert len(rotations) == len(ROTATIONS)
+ # both outcomes of the lemma are pinned: a rotation over Q(sqrt 3) and a
+ # failed hypothesis
+ assert any("square class b = 3," in e["stdout"] for e in rotations)
+ assert any(e["exit"] == 1 and e["stdout"].startswith("FAIL: ")
+            for e in rotations)

@@ -128,14 +128,6 @@ class TestTable:
 
 
 class TestConsistency:
- def test_summation_identity(self):
-  for m in (1, 4, 50):
-   assert lg.gamma_consistency(m)
-
- def test_bad_input(self):
-  with pytest.raises(ValueError):
-   lg.gamma_consistency(0)
-
  def test_pi_exponent_rejects_mixed(self):
   with pytest.raises(ValueError):
    lg.pi_exponent(PeriodScalar.gen("Q0", 1))

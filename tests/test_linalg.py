@@ -1,13 +1,23 @@
 """The exact linear-algebra kernel: determinant against the permutation
-expansion, inverse against the identity, and the singular case."""
+expansion, inverse against the identity, the singular case, compound
+matrices against minors taken by the permutation expansion, products over
+Q and Q(sqrt b) against explicit loops, and that no other module keeps its
+own copy of these."""
 
+import ast
 from fractions import Fraction
+import itertools
+import os
 import random
 
 import pytest
 
+import artifact
 from artifact import linalg
+from artifact.ggpcheck import QSqrt
 from test_exteralg import _leibniz_det
+
+SRC = os.path.dirname(artifact.__file__)
 
 
 def _random_matrix(rng, n):
@@ -15,13 +25,21 @@ def _random_matrix(rng, n):
          for _ in range(n)]
 
 
+def _loop_product(a, b, zero):
+ out = []
+ for i in range(len(a)):
+  row = []
+  for j in range(len(b[0])):
+   acc = zero
+   for k in range(len(b)):
+    acc = acc + a[i][k] * b[k][j]
+   row.append(acc)
+  out.append(row)
+ return out
+
+
 def _identity(n):
  return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _matmul(a, b):
- return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-          for j in range(len(b[0]))] for i in range(len(a))]
 
 
 class TestDet:
@@ -47,8 +65,8 @@ class TestInv:
     if linalg.det(m) == 0:
      continue
     minv = linalg.inv(m)
-    assert _matmul(m, minv) == _identity(n)
-    assert _matmul(minv, m) == _identity(n)
+    assert _loop_product(m, minv, Fraction(0)) == _identity(n)
+    assert _loop_product(minv, m, Fraction(0)) == _identity(n)
 
  def test_integer_input_stays_exact(self):
   minv = linalg.inv([[2, 1], [1, 1]])
@@ -60,3 +78,103 @@ class TestInv:
  def test_singular_raises_value_error(self, m):
   with pytest.raises(ValueError, match="singular matrix"):
    linalg.inv([[Fraction(x) for x in row] for row in m])
+
+
+class TestCompound:
+ def test_minors_match_leibniz(self):
+  rng = random.Random(47)
+  for n in range(5):
+   for _ in range(5):
+    m = _random_matrix(rng, n)
+    for k in range(n + 1):
+     subsets = list(itertools.combinations(range(n), k))
+     want = {r: [(c, _leibniz_det([[m[i][j] for j in c] for i in r]))
+                 for c in subsets] for r in subsets}
+     want = {r: [(c, x) for c, x in row if x] for r, row in want.items()}
+     assert linalg.compound(m, k) == want, (m, k)
+
+ def test_degree_zero_and_transpose(self):
+  m = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
+  assert linalg.compound(m, 0) == {(): [((), 1)]}
+  assert linalg.compound(m, 1) == {(0,): [((0,), 1), ((1,), 2)],
+                                   (1,): [((1,), 3)]}
+  assert linalg.compound(linalg.transpose(m), 1) == \
+      {(0,): [((0,), 1)], (1,): [((0,), 2), ((1,), 3)]}
+  assert linalg.compound(m, 2) == {(0, 1): [((0, 1), 3)]}
+
+
+class TestProduct:
+ def test_identity_and_transpose(self):
+  assert linalg.identity(0) == []
+  assert linalg.identity(2) == [[1, 0], [0, 1]]
+  assert all(type(x) is Fraction for row in linalg.identity(3) for x in row)
+  m = [[1, 2, 3], [4, 5, 6]]
+  assert linalg.transpose(m) == [[1, 4], [2, 5], [3, 6]]
+  assert linalg.transpose(linalg.transpose(m)) == m
+  assert linalg.transpose([]) == []
+
+ def test_non_square_shapes(self):
+  rng = random.Random(53)
+  for rows, inner, cols in ((1, 3, 1), (2, 3, 4), (4, 1, 2), (3, 3, 3)):
+   a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+         for _ in range(inner)] for _ in range(rows)]
+   b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+         for _ in range(cols)] for _ in range(inner)]
+   assert linalg.matmul(a, b) == _loop_product(a, b, Fraction(0))
+   assert linalg.matmul(linalg.identity(rows), a) == a
+
+ def test_quadratic_field_entries(self):
+  rng = random.Random(59)
+  def q():
+   return QSqrt(3, Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+  for rows, inner, cols in ((3, 3, 3), (2, 3, 1), (1, 2, 3)):
+   a = [[q() for _ in range(inner)] for _ in range(rows)]
+   b = [[q() for _ in range(cols)] for _ in range(inner)]
+   got = linalg.matmul(a, b)
+   assert got == _loop_product(a, b, QSqrt(3))
+   assert all(type(x) is QSqrt and x.b == 3 for row in got for x in row)
+
+
+HAND_ROLLED = ("_matmul", "_transpose", "_block_diag")
+
+
+def hand_rolled_kernels(source):
+ """Lines that define a private matrix product, transpose or block
+ diagonal, or build an identity entry as int(i == j) with i, j names."""
+ hits = set()
+ for node in ast.walk(ast.parse(source)):
+  if isinstance(node, ast.FunctionDef) and node.name in HAND_ROLLED:
+   hits.add(node.lineno)
+  elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+     node.func.id == "int" and len(node.args) == 1:
+   arg = node.args[0]
+   if isinstance(arg, ast.Compare) and len(arg.ops) == 1 and \
+      isinstance(arg.ops[0], ast.Eq) and isinstance(arg.left, ast.Name) \
+      and isinstance(arg.comparators[0], ast.Name):
+    hits.add(node.lineno)
+ return sorted(hits)
+
+
+class TestOneKernel:
+ def test_detector_sees_copies(self):
+  src = ('ident = [[Fraction(int(i == j)) for j in range(3)]\n'
+         '         for i in range(3)]\n'
+         'def _matmul(a, b):\n pass\n'
+         'def _transpose(m):\n pass\n'
+         'def _block_diag(m):\n pass\n'
+         'x = QSqrt(b, int(r == c))\n')
+  assert hand_rolled_kernels(src) == [1, 3, 5, 7, 9]
+  assert hand_rolled_kernels('sign = int(kind == "C")\n'
+                             'def matmul(a, b):\n pass\n') == []
+
+ def test_no_copy_outside_linalg(self):
+  found = {}
+  for fname in sorted(os.listdir(SRC)):
+   if fname.endswith(".py"):
+    with open(os.path.join(SRC, fname)) as fh:
+     hits = hand_rolled_kernels(fh.read())
+    if hits:
+     found[fname] = hits
+  # the detector sees the kernel's own identity, and nothing else
+  assert list(found) == ["linalg.py"], found

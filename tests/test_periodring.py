@@ -162,6 +162,11 @@ class TestParse:
   with pytest.raises(ValueError, match="unexpected end of expression"):
    parse_expr(text)
 
+ @pytest.mark.parametrize("text", ["(pow a 1/0)", "(mul b (pow a -3/0))"])
+ def test_zero_denominator_is_value_error(self, text):
+  with pytest.raises(ValueError, match="zero denominator"):
+   parse_expr(text)
+
 
 # ---------------------------------------------------------------------------
 # dual route: numeric period matrices vs the symbolic closed forms

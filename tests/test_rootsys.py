@@ -128,3 +128,15 @@ class TestTraceForm:
  def test_degenerate(self):
   with pytest.raises(rs.UnsupportedGroup, match="degenerate rank"):
    rs.dual_trace_form("SO(1)")
+
+ def test_restriction_of_scalars_keeps_the_constant(self):
+  # over C both Gram matrices are doubled block-diagonally, which leaves
+  # the constant and the degenerate-rank rejection as over R
+  for n in range(2, 7):
+   assert rs.dual_trace_form("SO(%d)/C" % n) == Fraction(1, 4)
+   assert rs.dual_trace_form("SO(%d)/C x SO(%d)" % (n, n)) == \
+       Fraction(1, 4)
+  with pytest.raises(rs.UnsupportedGroup, match="degenerate rank"):
+   rs.dual_trace_form("SO(1)/C")
+  with pytest.raises(rs.UnsupportedGroup, match="mixed duality"):
+   rs.dual_trace_form("GL(2)/C x SO(4)/C")
