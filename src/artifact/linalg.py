@@ -1,6 +1,6 @@
 """Exact linear algebra: determinant, inverse and compound matrices of
-square matrices of Fractions, by Gaussian elimination, and the identity,
-transpose and product of matrices over any ring."""
+square matrices of ints or Fractions, by Gaussian elimination, and the
+identity, transpose and product of matrices over any ring."""
 
 from fractions import Fraction
 import functools
@@ -27,7 +27,7 @@ def matmul(a, b):
 
 def det(m):
  n = len(m)
- m = [row[:] for row in m]
+ m = [[Fraction(x) for x in row] for row in m]   # exact on int entries too
  det = Fraction(1)
  for c in range(n):
   piv = next((r for r in range(c, n) if m[r][c]), None)
@@ -72,6 +72,6 @@ def compound(m, k):
   out[r] = []
   for c in subsets:
    minor = det([[m[i][j] for j in c] for i in r])
-   if minor:
-    out[r].append((c, minor))
+   if minor:   # an integral minor is stored as an int
+    out[r].append((c, minor.numerator if minor.denominator == 1 else minor))
  return out

@@ -1,14 +1,20 @@
 """Straightforward dense versions of the exact kernels, kept as references
 for the equivalence tests: a reduction that rebuilds the whole relation
 lattice on every call with a per-column integer vector, the three-reduction
-case verdict, the dense Fraction Gauss-Jordan ledger solve, and the long
+case verdict, the dense Fraction Gauss-Jordan ledger solve, the long
 Weyl map and twisted pairing of the exterior model built by wedging
-degree-1 images."""
+degree-1 images, and the exterior-model checks in Fraction arithmetic:
+random elements with their raw n/d coefficients and every sum seeded with
+Fraction(0)."""
 
 from fractions import Fraction
+import functools
+import itertools
+import random
 
-from artifact import cases, periodring
-from artifact.exteralg import ExteriorElement, wedge
+from artifact import cases, linalg, periodring
+from artifact.exteralg import (ExteriorElement, _check_index, _merge,
+                               contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  _auto_sqrt_class, _column_order, _hnf)
 from artifact.ggpcheck import LedgerUnderdetermined
@@ -149,3 +155,111 @@ def wedge_pairing(model, f1, f2):
    prod = wedge(ExteriorElement(model.space, {s1: Fraction(1)}), e2)
    total += c1 * c2 * prod.coeffs.get(top, Fraction(0))
  return total
+
+
+def fraction_rand_elem(ambient, degree, rng):
+ out = {}
+ for idx in itertools.combinations(range(ambient.dim), degree):
+  out[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+ return ExteriorElement(ambient, out)
+
+
+def fraction_induced_inner(a, b):
+ a._same(b)
+ total = Fraction(0)
+ for ka, ca in a.coeffs.items():
+  for kb, minor in a.ambient.compound_row(ka):
+   cb = b.coeffs.get(kb)
+   if cb:
+    total += ca * cb * minor
+ return total
+
+
+def fraction_act(model, f, x):
+ """Right action of an exterior element on a module element."""
+ out = {}
+ for (g, s), c in f.items():
+  _check_index(s)
+  c = Fraction(c)
+  for kx, cx in x.coeffs.items():
+   m = _merge(s, kx)
+   if m:
+    key = (g, m[1])
+    out[key] = out.get(key, Fraction(0)) + m[0] * c * cx
+ return {k: v for k, v in out.items() if v}
+
+
+def fraction_module_inner(model, f1, f2):
+ for _, s2 in f2:
+  model.space.compound_row(s2)
+ total = Fraction(0)
+ for (g, s1), c1 in f1.items():
+  for s2, minor in model.space.compound_row(s1):
+   c2 = f2.get((g, s2))
+   if c2:
+    total += c1 * c2 * minor
+ return total
+
+
+def fraction_adjointness_check(space, trials, seed=20260823):
+ d = space.dim
+ for da in range(d):
+  for i in range(d):
+   X = ExteriorElement.basis(space, (i,))
+   for A in itertools.combinations(range(d), da):
+    Ae = ExteriorElement.basis(space, A)
+    for B in itertools.combinations(range(d), da + 1):
+     Be = ExteriorElement.basis(space, B)
+     if eval_pairing(wedge(X, Ae), Be) != eval_pairing(Ae, contract(X, Be)):
+      return False
+ rng = random.Random(seed)
+ for _ in range(trials):
+  da = rng.randrange(d)
+  X = fraction_rand_elem(space, 1, rng)
+  A = fraction_rand_elem(space, da, rng)
+  B = fraction_rand_elem(space, da + 1, rng)
+  if eval_pairing(wedge(X, A), B) != eval_pairing(A, contract(X, B)):
+   return False
+ return True
+
+
+def _fraction_cauchy_binet_witness(space, rng):
+ g = space.gram
+ for k in range(1, space.dim + 1):
+  vs = [fraction_rand_elem(space, 1, rng) for _ in range(k)]
+  ws = [fraction_rand_elem(space, 1, rng) for _ in range(k)]
+  inner = [[sum(v.coeffs.get((a,), 0) * g[a][b] * w.coeffs.get((b,), 0)
+                for a in range(space.dim) for b in range(space.dim))
+            for w in ws] for v in vs]
+  if fraction_induced_inner(functools.reduce(wedge, vs),
+                            functools.reduce(wedge, ws)) != linalg.det(inner):
+   return False
+ return True
+
+
+def fraction_isometry_check(model, trials=50, seed=20260823):
+ if not _fraction_cauchy_binet_witness(model.space, random.Random(seed + 1)):
+  return False
+ rng = random.Random(seed)
+ cases = []
+ for i in range(model.delta + 1):
+  for s in itertools.combinations(range(model.delta), i):
+   cases.append((None, ExteriorElement(model.space, {s: Fraction(1)})))
+ for _ in range(trials):
+  deg = rng.randrange(model.delta + 1)
+  cases.append((None, fraction_rand_elem(model.space, deg, rng)))
+ for _, nu in cases:
+  if nu.is_zero():
+   continue
+  n_nu = fraction_induced_inner(nu, nu)
+  for _ in range(3):
+   om = {(g, ()): Fraction(rng.randint(-5, 5)) for g in range(model.k)}
+   om = {k: v for k, v in om.items() if v}
+   if not om:
+    continue
+   n_om = fraction_module_inner(model, om, om)
+   prod = fraction_act(model, om, nu)
+   n_prod = fraction_module_inner(model, prod, prod)
+   if n_prod != n_om * n_nu:
+    return False
+ return True

@@ -36,7 +36,8 @@ class TestCohomologyModel:
   assert "freeness" in out and "FAIL" not in out
 
  @pytest.mark.parametrize("flag,value,msg", [("--delta", "-1", "delta"),
-                                             ("--k", "0", "k must be")])
+                                             ("--k", "0", "k must be"),
+                                             ("--q", "-5", "q must be")])
  def test_usage_error(self, capsys, flag, value, msg):
   argv = {"--delta": "3", "--q": "3", "--k": "1"}
   argv[flag] = value

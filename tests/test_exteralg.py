@@ -9,7 +9,10 @@ import random
 import pytest
 
 from artifact import exteralg as ex
-from reference_kernels import wedge_apply_w, wedge_pairing
+from reference_kernels import (fraction_adjointness_check, fraction_act,
+                               fraction_induced_inner, fraction_isometry_check,
+                               fraction_module_inner, fraction_rand_elem,
+                               wedge_apply_w, wedge_pairing)
 
 
 def E(sp, idx, c=1):
@@ -182,6 +185,16 @@ class TestModel:
   with pytest.raises(ValueError):
    ex.TemperedCohomologyModel(-1, 1, 1)
 
+ def test_nonnegative_q(self):
+  for q in (-1, -5):
+   with pytest.raises(ValueError, match="q must be nonnegative"):
+    ex.model_dims(2, q, 1)
+   with pytest.raises(ValueError, match="q must be nonnegative"):
+    ex.TemperedCohomologyModel(2, q, 1)
+  assert ex.model_dims(2, 0, 1) == [(0, 1), (1, 2), (2, 1)]
+  m = ex.TemperedCohomologyModel(2, 0, 1)
+  assert ex.freeness_check(m) and ex.poincare_adjoint_check(m)
+
  def test_freeness(self):
   for delta, q, k in ((3, 3, 1), (2, 1, 2), (4, 2, 1)):
    m = ex.TemperedCohomologyModel(delta, q, k)
@@ -336,3 +349,104 @@ class TestIsometryWitness:
   _drop_mirrored_minors(m.space)
   assert not ex.isometry_check(m, trials=30)
 
+
+
+GRAM3_RATIONAL = [[Fraction(x, 3) for x in row] for row in GRAM3]
+GRAM3_NONDIAG = [[2, 1, 0], [1, 2, 0], [0, 0, 5]]
+
+
+def _minors(space):
+ return [minor for k in range(space.dim + 1)
+         for row in space.compound_gram(k).values() for _, minor in row]
+
+
+class TestIntegerArithmetic:
+ """On integral data the exterior model computes over Z: a silent return
+ to Fraction arithmetic fails here, not only in the benchmark."""
+
+ def test_integer_gram_minors_and_draws_are_int(self):
+  m = ex.TemperedCohomologyModel(4, 1, 2, gram=GRAM4)
+  assert all(type(minor) is int for minor in _minors(m.space))
+  rng = random.Random(43)
+  for deg in range(m.delta + 1):
+   for _ in range(5):
+    x = ex._rand_elem(m.space, deg, rng)
+    assert all(type(c) is int for c in x.coeffs.values())
+    assert type(ex.induced_inner(x, x)) is int
+    om = {(0, ()): rng.randint(1, 5), (1, ()): -2}
+    prod = m.act(om, x)
+    assert all(type(c) is int for c in prod.values())
+    assert type(m.module_inner(prod, prod)) is int
+
+ def test_rational_gram_keeps_fraction_minors(self):
+  sp = ex.MetricSpaceQ(3, GRAM3_RATIONAL)
+  assert any(type(minor) is Fraction for minor in _minors(sp))
+  assert all(type(minor) is int or minor.denominator != 1
+             for minor in _minors(sp))
+
+ @pytest.mark.parametrize("seed", [5, 47, 20260823])
+ def test_draws_are_integer_multiples_of_the_reference(self, seed):
+  sp = ex.MetricSpaceQ(4, GRAM4)
+  rng, ref_rng = random.Random(seed), random.Random(seed)
+  for _ in range(50):
+   deg = rng.randrange(sp.dim + 1)
+   assert ref_rng.randrange(sp.dim + 1) == deg
+   x = ex._rand_elem(sp, deg, rng)
+   ref = fraction_rand_elem(sp, deg, ref_rng)
+   assert x.coeffs.keys() == ref.coeffs.keys()
+   ratios = {Fraction(c) / ref.coeffs[k] for k, c in x.coeffs.items()}
+   assert len(ratios) <= 1
+   for r in ratios:
+    assert r.denominator == 1 and r > 0
+  assert rng.random() == ref_rng.random()
+
+
+class TestFractionReference:
+ """The integer kernels reach the verdicts of the Fraction reference."""
+
+ @pytest.mark.parametrize("seed", [20260823, 11, 911])
+ def test_acceptance_grid(self, seed):
+  for space in (ex.MetricSpaceQ(4), ex.MetricSpaceQ(3, GRAM3_NONDIAG)):
+   assert ex.adjointness_check(space, trials=1000, seed=seed) is True
+   assert fraction_adjointness_check(space, trials=1000, seed=seed) is True
+  for delta in range(1, 5):
+   for q, k in ((1, 1), (2, 1), (3, 2)):
+    m = ex.TemperedCohomologyModel(delta, q, k)
+    assert ex.isometry_check(m, trials=1000, seed=seed) is True
+    assert fraction_isometry_check(m, trials=1000, seed=seed) is True
+
+ @pytest.mark.parametrize("gram", [GRAM3_NONDIAG, GRAM3_RATIONAL])
+ def test_gram(self, gram):
+  sp = ex.MetricSpaceQ(3, gram)
+  assert ex.adjointness_check(sp, trials=200) is True
+  assert fraction_adjointness_check(sp, trials=200) is True
+  m = ex.TemperedCohomologyModel(3, 1, 2, gram=gram)
+  assert ex.isometry_check(m, trials=200) is True
+  assert fraction_isometry_check(m, trials=200) is True
+
+ @pytest.mark.parametrize("gram", [GRAM3_NONDIAG, GRAM3_RATIONAL])
+ def test_kernel_values_scale_with_the_draw(self, gram):
+  # the integer draw is lam * the reference draw, so the norms scale by
+  # lam^2 and the action by lam
+  m = ex.TemperedCohomologyModel(3, 1, 2, gram=gram)
+  rng, ref_rng = random.Random(53), random.Random(53)
+  for _ in range(30):
+   deg = rng.randrange(m.delta + 1)
+   ref_rng.randrange(m.delta + 1)
+   x = ex._rand_elem(m.space, deg, rng)
+   ref = fraction_rand_elem(m.space, deg, ref_rng)
+   lam = next((Fraction(c) / ref.coeffs[k] for k, c in x.coeffs.items()), 1)
+   assert ex.induced_inner(x, x) == lam ** 2 * fraction_induced_inner(ref, ref)
+   om = {(0, ()): 3, (1, ()): -2}
+   prod, ref_prod = m.act(om, x), fraction_act(m, om, ref)
+   assert prod == {key: lam * c for key, c in ref_prod.items()}
+   assert m.module_inner(prod, prod) == \
+       lam ** 2 * fraction_module_inner(m, ref_prod, ref_prod)
+
+ @pytest.mark.parametrize("delta,q,k", [(3, 1, 1), (4, 2, 1), (4, 3, 2)])
+ def test_broken_induced_metric_fails_on_both_paths(self, delta, q, k):
+  gram = GRAM3 if delta == 3 else GRAM4
+  m = ex.TemperedCohomologyModel(delta, q, k, gram=gram)
+  _drop_mirrored_minors(m.space)
+  assert ex.isometry_check(m, trials=30) is False
+  assert fraction_isometry_check(m, trials=30) is False

@@ -55,6 +55,11 @@ class TestDet:
   assert linalg.det(m) == 0
   assert m == [[1, 2], [2, 4]]
 
+ def test_integer_input_stays_exact(self):
+  for m in ([[2, 1], [1, 3]], [[1, 1, 1], [1, 2, 4], [1, 3, 9]]):
+   d = linalg.det(m)
+   assert type(d) is Fraction and d == _leibniz_det(m)
+
 
 class TestInv:
  def test_inverse(self):
@@ -101,6 +106,16 @@ class TestCompound:
   assert linalg.compound(linalg.transpose(m), 1) == \
       {(0,): [((0,), 1)], (1,): [((0,), 2), ((1,), 3)]}
   assert linalg.compound(m, 2) == {(0, 1): [((0, 1), 3)]}
+
+ def test_integral_minors_are_int(self):
+  m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+  for k in range(4):
+   for r, row in linalg.compound(m, k).items():
+    for c, minor in row:
+     assert type(minor) is int
+     assert minor == _leibniz_det([[m[i][j] for j in c] for i in r])
+  half = [[Fraction(x, 2) for x in row] for row in m]
+  assert linalg.compound(half, 3) == {(0, 1, 2): [((0, 1, 2), Fraction(9, 4))]}
 
 
 class TestProduct:
