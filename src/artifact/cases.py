@@ -22,9 +22,6 @@ class CaseSpec:
  over_e         whether the standard motives live over the quadratic field
  shift          orthogonal families only: 0 for so-even, 1 for so-odd
  groups(n)      (G, H) real-group descriptors
- discriminants(n)
-                (Delta_G, Delta_H) as {(kind, a): multiplicity} maps of
-                Gamma_kind(s+a)
  targets(n)     closed-form pi exponents of the four computed columns
  factors(n)     {"M"/"N": (pairing, rank)}: the factor's standard motive is
                 the rank-dimensional one of that pairing ("linear",
@@ -32,21 +29,11 @@ class CaseSpec:
  """
 
  __slots__ = ("name", "aliases", "mod", "r", "m", "e", "twists", "over_e",
-              "shift", "groups", "discriminants", "targets", "factors")
+              "shift", "groups", "targets", "factors")
 
  def __init__(self, **fields):
   for k, v in fields.items():
    setattr(self, k, v)
-
-
-def _gammas(kind, *parts):
- """{(kind, a): multiplicity} from (arguments, multiplicity) parts; equal
- arguments add up."""
- out = {}
- for args, mult in parts:
-  for a in args:
-   out[(kind, a)] = out.get((kind, a), 0) + mult
- return out
 
 
 def _targets(dk, dg, rho, ad):
@@ -65,19 +52,12 @@ def _linear_factors(n):
  return {"M": ("linear", n), "N": ("linear", n + 1)}
 
 
-def _evens(top):
- return range(2, 2 * top + 1, 2)
-
-
 PGL_Q = CaseSpec(
     name="pgl-q", aliases=("pglq",), mod="Q",
     r=lambda n: n, m=lambda n: n * (n + 1), e=2,
     twists=True, over_e=False, shift=None,
     groups=lambda n: (" x ".join(["PGL(%d)/R" % n, "PGL(%d)/R" % (n + 1)] * 2),
                       "GL(%d)/R x GL(%d)/R" % (n, n)),
-    discriminants=lambda n: (
-        _gammas("R", (range(2, n + 1), 4), ((n + 1,), 2)),
-        _gammas("R", (range(1, n + 1), 2))),
     targets=lambda n: _linear_targets(2 * n - 2 * (n // 2),
                                       2 * ((n // 2) - n), n),
     factors=_linear_factors)
@@ -87,9 +67,6 @@ PGL_E = CaseSpec(
     r=lambda n: n, m=lambda n: n * (n + 1), e=2,
     twists=False, over_e=True, shift=None,
     groups=lambda n: ("PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n),
-    discriminants=lambda n: (
-        _gammas("C", (range(2, n + 1), 2), ((n + 1,), 1)),
-        _gammas("C", (range(1, n + 1), 1))),
     targets=lambda n: _linear_targets(n - 1, 1 - n, n),
     factors=_linear_factors)
 
@@ -99,9 +76,6 @@ SO_EVEN = CaseSpec(
     twists=False, over_e=True, shift=0,
     groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1),
                       "SO(%d)/C" % (2 * n)),
-    discriminants=lambda n: (
-        _gammas("C", (_evens(n - 1), 2), ((n, 2 * n), 1)),
-        _gammas("C", (_evens(n - 1), 1), ((n,), 1))),
     targets=lambda n: _targets(
         n, -n,
         -Fraction(1, 3) * (2 * n - 1) * 2 * n * (2 * n + 1) - n * (n + 1),
@@ -115,9 +89,6 @@ SO_ODD = CaseSpec(
     twists=False, over_e=True, shift=1,
     groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
                       "SO(%d)/C" % (2 * n + 1)),
-    discriminants=lambda n: (
-        _gammas("C", (_evens(n), 2), ((n + 1,), 1)),
-        _gammas("C", (_evens(n), 1))),
     targets=lambda n: _targets(
         n + 1, -(n + 1),
         -Fraction(1, 3) * 2 * n * (2 * n + 1) * (2 * n + 2) - n * (n + 1),

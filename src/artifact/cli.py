@@ -73,8 +73,7 @@ def _show_structure(case, n, which):
   return hodge.case_adjoint(case, n, "M")
  if which == "AdN":
   return hodge.case_adjoint(case, n, "N")
- return hodge.tensor(hodge.standard_motive(case, n, "M"),
-                     hodge.standard_motive(case, n, "N"))
+ return lgamma.tensor_structure(case, n)
 
 
 def cmd_hodge(args):
@@ -91,10 +90,7 @@ def cmd_hodge(args):
 def cmd_lfactor(args):
  rows = lgamma.table1_row(args.case, args.n)
  if args.json:
-  print(json.dumps([{"name": r["name"],
-                     "computed_exp": str(r["computed_exp"]),
-                     "expected_exp": str(r["expected_exp"]),
-                     "pass": r["pass"]} for r in rows], indent=1))
+  print(json.dumps([lgamma.row_json(r) for r in rows], indent=1))
  else:
   _print_table([(r["name"], r["computed_exp"], r["expected_exp"],
                  "pass" if r["pass"] else "FAIL") for r in rows],

@@ -26,8 +26,7 @@ class CaseReport:
   self.m_expected = m_expected
 
  def passed(self):
-  return all(r["pass"] for r in self.table1) and self.gamma1["pass"] and \
-      self.gamma2["pass"] and self.condensate["pass"]
+  return self.failing() is None
 
  def failing(self):
   """Name of the first failing identity, or None."""
@@ -44,11 +43,11 @@ class CaseReport:
 
  def as_dict(self):
   return {"case": self.case, "n": self.n,
-          "table1": [{"name": r["name"],
-                      "computed_exp": str(r["computed_exp"]),
-                      "expected_exp": str(r["expected_exp"]),
-                      "pass": r["pass"]} for r in self.table1],
-          "condensate": self.condensate}
+          "table1": [lgamma.row_json(r) for r in self.table1],
+          "condensate": self.condensate,
+          "gamma1": {"exponent": str(self.gamma1["exponent"]),
+                     "pass": self.gamma1["pass"]},
+          "gamma2": self.gamma2}
 
 
 def run_case(case, n, extra=None):

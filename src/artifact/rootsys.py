@@ -1,8 +1,10 @@
 """Root-system and real-form bookkeeping for the group families we support.
 
-Invariants (dimensions, ranks, the defect delta, minimal tempered degree q),
-Weyl group orders and relative indices, Macdonald volumes of compact groups,
-and the duality constant of the trace form, all in exact arithmetic.
+One table, the degrees of the basic invariants, gives the invariants
+(dimensions, ranks, the defect delta, minimal tempered degree q, the
+compact volume) and the discriminant's Gamma-factors.  Also the relative
+Weyl indices with their chamber-count cross-check, and the duality constant
+of the trace form, all in exact arithmetic.
 """
 
 from fractions import Fraction
@@ -94,49 +96,70 @@ class GroupInvariants:
   return d
 
 
-def _complex_dims(family, n):
- """(dim_C, rank_C) of the complex group."""
+def _degrees(family, n):
+ """Degrees d_i of the basic invariants of the complex group.  Everything
+ else is read off them: rank = #d_i, dim = sum(2 d_i - 1), |W| = prod d_i,
+ vol(compact form) ~ pi^(sum d_i) (Macdonald), and the discriminant
+ (Gross's motive, sum of Q(1 - d_i))."""
  if family in ("PGL", "SL"):
-  return n * n - 1, n - 1
+  return list(range(2, n + 1))
  if family == "GL":
-  return n * n, n
+  return list(range(1, n + 1))
  if family == "SO":
-  return n * (n - 1) // 2, n // 2
+  # 2, 4, ..., plus the Pfaffian n/2 for even n; SO(0) and SO(1) have none
+  pfaffian = [n // 2] if n % 2 == 0 and n > 0 else []
+  return list(range(2, 2 * ((n - 1) // 2) + 1, 2)) + pfaffian
  raise UnsupportedGroup("unsupported group: %r" % (family,))
 
 
+def _dim_rank(degrees):
+ return sum(2 * d - 1 for d in degrees), len(degrees)
+
+
+def _descriptor(g):
+ return GroupDescriptor.parse(g) if isinstance(g, str) else g
+
+
 def invariants(g):
- if isinstance(g, str):
-  g = GroupDescriptor.parse(g)
+ g = _descriptor(g)
  if g.product:
   parts = [invariants(f) for f in g.product]
   inv = GroupInvariants(sum(p.d_G for p in parts), sum(p.r_G for p in parts),
                         sum(p.d_K for p in parts), sum(p.r_K for p in parts),
                         math.prod(p.weyl_index for p in parts))
   return inv
- dim, rank = _complex_dims(g.family, g.n)
+ dim, rank = _dim_rank(_degrees(g.family, g.n))
  if g.base == "ComplexAsReal":
   # restriction of scalars: K is the compact form
   return GroupInvariants(2 * dim, 2 * rank, dim, rank, 1)
- if g.family in ("PGL", "SL", "GL"):
-  n = g.n
-  d_K = n * (n - 1) // 2
-  r_K = n // 2
-  d_G = dim if g.family != "GL" else n * n
-  r_G = rank if g.family != "GL" else n
-  return GroupInvariants(d_G, r_G, d_K, r_K, _weyl_index_linear(n))
- # real split-signature SO(p,q)
+ if g.family != "SO":
+  # split linear groups: K = SO(n) (or O(n))
+  d_K, r_K = _dim_rank(_degrees("SO", g.n))
+  return GroupInvariants(dim, rank, d_K, r_K, 2 if g.n % 2 == 0 else 1)
+ # real split-signature SO(p,q): K = SO(p) x SO(q)
  p, q = g.signature
- d_K = p * (p - 1) // 2 + q * (q - 1) // 2
- r_K = p // 2 + q // 2
+ d_K, r_K = _dim_rank(_degrees("SO", p) + _degrees("SO", q))
  wi = 1
  if p % 2 == 1 and q % 2 == 1:
   wi = math.comb((p - 1) // 2 + (q - 1) // 2, (p - 1) // 2)
  return GroupInvariants(dim, rank, d_K, r_K, wi)
 
 
-def _weyl_index_linear(n):
- return 2 if n % 2 == 0 and n >= 2 else 1
+def discriminant(g):
+ """Gamma-factors of the discriminant of g (of Gross's motive, the sum of
+ Q(1 - d_i)) as {(kind, d): multiplicity}: one Gamma_kind(s+d) per basic
+ degree d, kind "C" for a complex factor and "R" for a real one."""
+ g = _descriptor(g)
+ out = {}
+ if g.product:
+  for f in g.product:
+   for key, m in discriminant(f).items():
+    out[key] = out.get(key, 0) + m
+  return out
+ kind = "C" if g.base == "ComplexAsReal" else "R"
+ for d in _degrees(g.family, g.n):
+  out[(kind, d)] = out.get((kind, d), 0) + 1
+ return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,71 +167,29 @@ def _weyl_index_linear(n):
 
 
 def roots(rtype, rank):
- rs = []
- if rtype == "A":
-  dim = rank + 1
-  for i in range(dim):
-   for j in range(dim):
-    if i != j:
-     v = [0] * dim
-     v[i], v[j] = 1, -1
-     rs.append(tuple(v))
-  return rs
- if rtype in ("B", "C", "D", "BC"):
-  for i in range(rank):
-   for j in range(i + 1, rank):
-    for si in (1, -1):
-     for sj in (1, -1):
-      v = [0] * rank
-      v[i], v[j] = si, sj
-      rs.append(tuple(v))
-  if rtype in ("B", "BC"):
-   for i in range(rank):
-    for s in (1, -1):
-     v = [0] * rank
-     v[i] = s
-     rs.append(tuple(v))
-  if rtype in ("C", "BC"):
-   for i in range(rank):
-    for s in (1, -1):
-     v = [0] * rank
-     v[i] = 2 * s
-     rs.append(tuple(v))
-  return rs
- if rtype == "G2":
-  if rank != 2:
-   raise UnsupportedGroup("G2 has rank 2")
-  rs = roots("A", 2)
-  for a, b, c in ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)):
-   rs.append((a, b, c))
-   rs.append((-a, -b, -c))
-  return rs
- if rtype == "F4":
-  if rank != 4:
-   raise UnsupportedGroup("F4 has rank 4")
-  rs = roots("B", 4)
-  for signs in range(16):
-   v = tuple(Fraction(1, 2) * (1 if signs >> k & 1 else -1) for k in range(4))
-   rs.append(v)
-  return rs
- raise UnsupportedGroup("unsupported root system type: %r" % (rtype,))
-
-
-_WEYL_CLOSED = {
- "A": lambda n: math.factorial(n + 1),
- "B": lambda n: 2 ** n * math.factorial(n),
- "C": lambda n: 2 ** n * math.factorial(n),
- "BC": lambda n: 2 ** n * math.factorial(n),
- "D": lambda n: 2 ** max(n - 1, 0) * math.factorial(n),
- "F4": lambda n: 1152,
- "G2": lambda n: 12,
-}
-
-
-def weyl_order(rtype, rank):
- if rtype not in _WEYL_CLOSED:
+ if rtype not in ("B", "C", "D", "BC"):
   raise UnsupportedGroup("unsupported root system type: %r" % (rtype,))
- return _WEYL_CLOSED[rtype](rank)
+ rs = []
+ for i in range(rank):
+  for j in range(i + 1, rank):
+   for si in (1, -1):
+    for sj in (1, -1):
+     v = [0] * rank
+     v[i], v[j] = si, sj
+     rs.append(tuple(v))
+ if rtype in ("B", "BC"):
+  for i in range(rank):
+   for s in (1, -1):
+    v = [0] * rank
+    v[i] = s
+    rs.append(tuple(v))
+ if rtype in ("C", "BC"):
+  for i in range(rank):
+   for s in (1, -1):
+    v = [0] * rank
+    v[i] = 2 * s
+    rs.append(tuple(v))
+ return rs
 
 
 def _reflect(v, a):
@@ -218,35 +199,12 @@ def _reflect(v, a):
  return tuple(x - c * y for x, y in zip(v, a))
 
 
-def weyl_order_bruteforce(rtype, rank):
- """Order of the group generated by root reflections, as a permutation
- action on the root set itself (exact, no matrices needed)."""
- rs = roots(rtype, rank)
- rs = [tuple(Fraction(x) for x in r) for r in rs]
- index = {r: k for k, r in enumerate(rs)}
- perms = []
- for a in rs:
-  perms.append(tuple(index[_reflect(r, a)] for r in rs))
- ident = tuple(range(len(rs)))
- seen = {ident}
- frontier = [ident]
- while frontier:
-  nxt = []
-  for g in frontier:
-   for p in perms:
-    h = tuple(g[i] for i in p)
-    if h not in seen:
-     seen.add(h)
-     nxt.append(h)
-  frontier = nxt
- return len(seen)
-
-
 def _restricted_pair(g):
  """(big system, small system) of restricted roots, in shared coordinates.
 
- Returns (big type, big, small, rank) with each system a list of vectors,
- or None for groups where the two systems coincide.
+ Returns (big, small, rank) with each system a list of vectors, or None for
+ groups where the two systems coincide.  The big system is of type B, C or
+ BC, so its Weyl group is that of SO(2 rank + 1).
  """
  if g.product:
   raise UnsupportedGroup("restricted pairs are per-factor data")
@@ -258,8 +216,8 @@ def _restricted_pair(g):
   if m == 0:
    raise UnsupportedGroup("not tabulated: rank too small")
   if n % 2 == 0:
-   return "C", roots("C", m), roots("D", m), m
-  return "BC", roots("BC", m), roots("B", m), m
+   return roots("C", m), roots("D", m), m
+  return roots("BC", m), roots("B", m), m
  p, q = g.signature
  if p % 2 == 0 or q % 2 == 0:
   raise UnsupportedGroup("not tabulated: delta = 0 signature")
@@ -270,29 +228,20 @@ def _restricted_pair(g):
   small.append(tuple(r) + (0,) * l)
  for r in roots("B", l):
   small.append((0,) * k + tuple(r))
- return "B", big, small, k + l
-
-
-def weyl_index(g):
- if isinstance(g, str):
-  g = GroupDescriptor.parse(g)
- if g.product:
-  return math.prod(weyl_index(f) for f in g.product)
- if g.base == "ComplexAsReal":
-  return 1
- return invariants(g).weyl_index
+ return big, small, k + l
 
 
 def chamber_check(g):
  """Count big-system chambers inside one small-system chamber by orbit
  enumeration and compare with the tabulated index; the orbit size must
- also match the closed-form order of the big Weyl group."""
- if isinstance(g, str):
-  g = GroupDescriptor.parse(g)
+ also match the order of the big Weyl group, the product of the degrees
+ of SO(2 rank + 1)."""
+ g = _descriptor(g)
+ index = invariants(g).weyl_index
  pair = _restricted_pair(g)
  if pair is None:
-  return weyl_index(g) == 1
- big_type, big, small, rank = pair
+  return index == 1
+ big, small, rank = pair
  if rank > 4:
   raise UnsupportedGroup("brute force limited to rank 4")
  big = [tuple(Fraction(x) for x in r) for r in big]
@@ -308,7 +257,8 @@ def chamber_check(g):
     return False
   return True
  count = sum(1 for x in orbit if dominant(x))
- return count == weyl_index(g) and len(orbit) == weyl_order(big_type, rank)
+ return count == index and \
+     len(orbit) == math.prod(_degrees("SO", 2 * rank + 1))
 
 
 def _positive(a):
@@ -349,46 +299,6 @@ def _generic_orbit(system):
      nxt.append(y)
   frontier = nxt
  return orbit
-
-
-# ---------------------------------------------------------------------------
-# Macdonald volumes of compact groups
-
-
-def _compact_data(text):
- m = re.fullmatch(r"(SU|SO|U)\(([0-9]+)\)", text.strip())
- if not m:
-  raise UnsupportedGroup("unsupported compact group: %r" % (text,))
- fam, n = m.group(1), int(m.group(2))
- if fam == "SU":
-  exps = list(range(1, n))
-  d, r = n * n - 1, n - 1
- elif fam == "U":
-  exps = [0] + list(range(1, n))
-  d, r = n * n, n
- else:
-  if n % 2 == 1:
-   exps = list(range(1, n, 2))
-  else:
-   k = n // 2
-   exps = list(range(1, n - 2, 2)) + [k - 1]
-  d, r = n * (n - 1) // 2, n // 2
- return exps, d, r
-
-
-def macdonald_volume(text):
- """vol K = prod_i 2 pi^{m_i+1}/m_i!, reduced mod Q* to a pi power."""
- total = 0
- d = r = 0
- for part in str(text).split(" x "):
-  exps, dk, rk = _compact_data(part)
-  total += sum(m + 1 for m in exps)
-  d += dk
-  r += rk
- out = PeriodScalar.gen("pi", total)
- if 2 * total != d + r:
-  raise UnsupportedGroup("Macdonald volume does not match pi^((d_K+r_K)/2)")
- return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +347,7 @@ def dual_trace_form(g):
  Computed by building both Cartan bases as explicit matrices, taking Gram
  matrices of the trace form, inverting one, and reading off the ratio.
  """
- if isinstance(g, str):
-  g = GroupDescriptor.parse(g)
+ g = _descriptor(g)
  if g.product:
   vals = {dual_trace_form(f) for f in g.product}
   if len(vals) != 1:

@@ -3,13 +3,16 @@ for the equivalence tests: a reduction that rebuilds the whole relation
 lattice on every call with a per-column integer vector, the three-reduction
 case verdict, the dense Fraction Gauss-Jordan ledger solve, the long
 Weyl map and twisted pairing of the exterior model built by wedging
-degree-1 images, and the exterior-model checks in Fraction arithmetic:
+degree-1 images, the exterior-model checks in Fraction arithmetic:
 random elements with their raw n/d coefficients and every sum seeded with
-Fraction(0)."""
+Fraction(0), and the hand-written group data (dimensions, ranks, the
+maximal compact subgroups and the four discriminant tables) that the
+degree table of rootsys replaced."""
 
 from fractions import Fraction
 import functools
 import itertools
+import math
 import random
 
 from artifact import cases, linalg, periodring
@@ -18,6 +21,7 @@ from artifact.exteralg import (ExteriorElement, _check_index, _merge,
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  _auto_sqrt_class, _column_order, _hnf)
 from artifact.ggpcheck import LedgerUnderdetermined
+from artifact.rootsys import GroupDescriptor, GroupInvariants
 
 
 def dense_int_vector(x, cols, scale=2):
@@ -263,3 +267,75 @@ def fraction_isometry_check(model, trials=50, seed=20260823):
    if n_prod != n_om * n_nu:
     return False
  return True
+
+
+def _complex_dims(family, n):
+ """(dim_C, rank_C) of the complex group."""
+ if family in ("PGL", "SL"):
+  return n * n - 1, n - 1
+ if family == "GL":
+  return n * n, n
+ return n * (n - 1) // 2, n // 2
+
+
+def written_out_invariants(g):
+ """rootsys.invariants with every dimension and rank written out by hand."""
+ if isinstance(g, str):
+  g = GroupDescriptor.parse(g)
+ if g.product:
+  parts = [written_out_invariants(f) for f in g.product]
+  return GroupInvariants(sum(p.d_G for p in parts),
+                         sum(p.r_G for p in parts),
+                         sum(p.d_K for p in parts),
+                         sum(p.r_K for p in parts),
+                         math.prod(p.weyl_index for p in parts))
+ dim, rank = _complex_dims(g.family, g.n)
+ if g.base == "ComplexAsReal":
+  return GroupInvariants(2 * dim, 2 * rank, dim, rank, 1)
+ if g.family in ("PGL", "SL", "GL"):
+  n = g.n
+  d_K = n * (n - 1) // 2
+  r_K = n // 2
+  d_G = dim if g.family != "GL" else n * n
+  r_G = rank if g.family != "GL" else n
+  return GroupInvariants(d_G, r_G, d_K, r_K,
+                         2 if n % 2 == 0 and n >= 2 else 1)
+ p, q = g.signature
+ d_K = p * (p - 1) // 2 + q * (q - 1) // 2
+ r_K = p // 2 + q // 2
+ wi = 1
+ if p % 2 == 1 and q % 2 == 1:
+  wi = math.comb((p - 1) // 2 + (q - 1) // 2, (p - 1) // 2)
+ return GroupInvariants(dim, rank, d_K, r_K, wi)
+
+
+def _gammas(kind, *parts):
+ """{(kind, a): multiplicity} from (arguments, multiplicity) parts; equal
+ arguments add up."""
+ out = {}
+ for args, mult in parts:
+  for a in args:
+   out[(kind, a)] = out.get((kind, a), 0) + mult
+ return out
+
+
+def _evens(top):
+ return range(2, 2 * top + 1, 2)
+
+
+# (Delta_G, Delta_H) of each family as {(kind, a): multiplicity} maps of
+# Gamma_kind(s+a), written out per family
+WRITTEN_OUT_DISCRIMINANTS = {
+    "pgl-q": lambda n: (
+        _gammas("R", (range(2, n + 1), 4), ((n + 1,), 2)),
+        _gammas("R", (range(1, n + 1), 2))),
+    "pgl-e": lambda n: (
+        _gammas("C", (range(2, n + 1), 2), ((n + 1,), 1)),
+        _gammas("C", (range(1, n + 1), 1))),
+    "so-even": lambda n: (
+        _gammas("C", (_evens(n - 1), 2), ((n, 2 * n), 1)),
+        _gammas("C", (_evens(n - 1), 1), ((n,), 1))),
+    "so-odd": lambda n: (
+        _gammas("C", (_evens(n), 2), ((n + 1,), 1)),
+        _gammas("C", (_evens(n), 1))),
+}

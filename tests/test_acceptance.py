@@ -26,6 +26,7 @@ from artifact.periodring import PeriodScalar, condensate_residual
 from test_ggpcheck import SIGMA, V1, rational_rotation
 from test_hodge import (_mults, oracle_linear_adjoint, oracle_square,
                         oracle_tensor)
+from test_rootsys import COMPACT, compact_exponents, macdonald_volume
 
 
 def test_exponent_table_full_sweep():
@@ -71,11 +72,11 @@ def test_root_system_invariants():
            "SO(7,1)", "SL(4)/C", "PGL(4)/C", "SO(5)/C"):
   assert rs.chamber_check(g), g
  for n in (2, 3, 4):
-  assert rs.weyl_index("SL(%d)/R" % (2 * n)) == 2
+  assert rs.invariants("SL(%d)/R" % (2 * n)).weyl_index == 2
  for k, l in ((1, 1), (2, 1), (2, 2), (3, 1)):
-  assert rs.weyl_index("SO(%d,%d)" % (2 * k + 1, 2 * l + 1)) == \
-      comb(k + l, k)
- assert rs.weyl_index("SL(6)/C") == 1
+  assert rs.invariants("SO(%d,%d)" % (2 * k + 1, 2 * l + 1)).weyl_index \
+      == comb(k + l, k)
+ assert rs.invariants("SL(6)/C").weyl_index == 1
  # dimension bookkeeping identity for every supported group
  for g in ("SL(2)/R", "SL(5)/R", "SL(8)/R", "PGL(3)/R", "GL(4)/R",
            "SL(3)/C", "PGL(5)/C", "GL(2)/C", "SO(4)/C", "SO(7)/C",
@@ -83,12 +84,10 @@ def test_root_system_invariants():
   inv = rs.invariants(g)
   assert 2 * inv.q + inv.delta == inv.d_symm, g
  # compact volumes reduce to the predicted pi power mod rationals
- for g in (["SU(%d)" % k for k in range(2, 7)] +
-           ["SO(%d)" % k for k in range(3, 7)] +
-           ["U(%d)" % k for k in range(1, 7)]):
-  _, dk, rk = rs._compact_data(g)
-  assert rs.macdonald_volume(g) == \
-      PeriodScalar.gen("pi", Fraction(dk + rk, 2)), g
+ for g in COMPACT:
+  inv = rs.invariants("%s(%d)/C" % compact_exponents(g)[1])
+  assert macdonald_volume(g) == \
+      PeriodScalar.gen("pi", Fraction(inv.d_K + inv.r_K, 2)), g
  assert time.monotonic() - t0 < 10.0
 
 

@@ -105,8 +105,11 @@ class TestCheck:
                   "--json")
   assert code == 0
   data = json.loads(out)
-  assert set(data) == {"case", "n", "table1", "condensate"}
+  assert set(data) == {"case", "n", "table1", "condensate", "gamma1",
+                       "gamma2"}
   assert data["condensate"]["pass"] is True
+  assert data["gamma1"] == {"exponent": "-4", "pass": True}
+  assert data["gamma2"] == {"residual": "1", "pass": True}
 
  def test_text(self, capsys):
   code, out = run(capsys, "check", "--case", "pgl-q", "--n", "2")

@@ -48,10 +48,20 @@ class TestRunCase:
 
  def test_report_dict_schema(self):
   d = run_case("so-odd", 2).as_dict()
-  assert set(d) == {"case", "n", "table1", "condensate"}
+  assert set(d) == {"case", "n", "table1", "condensate", "gamma1",
+                    "gamma2"}
   assert set(d["table1"][0]) == {"name", "computed_exp", "expected_exp",
                                  "pass"}
   assert set(d["condensate"]) == {"residual", "m", "pass"}
+  assert set(d["gamma1"]) == {"exponent", "pass"}
+  assert isinstance(d["gamma1"]["exponent"], str)
+  assert set(d["gamma2"]) == {"residual", "pass"}
+
+ def test_passed_iff_nothing_fails(self):
+  rep = run_case("pgl-e", 2)
+  assert rep.passed() and rep.failing() is None
+  rep.gamma2 = dict(rep.gamma2, **{"pass": False})
+  assert not rep.passed() and rep.failing() == "gamma2"
 
  def test_injected_fault_names_condensate(self):
   rep = run_case("pgl-q", 3, extra=PeriodScalar.gen("Q0", 1))

@@ -38,3 +38,21 @@ def test_golden_covers_every_command():
  assert any("square class b = 3," in e["stdout"] for e in rotations)
  assert any(e["exit"] == 1 and e["stdout"].startswith("FAIL: ")
             for e in rotations)
+
+
+def test_check_json_carries_the_text_verdicts():
+ text = {tuple(e["argv"]): e["stdout"].splitlines() for e in GOLDEN
+         if e["argv"][0] == "check"}
+ verdict = {True: "pass", False: "FAIL"}
+ for argv, lines in text.items():
+  if argv[-1] != "--json":
+   continue
+  d = json.loads("\n".join(lines))
+  shown = text[argv[:-1]]
+  assert "gamma1 exponent %s -> %s" % (
+      d["gamma1"]["exponent"], verdict[d["gamma1"]["pass"]]) in shown
+  assert "gamma2 residual %s -> %s" % (
+      d["gamma2"]["residual"], verdict[d["gamma2"]["pass"]]) in shown
+  assert "condensate: residual %s, m=%d -> %s" % (
+      d["condensate"]["residual"], d["condensate"]["m"],
+      verdict[d["condensate"]["pass"]]) in shown

@@ -149,6 +149,53 @@ class TestCancellation:
   assert any(k.startswith("Q") for k in res.exps)
 
 
+def _without(rels, x):
+ """The relation set with x and its conjugate dropped."""
+ return RelationSet([(y, lev) for y, lev in rels.relations
+                     if y != x and y != x.conj()], rels.rational_gens)
+
+
+class TestRelationDrops:
+ """Every declared relation is needed by its case's condensate, but for
+ a pinned list: dropping a relation (with its conjugate) must flip the
+ verdict, so a relation nothing uses shows up here."""
+
+ # (case, n or None for every n, relation) whose drop keeps the verdict
+ UNUSED = {("so-even", None, "Xi.s*Xi.sb"), ("so-odd", None, "Xi.s*Xi.sb"),
+           ("pgl-q", 1, "Q0"), ("pgl-e", 1, "Q0.s*Q0.sb")}
+
+ def test_drop_table(self):
+  drops = kept = 0
+  for case in CASES:
+   for n in range(1, 13):
+    spec = cases.get(case, n)
+    rels = case_relations(case, n)
+    x = condensate(case, n) * g("twopii", -spec.m(n))
+    orbits = []
+    for y, _lev in rels.relations:
+     if y.conj() not in orbits:
+      orbits.append(y)
+    for y in orbits:
+     drops += 1
+     holds = reduce(x, _without(rels, y), spec.mod).is_one()
+     unused = {(case, n, repr(y)), (case, None, repr(y))} & self.UNUSED
+     assert holds == bool(unused), (case, n, y)
+     kept += holds
+  # the 522 listed relations form 372 conjugation orbits
+  assert (drops, kept) == (372, 26)
+
+ @pytest.mark.parametrize("case", ["so-even", "so-odd"])
+ def test_xi_norm_needed_at_level_q(self, case):
+  # Xi.s*Xi.sb follows from the other relations at level sqrt(Q*), the
+  # level of the orthogonal cases, but not at level Q, which period --mod Q
+  # reduces at: so it stays declared
+  xi = g("Xi.s") * g("Xi.sb")
+  for n in range(1, 13):
+   rest = _without(case_relations(case, n), xi)
+   assert reduce(xi, rest, "sqrtQ").is_one()
+   assert reduce(xi, rest, "Q") == xi
+
+
 class TestParse:
  def test_roundtrip(self):
   x = parse_expr("(mul (pow twopii 3) (conj Q0.s))")

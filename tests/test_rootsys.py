@@ -1,13 +1,79 @@
-"""Real-group invariants: dimension bookkeeping, Weyl orders and relative
-indices against brute-force enumeration, compact volumes, and the duality
-constant of the trace form."""
+"""Real-group invariants: the degree table against the written-out
+dimensions, ranks and discriminants it replaced, Weyl orders and relative
+indices against brute-force enumeration, compact volumes against
+Macdonald's exponents, and the duality constant of the trace form."""
 
 from fractions import Fraction
+import math
+import re
 
 import pytest
 
+from artifact import cases, ggpcheck
 from artifact import rootsys as rs
+from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
+
+from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS,
+                               written_out_invariants)
+
+
+def a_roots(rank):
+ dim = rank + 1
+ out = []
+ for i in range(dim):
+  for j in range(dim):
+   if i != j:
+    v = [0] * dim
+    v[i], v[j] = 1, -1
+    out.append(tuple(v))
+ return out
+
+
+def weyl_order_bruteforce(system):
+ """Order of the group generated by root reflections, as a permutation
+ action on the root set itself (exact, no matrices needed)."""
+ system = [tuple(Fraction(x) for x in r) for r in system]
+ index = {r: k for k, r in enumerate(system)}
+ perms = [tuple(index[rs._reflect(r, a)] for r in system) for a in system]
+ ident = tuple(range(len(system)))
+ seen = {ident}
+ frontier = [ident]
+ while frontier:
+  nxt = []
+  for g in frontier:
+   for p in perms:
+    h = tuple(g[i] for i in p)
+    if h not in seen:
+     seen.add(h)
+     nxt.append(h)
+  frontier = nxt
+ return len(seen)
+
+
+def compact_exponents(text):
+ """Macdonald's exponents m_i of a compact group SU(n), U(n) or SO(n),
+ written out per family, with (family, n) of the complex group it is the
+ compact form of."""
+ fam, n = re.fullmatch(r"(SU|SO|U)\(([0-9]+)\)", text).groups()
+ n = int(n)
+ if fam == "SU":
+  return list(range(1, n)), ("SL", n)
+ if fam == "U":
+  return [0] + list(range(1, n)), ("GL", n)
+ if n % 2 == 1:
+  return list(range(1, n, 2)), ("SO", n)
+ return list(range(1, n - 2, 2)) + [n // 2 - 1], ("SO", n)
+
+
+def macdonald_volume(text):
+ """vol K = prod_i 2 pi^{m_i+1}/m_i!, reduced mod Q* to a pi power."""
+ return PeriodScalar.gen("pi", sum(m + 1 for m in compact_exponents(text)[0]))
+
+
+COMPACT = (["SU(%d)" % k for k in range(2, 7)] +
+           ["SO(%d)" % k for k in range(3, 7)] +
+           ["U(%d)" % k for k in range(1, 7)])
 
 
 class TestInvariants:
@@ -55,40 +121,98 @@ class TestInvariants:
    rs.invariants("E8(8)/R")
 
 
-class TestWeylOrders:
- @pytest.mark.parametrize("rtype,rank,order", [
-     ("A", 2, 6), ("D", 2, 4), ("C", 2, 8), ("B", 3, 48),
-     ("A", 3, 24), ("D", 4, 192), ("F4", 4, 1152), ("G2", 2, 12)])
- def test_closed_form(self, rtype, rank, order):
-  assert rs.weyl_order(rtype, rank) == order
+class TestDegreeTable:
+ """Every constant derived from rootsys._degrees equals the hand-written
+ formula it replaced."""
 
- @pytest.mark.parametrize("rtype,rank", [
-     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
-     ("D", 3), ("D", 4), ("BC", 2), ("G2", 2), ("F4", 4)])
- def test_bruteforce_matches(self, rtype, rank):
-  assert rs.weyl_order_bruteforce(rtype, rank) == \
-      rs.weyl_order(rtype, rank)
+ GRID = (["%s(%d)/%s" % (f, n, b) for f in ("PGL", "SL", "GL")
+          for n in range(1, 8) for b in "RC"] +
+         ["SO(%d)/C" % n for n in range(1, 10)] +
+         ["SO(%d)" % n for n in range(1, 10)] +
+         ["SO(%d,%d)" % (p, q) for p in range(0, 7) for q in range(0, 7)
+          if p + q >= 1] +
+         ["PGL(2)/R x PGL(3)/R x PGL(2)/R x PGL(3)/R",
+          "GL(1)/R x GL(1)/R", "PGL(1)/C x PGL(2)/C", "SO(2)/C x SO(3)/C",
+          "SL(3)/R x SO(4,3)", "SO(4,0) x SO(1) x SO(2)"])
+
+ @pytest.mark.parametrize("g", GRID)
+ def test_invariants_match_written_out_formulas(self, g):
+  assert rs.invariants(g).as_dict() == written_out_invariants(g).as_dict()
+
+ def test_small_groups(self):
+  # SO(0) and SO(1) have no invariants; SO(2) is a torus whose one
+  # degree is its Pfaffian; D2 = A1 x A1 repeats the degree 2
+  assert [rs._degrees("SO", n) for n in range(6)] == \
+      [[], [], [1], [2], [2, 2], [2, 4]]
+  assert rs._degrees("SO", 8) == [2, 4, 6, 4]
+  assert rs._degrees("GL", 1) == [1] and rs._degrees("PGL", 1) == []
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_discriminants_match_written_out_tables(self, case):
+  for n in range(1, 13):
+   g, h = cases.get(case, n).groups(n)
+   assert (rs.discriminant(g), rs.discriminant(h)) == \
+       WRITTEN_OUT_DISCRIMINANTS[case](n), (case, n)
+
+ def test_discriminant_kinds_and_products(self):
+  assert rs.discriminant("SO(4)/C x SO(5)/C") == \
+      {("C", 2): 3, ("C", 4): 1}
+  assert rs.discriminant("GL(2)/R x PGL(2)/C") == \
+      {("R", 1): 1, ("R", 2): 1, ("C", 2): 1}
+  assert rs.discriminant("PGL(1)/R") == {}
+
+ @pytest.mark.parametrize("first,failing,cut", [
+     ("pgl-q n=3 table1:compact_volume_ratio", 33, 4),
+     ("pgl-q n=1 table1:compact_volume_ratio", 36, 2)])
+ def test_pfaffian_is_needed(self, monkeypatch, first, failing, cut):
+  # negative control: SO(2k) without its Pfaffian degree n/2, for n >= cut
+  # (cut = 2 drops the one degree of the torus SO(2) as well)
+  degrees = rs._degrees
+
+  def mutant(family, n):
+   d = degrees(family, n)
+   return d[:-1] if family == "SO" and n % 2 == 0 and n >= cut else d
+  monkeypatch.setattr(rs, "_degrees", mutant)
+  status, reports, lines = ggpcheck.verify_all(12)
+  assert status == 1
+  assert lines[-1] == "first failing identity: " + first
+  assert sum(not r.passed() for r in reports) == failing
+
+
+class TestWeylOrders:
+ # |W| is the product of the degrees; C and BC share B's Weyl group
+ @pytest.mark.parametrize("rtype,rank,family,n", [
+     ("A", 1, "SL", 2), ("A", 2, "SL", 3), ("A", 3, "SL", 4),
+     ("B", 2, "SO", 5), ("B", 3, "SO", 7), ("C", 3, "SO", 7),
+     ("BC", 2, "SO", 5), ("D", 2, "SO", 4), ("D", 3, "SO", 6),
+     ("D", 4, "SO", 8)])
+ def test_bruteforce_is_product_of_degrees(self, rtype, rank, family, n):
+  system = a_roots(rank) if rtype == "A" else rs.roots(rtype, rank)
+  assert weyl_order_bruteforce(system) == math.prod(rs._degrees(family, n))
+
+ def test_unsupported_root_system(self):
+  with pytest.raises(rs.UnsupportedGroup):
+   rs.roots("G2", 2)
 
 
 class TestWeylIndex:
  def test_sl_even_split(self):
   for m in (1, 2, 3):
-   assert rs.weyl_index("SL(%d)/R" % (2 * m)) == 2
-   assert rs.weyl_index("PGL(%d)/R" % (2 * m)) == 2
+   assert rs.invariants("SL(%d)/R" % (2 * m)).weyl_index == 2
+   assert rs.invariants("PGL(%d)/R" % (2 * m)).weyl_index == 2
 
  def test_sl_odd_split(self):
   for k in (3, 5, 7):
-   assert rs.weyl_index("SL(%d)/R" % k) == 1
+   assert rs.invariants("SL(%d)/R" % k).weyl_index == 1
 
  def test_so_odd_odd(self):
-  from math import comb
   for k, l in ((1, 1), (2, 1), (2, 2), (3, 1)):
-   assert rs.weyl_index("SO(%d,%d)" % (2 * k + 1, 2 * l + 1)) == \
-       comb(k + l, k)
+   assert rs.invariants("SO(%d,%d)" % (2 * k + 1, 2 * l + 1)).weyl_index \
+       == math.comb(k + l, k)
 
  def test_complex_groups(self):
-  for g in ("SL(4)/C", "PGL(3)/C", "SO(5)/C"):
-   assert rs.weyl_index(g) == 1
+  for g in ("SL(4)/C", "PGL(3)/C", "SO(5)/C", "SL(4)/C x PGL(2)/C"):
+   assert rs.invariants(g).weyl_index == 1
 
  @pytest.mark.parametrize("g", [
      "SL(4)/R", "SL(5)/R", "SL(6)/R", "SL(7)/R", "SL(8)/R", "SL(9)/R",
@@ -96,23 +220,30 @@ class TestWeylIndex:
  def test_chamber_enumeration(self, g):
   assert rs.chamber_check(g)
 
- @pytest.mark.parametrize("g,rtype", [("SO(5,3)", "B"), ("SL(6)/R", "C"),
-                                      ("SL(7)/R", "BC")])
- def test_chamber_orbit_checked_against_closed_form(self, monkeypatch, g,
-                                                     rtype):
-  # negative control: a wrong closed-form Weyl order must fail the check
-  monkeypatch.setitem(rs._WEYL_CLOSED, rtype, lambda n: 1)
+ @pytest.mark.parametrize("g", ["SO(5,3)", "SL(6)/R", "SL(7)/R"])
+ def test_chamber_orbit_checked_against_degrees(self, monkeypatch, g):
+  # negative control: a wrong B-type degree must fail the check; the
+  # orbits here are of type B, C and BC
+  degrees = rs._degrees
+
+  def mutant(family, n):
+   d = degrees(family, n)
+   return d[:-1] + [d[-1] + 1] if family == "SO" and n % 2 == 1 and d \
+       else d
+  monkeypatch.setattr(rs, "_degrees", mutant)
   assert rs.chamber_check(g) is False
 
 
 class TestMacdonald:
- @pytest.mark.parametrize("g", ["SU(%d)" % k for k in range(2, 7)] +
-                          ["SO(%d)" % k for k in range(3, 7)] +
-                          ["U(%d)" % k for k in range(1, 7)])
+ @pytest.mark.parametrize("g", COMPACT)
+ def test_exponents_are_degrees_minus_one(self, g):
+  exps, (family, n) = compact_exponents(g)
+  assert sorted(m + 1 for m in exps) == sorted(rs._degrees(family, n))
+
+ @pytest.mark.parametrize("g", COMPACT)
  def test_volume_matches_invariants(self, g):
-  v = rs.macdonald_volume(g)
-  assert isinstance(v, PeriodScalar)
-  assert set(v.exps) <= {"pi"}
+  assert macdonald_volume(g) == \
+      rs.invariants("%s(%d)/C" % compact_exponents(g)[1]).delta_K
 
 
 class TestTraceForm:

@@ -1,0 +1,91 @@
+"""Every public module-level function and class of the package is used by
+the program: referenced, outside its own definition, by code in src/artifact
+or by the benchmark (perfbench/*.py).  A cross-check that only tests call
+belongs in tests/.  An identifier counts as a reference wherever it occurs,
+so the guard can miss a dead def that shares its name with something else,
+but never flags a used one."""
+
+import ast
+import collections
+import glob
+import os
+
+import artifact
+
+SRC = os.path.dirname(artifact.__file__)
+BENCH = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
+
+# public names kept without a program caller, each with its reason
+ALLOWED = {
+    # the reference for run_case's one-residue reading of the three verdicts
+    ("periodring", "condensate_residual"),
+    # the witness of the Deligne twist rule that the 2*pi*i exponents of
+    # deligne_c are to be derived from (ROADMAP Direction 2)
+    ("hodge", "deligne_data"),
+}
+
+
+def _names(tree):
+ """Identifiers a tree references: names, attributes, imported names."""
+ out = set()
+ for node in ast.walk(tree):
+  if isinstance(node, ast.Name):
+   out.add(node.id)
+  elif isinstance(node, ast.Attribute):
+   out.add(node.attr)
+  elif isinstance(node, ast.ImportFrom):
+   out.update(a.name for a in node.names)
+ return out
+
+
+def unreferenced(program, bench):
+ """(module, name) of every public module-level def or class of the
+ program modules ({module: source}) that nothing in the program or the
+ bench sources ([source]) references outside its own definition."""
+ uses = collections.Counter()  # top-level statements naming each identifier
+ defs = []
+ for mod, source in sorted(program.items()):
+  for node in ast.parse(source).body:
+   names = _names(node)
+   uses.update(names)
+   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+      not node.name.startswith("_"):
+    defs.append((mod, node.name, node.name in names))
+ for source in bench:
+  uses.update(_names(ast.parse(source)))
+ return [(mod, name) for mod, name, recursive in defs
+         if uses[name] == recursive]
+
+
+def _sources(pattern):
+ out = {}
+ for path in sorted(glob.glob(pattern)):
+  with open(path) as fh:
+   out[os.path.basename(path)[:-3]] = fh.read()
+ return out
+
+
+PROGRAM = _sources(os.path.join(SRC, "*.py"))
+BENCH_SOURCES = list(_sources(os.path.join(BENCH, "*.py")).values())
+
+
+def test_every_public_name_has_a_program_caller():
+ assert BENCH_SOURCES, "perfbench sources not found"
+ assert set(unreferenced(PROGRAM, BENCH_SOURCES)) == ALLOWED
+
+
+def test_guard_flags_a_test_only_function():
+ planted = dict(PROGRAM)
+ planted["rootsys"] += ("\n\ndef oracle_only(x):\n"
+                        " return oracle_only(x - 1) if x else 0\n")
+ assert ("rootsys", "oracle_only") in unreferenced(planted, BENCH_SOURCES)
+ # a caller in another module, in the same module or in the benchmark
+ # clears it
+ for mod, call in (("lgamma", "rootsys.oracle_only(2)"),
+                   ("rootsys", "oracle_only(2)")):
+  called = dict(planted)
+  called[mod] += "\n\ndef _use():\n return %s\n" % call
+  assert ("rootsys", "oracle_only") not in \
+      unreferenced(called, BENCH_SOURCES)
+ assert ("rootsys", "oracle_only") not in \
+     unreferenced(planted, BENCH_SOURCES + ["rootsys.oracle_only(1)\n"])
