@@ -73,7 +73,7 @@ def _show_structure(case, n, which):
   return hodge.case_adjoint(case, n, "M")
  if which == "AdN":
   return hodge.case_adjoint(case, n, "N")
- return lgamma.tensor_structure(case, n)
+ return hodge.case_tensor(case, n)
 
 
 def cmd_hodge(args):

@@ -93,9 +93,6 @@ class ExteriorElement:
  def is_zero(self):
   return not self.coeffs
 
- def degrees(self):
-  return sorted({len(k) for k in self.coeffs})
-
  def __eq__(self, other):
   return isinstance(other, ExteriorElement) and self.ambient == other.ambient \
       and self.coeffs == other.coeffs

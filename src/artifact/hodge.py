@@ -68,12 +68,6 @@ class HodgeStructure:
   return "HodgeStructure(w=%d, {%s}%s)" % (self.weight, body, tag)
 
 
-def unit(over_e=False):
- if over_e:
-  return HodgeStructure(0, {(0, 0): 1}, over_e=True)
- return HodgeStructure(0, {(0, 0): 1}, fplus=1)
-
-
 def tensor(a, b):
  w = a.weight + b.weight
  out = {}
@@ -210,6 +204,13 @@ def standard_motive(case, n, factor, psi=False):
  if pairing == "orthogonal":
   return _orthogonal_std(rank, spec.over_e)
  return _linear_std(rank, spec.over_e, psi)
+
+
+def case_tensor(case, n, psi=False):
+ """Tensor motive M x N of the case's two standard motives; psi applies
+ the quadratic twist to M."""
+ return tensor(standard_motive(case, n, "M", psi),
+               standard_motive(case, n, "N"))
 
 
 def case_adjoint(case, n, factor):

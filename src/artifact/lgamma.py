@@ -104,12 +104,6 @@ def _doubled(h):
                              fplus=2 * h.fplus, fminus=2 * h.fminus)
 
 
-def tensor_structure(case, n):
- m = hodge.standard_motive(case, n, "M")
- nn = hodge.standard_motive(case, n, "N")
- return hodge.tensor(m, nn)
-
-
 def adjoint_structure(case, n):
  adm = hodge.case_adjoint(case, n, "M")
  adn = hodge.case_adjoint(case, n, "N")
@@ -145,7 +139,7 @@ def table1_row(case, n):
  computed["discriminant_ratio"] = pi_exponent(
      leading_coeff(dg / (dh ** 2), 0))
 
- tens = _doubled(tensor_structure(spec.name, n))
+ tens = _doubled(hodge.case_tensor(spec.name, n))
  computed["rho_at_center"] = spec.e * pi_exponent(
      leading_coeff(l_infinity(tens), spec.r(n)))
 

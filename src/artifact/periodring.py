@@ -22,6 +22,7 @@ is written never matters.
 from fractions import Fraction
 
 from . import cases
+from . import hodge
 
 
 class PeriodScalar:
@@ -287,10 +288,22 @@ def reduce(x, rels, mod="Q"):
 # minors of the odd-weight factor, detA/detB are de Rham comparison
 # determinants, Delta / Xi are the discriminant and unitary part of the
 # orthogonal Gram determinant.
+#
+# Every power of 2*pi*i comes from the Hodge data of hodge: delta(X)^2
+# (2 pi i)^(w(X) rank X) is rational for a determinant period, and Deligne's
+# twist rule (PSPM 33, 1979, 5.1.8) c^+-(X(r)) = (2 pi i)^(r d^+-(X))
+# c^(+-(-1)^r)(X) gives the power and the Betti sign of a Deligne period.
 
 
-def _split_relations(n):
+def _det_relation(det, x):
+ """det^2 (2 pi i)^(w rank) for the determinant period det of motive x."""
+ return PeriodScalar.gen(det, 2) * PeriodScalar.gen("twopii",
+                                                    x.weight * x.rank())
+
+
+def _split_relations(case, n):
  g = PeriodScalar.gen
+ m, nn = (hodge.standard_motive(case, n, f) for f in ("M", "N"))
  rels = []
  j = n - 1
  t = j // 2
@@ -305,23 +318,19 @@ def _split_relations(n):
                 "Q"))
  if (j + 1) % 2 == 0:
   rels.append((g("R%d" % ((j + 1) // 2)), "Q"))
- rels.append((g("dM", 2) * g("twopii", j * (j + 1)), "Q"))
- rels.append((g("dMpsi", 2) * g("twopii", j * (j + 1)), "Q"))
- rels.append((g("dN", 2) * g("twopii", (j + 1) * (j + 2)), "Q"))
- if j % 2 == 0:
-  x = g("cNp") * g("cNm") * g("dN", -1)
-  for q in range(t + 1):
-   x = x * g("R%d" % q)
-  rels.append((x, "Q"))
- else:
-  x = g("cMp") * g("cMm") * g("dM", -1)
-  for p in range(t + 1):
-   x = x * g("Q%d" % p)
-  rels.append((x, "Q"))
+ rels.append((_det_relation("dM", m), "Q"))
+ rels.append((_det_relation("dMpsi", m), "Q"))  # psi keeps weight and rank
+ rels.append((_det_relation("dN", nn), "Q"))
+ # the two Betti minors of the odd-weight factor X against delta(X)
+ odd, ratio, x = ("M", "Q", m) if m.weight % 2 else ("N", "R", nn)
+ y = g("c%sp" % odd) * g("c%sm" % odd) * g("d" + odd, -1)
+ for p in range(x.rank() // 2):
+  y = y * g("%s%d" % (ratio, p))
+ rels.append((y, "Q"))
  return RelationSet(rels)
 
 
-def _quadratic_relations(n):
+def _quadratic_relations(case, n):
  g = PeriodScalar.gen
  rels = []
  j = n - 1
@@ -330,25 +339,25 @@ def _quadratic_relations(n):
  for q in range(j + 2):
   rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
                g("i", 2 * (j + 1)), "Q"))
- x = g("detA", 2) * g("twopii", j * (j + 1))
+ x = _det_relation("detA", hodge.standard_motive(case, n, "M"))
  for p in range(j + 1):
   x = x * g("Q%d.s" % p, -1)
  rels.append((x, "Q"))
- x = g("detB", 2) * g("twopii", (j + 1) * (j + 2))
+ x = _det_relation("detB", hodge.standard_motive(case, n, "N"))
  for q in range(j + 2):
   x = x * g("R%d.s" % q, -1)
  rels.append((x, "Q"))
  return RelationSet(rels)
 
 
-def _orthogonal_relations(n, shift):
+def _orthogonal_relations(case, n):
  g = PeriodScalar.gen
+ m, nn = (hodge.standard_motive(case, n, f) for f in ("M", "N"))
  rels = [(g("Delta.s") * g("Delta.sb"), "Q"),
          (g("Xi.s") * g("Xi.sb"), "Q"),
          (g("Xi.s", 2) * g("Delta.s") * g("Delta.sb", -1), "Q"),
-         (g("detB", 2) * g("twopii", 2 * n * (2 * n - 1)), "Q"),
-         (g("detA", 2) * g("Delta.s") *
-          g("twopii", 2 * n * (2 * n - 2 + 4 * shift)), "Q")]
+         (_det_relation("detB", nn), "Q"),
+         (_det_relation("detA", m) * g("Delta.s"), "Q")]
  return RelationSet(rels, rational_gens=[x for k in range(2 * n + 2)
                                          for x in ("Q%d" % k, "R%d" % k)])
 
@@ -356,8 +365,8 @@ def _orthogonal_relations(n, shift):
 def case_relations(case, n):
  spec = cases.get(case, n)
  if spec.shift is not None:
-  return _orthogonal_relations(n, spec.shift)
- return (_quadratic_relations if spec.over_e else _split_relations)(n)
+  return _orthogonal_relations(case, n)
+ return (_quadratic_relations if spec.over_e else _split_relations)(case, n)
 
 
 def _orthogonal_ratios(prefix, top):
@@ -392,56 +401,49 @@ def vol_L(case, n, which):
 
 
 def deligne_c(case, n, sign=1, psi=False):
- """Deligne period of the centrally twisted tensor motive.
-
- sign picks c^+ or c^-; psi applies the quadratic twist to the first
- factor (families whose condensate runs over both twists only).
- """
+ """Deligne period c^sign of the centrally twisted tensor motive X(r),
+ X = M x N, r = spec.r(n); psi twists M (families with twists only).
+ The twist rule gives (2 pi i)^(r d^sign), d^sign of X restricted to Q,
+ and over E (i sqrtD)^(-d/2).  The split family's period ends in the Betti
+ minor of the odd-weight factor, of sign sign (-1)^r chi(psi), and
+ twisting an odd-weight M costs the Gauss power i^(-d(M))."""
  spec = cases.get(case, n)
  if sign not in (1, -1):
   raise ValueError("sign must be +1 or -1")
  if psi and not spec.twists:
   raise ValueError("quadratic twist only applies to pgl-q")
  g = PeriodScalar.gen
+ k = 0 if sign > 0 else 1  # d^+ or d^- of deligne_data
+ x = hodge.case_tensor(case, n, psi)
+ if x.over_e:
+  x = hodge.restrict_scalars(x)
+ d = hodge.deligne_data(x)[k]
+ r = spec.r(n)
+ out = g("twopii", r * d)
+ if spec.over_e:
+  out = out * (g("i") * g("sqrtD")) ** Fraction(-d, 2)
  if spec.shift is not None:
   s = spec.shift
-  out = g("twopii", 4 * n * n * (2 * n - 1 + 3 * s))
-  out = out * (g("i") * g("sqrtD")) ** (-2 * n * (n + s))
   out = out * _orthogonal_ratios("Q", n - 1 + s) * _orthogonal_ratios("R", n)
   return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n + 2 * s)
- j = n - 1
  if spec.over_e:
-  out = g("twopii", (j + 1) * (j + 1) * (j + 2))
-  out = out * (g("i") * g("sqrtD")) ** Fraction(-(j + 1) * (j + 2), 2)
-  for p in range(j + 1):
-   out = out * g("Q%d.s" % p, -(j + 1 - p))
-  for q in range(j + 2):
-   out = out * g("R%d.s" % q, -(j + 1 - q))
-  return out * g("detA", j + 2) * g("detB", j + 1)
- t = j // 2
- schi = -1 if psi else 1
- dX = "dMpsi" if psi else "dM"
- out = g("twopii", Fraction((j + 1) * (j + 1) * (j + 2), 2))
- if j % 2 == 0:
-  out = out * g(dX, t + 1) * g("dN", t)
-  for p in range(t):
-   out = out * g("Q%d" % p, p - t)
-  for q in range(t + 1):
-   out = out * g("R%d" % q, q - t)
-  # the odd Tate twist flips the Betti sign of the trailing minor
-  out = out * g("cNp" if -sign * schi > 0 else "cNm")
- else:
-  out = out * g(dX, t + 1) * g("dN", t + 1)
-  for p in range(t + 1):
-   out = out * g("Q%d" % p, p - t)
-  for q in range(t + 1):
-   out = out * g("R%d" % q, q - t - 1)
-  # the trailing minor keeps the target sign; the twisted minor equals the
-  # opposite-sign untwisted one up to a Gauss power of i
-  if psi:
-   out = out * g("cMp" if sign < 0 else "cMm") * g("i", -(t + 1))
-  else:
-   out = out * g("cMp" if sign > 0 else "cMm")
+  for p in range(n):
+   out = out * g("Q%d.s" % p, p - n)
+  for q in range(n + 1):
+   out = out * g("R%d.s" % q, q - n)
+  return out * g("detA", n + 1) * g("detB", n)
+ lo, hi = n // 2, (n + 1) // 2
+ out = out * g("dMpsi" if psi else "dM", hi) * g("dN", lo)
+ for p in range(lo):
+  out = out * g("Q%d" % p, p - (n - 1) // 2)
+ for q in range(hi):
+  out = out * g("R%d" % q, q - lo)
+ m = hodge.standard_motive(case, n, "M", psi)
+ odd = "M" if m.weight % 2 else "N"
+ betti = sign * (-1) ** r * (-1 if psi else 1)
+ out = out * g("c%s%s" % (odd, "p" if betti > 0 else "m"))
+ if psi and odd == "M":
+  out = out * g("i", -hodge.deligne_data(m)[k])
  return out
 
 

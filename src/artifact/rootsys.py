@@ -148,7 +148,10 @@ def invariants(g):
 def discriminant(g):
  """Gamma-factors of the discriminant of g (of Gross's motive, the sum of
  Q(1 - d_i)) as {(kind, d): multiplicity}: one Gamma_kind(s+d) per basic
- degree d, kind "C" for a complex factor and "R" for a real one."""
+ degree d, kind "C" for a complex factor and "R" for a real one.  On a real
+ SO(p,q) with p + q even and (p - q)/2 odd (the quasi-split non-split form
+ and its inner forms) complex conjugation acts on the Pfaffian by -1, so
+ its degree d takes Gamma_R(s+d+1)."""
  g = _descriptor(g)
  out = {}
  if g.product:
@@ -157,7 +160,10 @@ def discriminant(g):
     out[key] = out.get(key, 0) + m
   return out
  kind = "C" if g.base == "ComplexAsReal" else "R"
- for d in _degrees(g.family, g.n):
+ degrees = _degrees(g.family, g.n)
+ if g.signature and g.n % 2 == 0 and (g.signature[0] - g.signature[1]) % 4:
+  degrees[-1] += 1
+ for d in degrees:
   out[(kind, d)] = out.get((kind, d), 0) + 1
  return out
 

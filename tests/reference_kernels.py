@@ -7,7 +7,8 @@ degree-1 images, the exterior-model checks in Fraction arithmetic:
 random elements with their raw n/d coefficients and every sum seeded with
 Fraction(0), and the hand-written group data (dimensions, ranks, the
 maximal compact subgroups and the four discriminant tables) that the
-degree table of rootsys replaced."""
+degree table of rootsys replaced, and the Deligne periods and determinant
+relations with their powers of 2*pi*i written out by hand."""
 
 from fractions import Fraction
 import functools
@@ -19,7 +20,8 @@ from artifact import cases, linalg, periodring
 from artifact.exteralg import (ExteriorElement, _check_index, _merge,
                                contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
-                                 _auto_sqrt_class, _column_order, _hnf)
+                                 RelationSet, _auto_sqrt_class,
+                                 _column_order, _hnf)
 from artifact.ggpcheck import LedgerUnderdetermined
 from artifact.rootsys import GroupDescriptor, GroupInvariants
 
@@ -339,3 +341,133 @@ WRITTEN_OUT_DISCRIMINANTS = {
         _gammas("C", (_evens(n), 2), ((n + 1,), 1)),
         _gammas("C", (_evens(n), 1))),
 }
+
+
+# ---------------------------------------------------------------------------
+# the Deligne periods and determinant relations with every power of 2*pi*i,
+# of i*sqrtD and every Betti sign written out by hand, as periodring had them
+# before they were read from the Hodge data
+
+def _written_out_split_relations(n):
+ g = PeriodScalar.gen
+ rels = []
+ j = n - 1
+ t = j // 2
+ for p in range(j + 1):
+  if p < j - p:
+   rels.append((g("Q%d" % p) * g("Q%d" % (j - p)) * g("i", 2 * j), "Q"))
+ if j % 2 == 0:
+  rels.append((g("Q%d" % t), "Q"))  # real middle eigenvector
+ for q in range(j + 2):
+  if q < j + 1 - q:
+   rels.append((g("R%d" % q) * g("R%d" % (j + 1 - q)) * g("i", 2 * (j + 1)),
+                "Q"))
+ if (j + 1) % 2 == 0:
+  rels.append((g("R%d" % ((j + 1) // 2)), "Q"))
+ rels.append((g("dM", 2) * g("twopii", j * (j + 1)), "Q"))
+ rels.append((g("dMpsi", 2) * g("twopii", j * (j + 1)), "Q"))
+ rels.append((g("dN", 2) * g("twopii", (j + 1) * (j + 2)), "Q"))
+ if j % 2 == 0:
+  x = g("cNp") * g("cNm") * g("dN", -1)
+  for q in range(t + 1):
+   x = x * g("R%d" % q)
+  rels.append((x, "Q"))
+ else:
+  x = g("cMp") * g("cMm") * g("dM", -1)
+  for p in range(t + 1):
+   x = x * g("Q%d" % p)
+  rels.append((x, "Q"))
+ return RelationSet(rels)
+
+
+def _written_out_quadratic_relations(n):
+ g = PeriodScalar.gen
+ rels = []
+ j = n - 1
+ for p in range(j + 1):
+  rels.append((g("Q%d.sb" % p) * g("Q%d.s" % (j - p)) * g("i", 2 * j), "Q"))
+ for q in range(j + 2):
+  rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
+               g("i", 2 * (j + 1)), "Q"))
+ x = g("detA", 2) * g("twopii", j * (j + 1))
+ for p in range(j + 1):
+  x = x * g("Q%d.s" % p, -1)
+ rels.append((x, "Q"))
+ x = g("detB", 2) * g("twopii", (j + 1) * (j + 2))
+ for q in range(j + 2):
+  x = x * g("R%d.s" % q, -1)
+ rels.append((x, "Q"))
+ return RelationSet(rels)
+
+
+def _written_out_orthogonal_relations(n, shift):
+ g = PeriodScalar.gen
+ rels = [(g("Delta.s") * g("Delta.sb"), "Q"),
+         (g("Xi.s") * g("Xi.sb"), "Q"),
+         (g("Xi.s", 2) * g("Delta.s") * g("Delta.sb", -1), "Q"),
+         (g("detB", 2) * g("twopii", 2 * n * (2 * n - 1)), "Q"),
+         (g("detA", 2) * g("Delta.s") *
+          g("twopii", 2 * n * (2 * n - 2 + 4 * shift)), "Q")]
+ return RelationSet(rels, rational_gens=[x for k in range(2 * n + 2)
+                                         for x in ("Q%d" % k, "R%d" % k)])
+
+
+def written_out_case_relations(case, n):
+ spec = cases.get(case, n)
+ if spec.shift is not None:
+  return _written_out_orthogonal_relations(n, spec.shift)
+ return (_written_out_quadratic_relations if spec.over_e
+         else _written_out_split_relations)(n)
+
+
+def _orthogonal_ratios(prefix, top):
+ out = PeriodScalar.one()
+ for p in range(top):
+  out = out * PeriodScalar.gen("%s%d" % (prefix, p), -(2 * top - 2 * p))
+ return out
+
+
+def written_out_deligne_c(case, n, sign=1, psi=False):
+ spec = cases.get(case, n)
+ if sign not in (1, -1):
+  raise ValueError("sign must be +1 or -1")
+ if psi and not spec.twists:
+  raise ValueError("quadratic twist only applies to pgl-q")
+ g = PeriodScalar.gen
+ if spec.shift is not None:
+  s = spec.shift
+  out = g("twopii", 4 * n * n * (2 * n - 1 + 3 * s))
+  out = out * (g("i") * g("sqrtD")) ** (-2 * n * (n + s))
+  out = out * _orthogonal_ratios("Q", n - 1 + s) * _orthogonal_ratios("R", n)
+  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n + 2 * s)
+ j = n - 1
+ if spec.over_e:
+  out = g("twopii", (j + 1) * (j + 1) * (j + 2))
+  out = out * (g("i") * g("sqrtD")) ** Fraction(-(j + 1) * (j + 2), 2)
+  for p in range(j + 1):
+   out = out * g("Q%d.s" % p, -(j + 1 - p))
+  for q in range(j + 2):
+   out = out * g("R%d.s" % q, -(j + 1 - q))
+  return out * g("detA", j + 2) * g("detB", j + 1)
+ t = j // 2
+ schi = -1 if psi else 1
+ dX = "dMpsi" if psi else "dM"
+ out = g("twopii", Fraction((j + 1) * (j + 1) * (j + 2), 2))
+ if j % 2 == 0:
+  out = out * g(dX, t + 1) * g("dN", t)
+  for p in range(t):
+   out = out * g("Q%d" % p, p - t)
+  for q in range(t + 1):
+   out = out * g("R%d" % q, q - t)
+  out = out * g("cNp" if -sign * schi > 0 else "cNm")
+ else:
+  out = out * g(dX, t + 1) * g("dN", t + 1)
+  for p in range(t + 1):
+   out = out * g("Q%d" % p, p - t)
+  for q in range(t + 1):
+   out = out * g("R%d" % q, q - t - 1)
+  if psi:
+   out = out * g("cMp" if sign < 0 else "cMm") * g("i", -(t + 1))
+  else:
+   out = out * g("cMp" if sign > 0 else "cMm")
+ return out

@@ -51,6 +51,13 @@ def _mults(h):
  return dict(h.mult)
 
 
+def unit(over_e=False):
+ """The unit structure Q(0), flagged over E or with Frobenius +1."""
+ if over_e:
+  return hg.HodgeStructure(0, {(0, 0): 1}, over_e=True)
+ return hg.HodgeStructure(0, {(0, 0): 1}, fplus=1)
+
+
 class TestConstructors:
  def test_pgl2_standard(self):
   m = hg.standard_motive("pgl-q", 2, "M")
@@ -97,16 +104,16 @@ class TestOperations:
 
  def test_tensor_unit(self):
   x = hg.standard_motive("pgl-q", 3, "M")
-  assert hg.tensor(x, hg.unit()) == x
+  assert hg.tensor(x, unit()) == x
 
  def test_dual_and_twist(self):
   d = hg.dual(hg.standard_motive("pgl-q", 2, "M"))
   assert _mults(d) == {(-1, 0): 1, (0, -1): 1}
-  tw = hg.tate_twist(hg.unit(), 1)
+  tw = hg.tate_twist(unit(), 1)
   assert tw.weight == -2 and _mults(tw) == {(-1, -1): 1}
 
  def test_twist_flips_frobenius_sign(self):
-  u = hg.unit()
+  u = unit()
   assert (u.fplus, u.fminus) == (1, 0)
   assert (hg.tate_twist(u, 1).fplus, hg.tate_twist(u, 1).fminus) == (0, 1)
   assert hg.tate_twist(hg.tate_twist(u, 1), 1).fplus == 1
@@ -119,10 +126,10 @@ class TestOperations:
  def test_restrict_scalars(self):
   r = hg.restrict_scalars(hg.standard_motive("pgl-e", 2, "M"))
   assert _mults(r) == {(1, 0): 2, (0, 1): 2}
-  q = hg.restrict_scalars(hg.unit(over_e=True))
+  q = hg.restrict_scalars(unit(over_e=True))
   assert q.rank() == 2 and (q.fplus, q.fminus) == (1, 1)
   with pytest.raises(ValueError):
-   hg.restrict_scalars(hg.unit())
+   hg.restrict_scalars(unit())
 
  def test_adjoint_example(self):
   ad = hg.adjoint(hg.standard_motive("pgl-q", 2, "M"), "linear")
@@ -183,7 +190,7 @@ class TestDeligneData:
 
  def test_flagged_needs_restriction(self):
   with pytest.raises(ValueError):
-   hg.deligne_data(hg.unit(over_e=True))
+   hg.deligne_data(unit(over_e=True))
 
 
 class TestOracles:

@@ -11,6 +11,8 @@ from artifact import cases
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
+from test_hodge import unit
+
 
 class TestGammaProduct:
  def test_mul_and_cancel(self):
@@ -29,7 +31,7 @@ class TestGammaProduct:
 
 class TestLInfinity:
  def test_trivial_motive(self):
-  assert lg.l_infinity(hg.unit()).factors == {("R", 0): 1}
+  assert lg.l_infinity(unit()).factors == {("R", 0): 1}
 
  def test_pair_rule(self):
   t = hg.tensor(hg.standard_motive("pgl-q", 2, "M"),
@@ -108,7 +110,7 @@ class TestTable:
    for n in (1, 2, 3):
     spec = cases.get(case, n)
     single = lg.pi_exponent(lg.leading_coeff(
-        lg.l_infinity(lg._doubled(lg.tensor_structure(case, n))),
+        lg.l_infinity(lg._doubled(hg.case_tensor(case, n))),
         spec.r(n)))
     rows = {r["name"]: r["computed_exp"]
             for r in lg.table1_row(case, n)}
@@ -118,7 +120,7 @@ class TestTable:
   # evaluating at s0 + r equals evaluating the r-twist at s0
   for case in ("pgl-q", "so-even"):
    for n in (1, 2, 3):
-    t = lg.tensor_structure(case, n)
+    t = hg.case_tensor(case, n)
     r = cases.get(case, n).r(n)
     if t.over_e:
      t = hg.restrict_scalars(t)

@@ -8,7 +8,7 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from artifact import cases
+from artifact import cases, ggpcheck, hodge, periodring
 from artifact.cases import CASES
 from artifact.periodring import (PeriodScalar, RelationSet,
                                  InconsistentRelations, reduce,
@@ -16,7 +16,8 @@ from artifact.periodring import (PeriodScalar, RelationSet,
                                  deligne_c, condensate, condensate_residual,
                                  parse_expr, _hnf)
 import oracle_periods as orc
-from reference_kernels import dense_reduce
+from reference_kernels import (dense_reduce, written_out_case_relations,
+                               written_out_deligne_c)
 
 
 g = PeriodScalar.gen
@@ -194,6 +195,51 @@ class TestRelationDrops:
    rest = _without(case_relations(case, n), xi)
    assert reduce(xi, rest, "sqrtQ").is_one()
    assert reduce(xi, rest, "Q") == xi
+
+
+class TestTwistRule:
+ """The powers of 2 pi i, of i sqrtD and the Betti signs that deligne_c and
+ the determinant relations read off the Hodge data equal the ones written
+ out by hand, and the verdicts depend on that reading."""
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_deligne_c_matches_written_out(self, case):
+  for n in range(1, 13):
+   for psi in ((False, True) if cases.get(case, n).twists else (False,)):
+    for sign in (1, -1):
+     assert deligne_c(case, n, sign, psi) == \
+         written_out_deligne_c(case, n, sign, psi), (case, n, sign, psi)
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_relations_match_written_out(self, case):
+  for n in range(1, 13):
+   ours, ref = case_relations(case, n), written_out_case_relations(case, n)
+   assert ours.relations == ref.relations, (case, n)
+   assert ours.rational_gens == ref.rational_gens, (case, n)
+
+ def test_deligne_data_controls_the_verdicts(self, monkeypatch):
+  # negative control: d^+- one too large in every Deligne period
+  data = hodge.deligne_data
+
+  def mutant(a):
+   dplus, dminus, pplus, pminus = data(a)
+   return dplus + 1, dminus + 1, pplus, pminus
+  monkeypatch.setattr(hodge, "deligne_data", mutant)
+  _every_report_fails()
+
+ def test_relation_weight_controls_the_verdicts(self, monkeypatch):
+  # negative control: the determinant relations read weight w + 1
+  def mutant(det, x):
+   return g(det, 2) * g("twopii", (x.weight + 1) * x.rank())
+  monkeypatch.setattr(periodring, "_det_relation", mutant)
+  _every_report_fails()
+
+
+def _every_report_fails():
+ status, reports, lines = ggpcheck.verify_all(12)
+ assert status == 1
+ assert lines[-1] == "first failing identity: pgl-q n=1 condensate"
+ assert len(reports) == 48 and not any(r.passed() for r in reports)
 
 
 class TestParse:

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from artifact import cases, ggpcheck
+from artifact import cases, ggpcheck, lgamma
 from artifact import rootsys as rs
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
@@ -160,6 +160,32 @@ class TestDegreeTable:
   assert rs.discriminant("GL(2)/R x PGL(2)/C") == \
       {("R", 1): 1, ("R", 2): 1, ("C", 2): 1}
   assert rs.discriminant("PGL(1)/R") == {}
+
+ @pytest.mark.parametrize("g,expected", [
+     # SO(3,1) is isogenous to PGL(2)/C: Gamma_C(s+2)
+     ("SO(3,1)", {("R", 2): 1, ("R", 3): 1}),
+     ("SO(1,3)", {("R", 2): 1, ("R", 3): 1}),
+     ("SO(4,2)", {("R", 2): 1, ("R", 4): 2}),
+     ("SO(5,3)", {("R", 2): 1, ("R", 4): 1, ("R", 6): 1, ("R", 5): 1}),
+     ("SO(6,0)", {("R", 2): 1, ("R", 4): 2}),
+     # (p - q)/2 even: the split form and its inner forms keep Gamma_R(s+d)
+     ("SO(2,2)", {("R", 2): 2}),
+     ("SO(3,3)", {("R", 2): 1, ("R", 4): 1, ("R", 3): 1}),
+     ("SO(4,4)", {("R", 2): 1, ("R", 4): 2, ("R", 6): 1}),
+     ("SO(5,1)", {("R", 2): 1, ("R", 4): 1, ("R", 3): 1}),
+     ("SO(4,0)", {("R", 2): 2}),
+     # odd p + q has no Pfaffian
+     ("SO(5,2)", {("R", 2): 1, ("R", 4): 1, ("R", 6): 1})])
+ def test_pfaffian_of_non_split_even_forms(self, g, expected):
+  assert rs.discriminant(g) == expected
+
+ def test_so31_matches_its_isogenous_complex_group(self):
+  # Gamma_R(s+2) Gamma_R(s+3) = Gamma_C(s+2) up to a constant: equal pi
+  # powers at every integer point
+  so31, pgl2 = (lgamma.GammaProduct(rs.discriminant(g))
+                for g in ("SO(3,1)", "PGL(2)/C"))
+  for s0 in range(-4, 5):
+   assert lgamma.leading_coeff(so31, s0) == lgamma.leading_coeff(pgl2, s0)
 
  @pytest.mark.parametrize("first,failing,cut", [
      ("pgl-q n=3 table1:compact_volume_ratio", 33, 4),

@@ -3,7 +3,10 @@ the program: referenced, outside its own definition, by code in src/artifact
 or by the benchmark (perfbench/*.py).  A cross-check that only tests call
 belongs in tests/.  An identifier counts as a reference wherever it occurs,
 so the guard can miss a dead def that shares its name with something else,
-but never flags a used one."""
+but never flags a used one.
+
+Also the layering of the modules: which sibling modules each may import,
+and that the import graph has no cycle."""
 
 import ast
 import collections
@@ -19,9 +22,6 @@ BENCH = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
 ALLOWED = {
     # the reference for run_case's one-residue reading of the three verdicts
     ("periodring", "condensate_residual"),
-    # the witness of the Deligne twist rule that the 2*pi*i exponents of
-    # deligne_c are to be derived from (ROADMAP Direction 2)
-    ("hodge", "deligne_data"),
 }
 
 
@@ -89,3 +89,67 @@ def test_guard_flags_a_test_only_function():
       unreferenced(called, BENCH_SOURCES)
  assert ("rootsys", "oracle_only") not in \
      unreferenced(planted, BENCH_SOURCES + ["rootsys.oracle_only(1)\n"])
+
+
+# ---------------------------------------------------------------------------
+# layering
+
+def imports(source):
+ """Sibling modules of the package that a module's source imports."""
+ out = set()
+ for node in ast.walk(ast.parse(source)):
+  if isinstance(node, ast.ImportFrom):
+   if node.level == 1 and node.module:
+    out.add(node.module.split(".")[0])
+   elif node.level == 1 or node.module == "artifact":
+    out.update(a.name for a in node.names)
+   elif node.module and node.module.startswith("artifact."):
+    out.add(node.module.split(".")[1])
+  elif isinstance(node, ast.Import):
+   out.update(a.name.split(".")[1] for a in node.names
+              if a.name.startswith("artifact."))
+ return out
+
+
+def cycles(program):
+ """Modules of the program ({module: source}) that reach themselves
+ through the import graph."""
+ graph = {mod: imports(src) & set(program) for mod, src in program.items()}
+ out = set()
+ for start in graph:
+  seen, todo = set(), list(graph[start])
+  while todo:
+   mod = todo.pop()
+   if mod not in seen:
+    seen.add(mod)
+    todo.extend(graph[mod])
+  if start in seen:
+   out.add(start)
+ return out
+
+
+GRAPH = {mod: imports(src) for mod, src in PROGRAM.items()}
+
+
+def test_layers():
+ assert GRAPH["cases"] == set() and GRAPH["linalg"] == set()
+ assert GRAPH["hodge"] == {"cases"}
+ assert GRAPH["periodring"] == {"cases", "hodge"}
+ assert [mod for mod, deps in GRAPH.items() if "cli" in deps] == []
+
+
+def test_no_import_cycle():
+ assert cycles(PROGRAM) == set()
+
+
+def test_layer_detectors():
+ # every import spelling is seen, and a back edge from hodge to lgamma or
+ # rootsys closes a cycle through periodring
+ assert imports("from . import a\nfrom .b import x\nfrom artifact import c"
+                "\nfrom artifact.d import y\nimport artifact.e\n"
+                "import os\nfrom fractions import Fraction\n") == \
+     {"a", "b", "c", "d", "e"}
+ for back in ("lgamma", "rootsys"):
+  planted = dict(PROGRAM)
+  planted["hodge"] += "\nfrom . import %s\n" % back
+  assert {"hodge", "periodring", back} <= cycles(planted)
