@@ -67,13 +67,10 @@ _SHOW = ("M", "N", "AdM", "AdN", "MxN")
 
 
 def _show_structure(case, n, which):
- if which == "M" or which == "N":
-  return hodge.standard_motive(case, n, which)
- if which == "AdM":
-  return hodge.case_adjoint(case, n, "M")
- if which == "AdN":
-  return hodge.case_adjoint(case, n, "N")
- return hodge.case_tensor(case, n)
+ mot = hodge.CaseMotives(case, n)
+ if which in ("M", "N"):
+  return mot.std[which]
+ return mot.adjoint(which[2]) if which in ("AdM", "AdN") else mot.tensor
 
 
 def cmd_hodge(args):
@@ -88,7 +85,7 @@ def cmd_hodge(args):
 
 
 def cmd_lfactor(args):
- rows = lgamma.table1_row(args.case, args.n)
+ rows = lgamma.table1_row(hodge.CaseMotives(args.case, args.n))
  if args.json:
   print(json.dumps([lgamma.row_json(r) for r in rows], indent=1))
  else:
@@ -101,7 +98,7 @@ def cmd_lfactor(args):
 def cmd_period(args):
  x = periodring.parse_expr(args.expr)
  if args.case:
-  rels = periodring.case_relations(args.case, args.n)
+  rels = periodring.case_relations(hodge.CaseMotives(args.case, args.n))
   x = periodring.reduce(x, rels, args.mod)
  print(repr(x))
  return 0

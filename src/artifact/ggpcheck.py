@@ -6,6 +6,7 @@ from fractions import Fraction
 import math
 
 from . import cases
+from . import hodge
 from . import lgamma
 from . import linalg
 from . import periodring
@@ -56,12 +57,11 @@ def run_case(case, n, extra=None):
  PeriodScalar multiplied into the period ratio (perturbation hook)."""
  if not 1 <= n <= 12:
   raise ValueError("n must be between 1 and 12")
- spec = cases.get(case, n)
- case, m = spec.name, spec.m(n)
- table1 = lgamma.table1_row(case, n)
- rels = periodring.case_relations(case, n)
-
- cond = periodring.condensate(case, n)
+ mot = hodge.CaseMotives(case, n)
+ spec, case, m = mot.spec, mot.case, mot.spec.m(n)
+ table1 = lgamma.table1_row(mot)
+ rels = periodring.case_relations(mot)
+ cond = periodring.period_ratio(mot)
  if extra is not None:
   cond = cond * extra
  # twopii is the last column and never a pivot, so reduction commutes
@@ -306,9 +306,6 @@ class QSqrt:
   return QSqrt(self.b, self.x * o.x + self.b * self.y * o.y,
                self.x * o.y + self.y * o.x)
 
- def __neg__(self):
-  return QSqrt(self.b, -self.x, -self.y)
-
  def inv(self):
   n = self.x * self.x - self.b * self.y * self.y
   return QSqrt(self.b, self.x / n, -self.y / n)
@@ -341,12 +338,34 @@ def _det3(m):
          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _cleared(m):
+ """(W, e): e is the lcm of the denominators of m and W = e m is integral."""
+ e = math.lcm(*(x.denominator for row in m for x in row))
+ return [[int(x * e) for x in row] for row in m], e
+
+
+def _qsqrt_mat(b, p, q, d):
+ return [[QSqrt(b, Fraction(x, d), Fraction(y, d)) for x, y in zip(*rows)]
+         for rows in zip(p, q)]
+
+
+def _rotation_identities(p, q, d, b, s):
+ """Check over Z that alpha = (P + sqrt(b) Q)/D commutes with sigma (S is
+ sigma with its denominators cleared) and is orthogonal: PS = SP, QS = SQ,
+ P^T P + b Q^T Q = D^2 1 and P^T Q + Q^T P = 0.  AssertionError otherwise."""
+ matmul, transpose, ident = linalg.matmul, linalg.transpose, linalg.identity(3)
+ if any(matmul(m, s) != matmul(s, m) for m in (p, q)):
+  raise AssertionError("constructed map does not commute with sigma")
+ pp, qq, pq = (matmul(transpose(x), y) for x, y in ((p, p), (q, q), (p, q)))
+ if any(pp[i][j] + b * qq[i][j] != d * d * ident[i][j] or pq[i][j] + pq[j][i]
+        for i in range(3) for j in range(3)):
+  raise AssertionError("constructed map is not orthogonal")
+
+
 def _primitive_axis_vector(basis, binv, axis):
  """Shortest lattice vector on the invariant line; binv is the inverse of
  the basis, whose rows span the lattice."""
- coords = linalg.matmul([axis], binv)[0]
- den = math.lcm(*(c.denominator for c in coords))
- ints = [int(c * den) for c in coords]
+ ints = _cleared(linalg.matmul([axis], binv))[0][0]
  g = math.gcd(*ints)
  if g == 0:
   raise ValueError("axis misses the lattice")
@@ -363,15 +382,12 @@ def rotation_check(v1, v2, sigma):
  Q(sqrt b); raises ValueError with a diagnostic when a hypothesis fails.
  """
  matmul, transpose = linalg.matmul, linalg.transpose
- v1 = _frac_mat(v1)
- v2 = _frac_mat(v2)
- sigma = _frac_mat(sigma)
+ v1, v2, sigma = (_frac_mat(m) for m in (v1, v2, sigma))
  ident = linalg.identity(3)
  st = transpose(sigma)
  if matmul(st, sigma) != ident:
   raise ValueError("sigma is not orthogonal")
- s2 = matmul(sigma, sigma)
- if matmul(s2, sigma) != ident or sigma == ident:
+ if matmul(matmul(sigma, sigma), sigma) != ident or sigma == ident:
   raise ValueError("sigma must have order exactly 3")
  inverses = []
  for name, basis in (("v1", v1), ("v2", v2)):
@@ -422,26 +438,22 @@ def rotation_check(v1, v2, sigma):
   raise AssertionError("plane map is not conformal")
  n_axis = _dot(axis, axis)
  scale = 1 / (r * b)  # 1/sqrt(b0) = sqrt(b)/(r b)
- alpha = [[QSqrt(b, x * y / n_axis, scale * f) for y, f in zip(axis, frow)]
-          for x, frow in zip(axis, fmat)]
-
- def lift(m):
-  return [[QSqrt(b, x) for x in row] for row in m]
-
- # exact checks over Q(sqrt b): orthogonality and sigma-equivariance
- sig = lift(sigma)
- if matmul(transpose(alpha), alpha) != lift(ident) or \
-    matmul(alpha, sig) != matmul(sig, alpha):
-  raise AssertionError("constructed map is not a sigma-commuting "
-                       "rotation")
- # change of basis of the second lattice through alpha, in the first
- # basis: row i of V2 alpha^T V1^-1 holds the coordinates of alpha(row i)
- change = matmul(matmul(lift(v2), transpose(alpha)), lift(inverses[0]))
+ # alpha = (P + sqrt(b) Q)/D: P/D projects onto the axis, Q/D is the
+ # plane map scaled by 1/sqrt(b0)
+ pq, d = _cleared([[x * y / n_axis for y in axis] for x in axis] +
+                  [[scale * f for f in frow] for frow in fmat])
+ p, q = pq[:3], pq[3:]
+ _rotation_identities(p, q, d, b, _cleared(sigma)[0])
+ # row i of V2 alpha^T V1^-1 holds the coordinates of alpha(row i of V2)
+ # in the first basis: (W2 P^T W1 + sqrt(b) W2 Q^T W1)/(D e2 e1) over Z
+ (w2, e2), (w1, e1) = _cleared(v2), _cleared(inverses[0])
+ change = _qsqrt_mat(b, *(matmul(matmul(w2, transpose(m)), w1)
+                          for m in (p, q)), d * e2 * e1)
  det = _det3(change)
  if det.is_zero():
   raise AssertionError("rotation does not carry the spans over")
- desc = {"b": b, "scale": r, "alpha": alpha, "change_of_basis": change,
-         "change_det": det}
+ desc = {"b": b, "scale": r, "alpha": _qsqrt_mat(b, p, q, d),
+         "change_of_basis": change, "change_det": det}
  return True, desc
 
 

@@ -206,15 +206,18 @@ def standard_motive(case, n, factor, psi=False):
  return _linear_std(rank, spec.over_e, psi)
 
 
-def case_tensor(case, n, psi=False):
- """Tensor motive M x N of the case's two standard motives; psi applies
- the quadratic twist to M."""
- return tensor(standard_motive(case, n, "M", psi),
-               standard_motive(case, n, "N"))
+class CaseMotives:
+ """The Hodge structures of one (case, n), each built once: std["M"],
+ std["N"], M twisted by psi (or None) and the untwisted tensor M x N."""
 
+ def __init__(self, case, n):
+  self.spec = cases.get(case, n)
+  self.case, self.n = self.spec.name, n
+  self.std = {f: standard_motive(self.case, n, f) for f in ("M", "N")}
+  self.twisted_m = standard_motive(self.case, n, "M", True) \
+      if self.spec.twists else None
+  self.tensor = tensor(self.std["M"], self.std["N"])
 
-def case_adjoint(case, n, factor):
- """Adjoint structure of the given factor's group, with the pairing the
- case family dictates."""
- std = standard_motive(case, n, factor)
- return adjoint(std, cases.get(case, n).factors(n)[factor][0])
+ def adjoint(self, factor):
+  """Adjoint structure of the factor's group, in the case's pairing."""
+  return adjoint(self.std[factor], self.spec.factors(self.n)[factor][0])

@@ -5,7 +5,6 @@ computed pi-exponent against its closed-form target.
 
 from fractions import Fraction
 
-from . import cases
 from . import hodge
 from . import rootsys
 from .periodring import PeriodScalar
@@ -104,9 +103,8 @@ def _doubled(h):
                              fplus=2 * h.fplus, fminus=2 * h.fminus)
 
 
-def adjoint_structure(case, n):
- adm = hodge.case_adjoint(case, n, "M")
- adn = hodge.case_adjoint(case, n, "N")
+def adjoint_structure(mot):
+ adm, adn = mot.adjoint("M"), mot.adjoint("N")
  mult = dict(adm.mult)
  for k, v in adn.mult.items():
   mult[k] = mult.get(k, 0) + v
@@ -122,10 +120,10 @@ def row_json(row):
          "expected_exp": str(row["expected_exp"]), "pass": row["pass"]}
 
 
-def table1_row(case, n):
- """Compute all five exponent columns from first principles and compare
- each against its closed-form target."""
- spec = cases.get(case, n)
+def table1_row(mot):
+ """Compute all five exponent columns of one (case, n) from its motives
+ (a hodge.CaseMotives) and compare each against its closed-form target."""
+ spec, n = mot.spec, mot.n
  expected = spec.targets(n)
  expected["ratio"] = expected["rho_at_center"] - expected["adjoint_at_zero"]
  computed = {}
@@ -139,11 +137,11 @@ def table1_row(case, n):
  computed["discriminant_ratio"] = pi_exponent(
      leading_coeff(dg / (dh ** 2), 0))
 
- tens = _doubled(hodge.case_tensor(spec.name, n))
+ tens = _doubled(mot.tensor)
  computed["rho_at_center"] = spec.e * pi_exponent(
      leading_coeff(l_infinity(tens), spec.r(n)))
 
- adj = _doubled(adjoint_structure(spec.name, n))
+ adj = _doubled(adjoint_structure(mot))
  computed["adjoint_at_zero"] = pi_exponent(
      leading_coeff(l_infinity(adj), 0))
 

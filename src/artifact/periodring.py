@@ -301,9 +301,8 @@ def _det_relation(det, x):
                                                     x.weight * x.rank())
 
 
-def _split_relations(case, n):
+def _split_relations(n, m, nn):
  g = PeriodScalar.gen
- m, nn = (hodge.standard_motive(case, n, f) for f in ("M", "N"))
  rels = []
  j = n - 1
  t = j // 2
@@ -330,7 +329,7 @@ def _split_relations(case, n):
  return RelationSet(rels)
 
 
-def _quadratic_relations(case, n):
+def _quadratic_relations(n, m, nn):
  g = PeriodScalar.gen
  rels = []
  j = n - 1
@@ -339,20 +338,19 @@ def _quadratic_relations(case, n):
  for q in range(j + 2):
   rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
                g("i", 2 * (j + 1)), "Q"))
- x = _det_relation("detA", hodge.standard_motive(case, n, "M"))
+ x = _det_relation("detA", m)
  for p in range(j + 1):
   x = x * g("Q%d.s" % p, -1)
  rels.append((x, "Q"))
- x = _det_relation("detB", hodge.standard_motive(case, n, "N"))
+ x = _det_relation("detB", nn)
  for q in range(j + 2):
   x = x * g("R%d.s" % q, -1)
  rels.append((x, "Q"))
  return RelationSet(rels)
 
 
-def _orthogonal_relations(case, n):
+def _orthogonal_relations(n, m, nn):
  g = PeriodScalar.gen
- m, nn = (hodge.standard_motive(case, n, f) for f in ("M", "N"))
  rels = [(g("Delta.s") * g("Delta.sb"), "Q"),
          (g("Xi.s") * g("Xi.sb"), "Q"),
          (g("Xi.s", 2) * g("Delta.s") * g("Delta.sb", -1), "Q"),
@@ -362,11 +360,12 @@ def _orthogonal_relations(case, n):
                                          for x in ("Q%d" % k, "R%d" % k)])
 
 
-def case_relations(case, n):
- spec = cases.get(case, n)
- if spec.shift is not None:
-  return _orthogonal_relations(case, n)
- return (_quadratic_relations if spec.over_e else _split_relations)(case, n)
+def case_relations(mot):
+ """The relation set of one (case, n), from its hodge.CaseMotives."""
+ spec = mot.spec
+ build = _orthogonal_relations if spec.shift is not None else \
+     _quadratic_relations if spec.over_e else _split_relations
+ return build(mot.n, mot.std["M"], mot.std["N"])
 
 
 def _orthogonal_ratios(prefix, top):
@@ -400,21 +399,21 @@ def vol_L(case, n, which):
  return out
 
 
-def deligne_c(case, n, sign=1, psi=False):
- """Deligne period c^sign of the centrally twisted tensor motive X(r),
- X = M x N, r = spec.r(n); psi twists M (families with twists only).
+def deligne_c(mot, sign=1, psi=False):
+ """Deligne period c^sign of X(r), X = M x N the tensor motive of the case
+ motives mot, r = spec.r(n); psi twists M (families with twists only).
  The twist rule gives (2 pi i)^(r d^sign), d^sign of X restricted to Q,
  and over E (i sqrtD)^(-d/2).  The split family's period ends in the Betti
  minor of the odd-weight factor, of sign sign (-1)^r chi(psi), and
  twisting an odd-weight M costs the Gauss power i^(-d(M))."""
- spec = cases.get(case, n)
+ spec, n = mot.spec, mot.n
  if sign not in (1, -1):
   raise ValueError("sign must be +1 or -1")
  if psi and not spec.twists:
   raise ValueError("quadratic twist only applies to pgl-q")
  g = PeriodScalar.gen
  k = 0 if sign > 0 else 1  # d^+ or d^- of deligne_data
- x = hodge.case_tensor(case, n, psi)
+ x = hodge.tensor(mot.twisted_m, mot.std["N"]) if psi else mot.tensor
  if x.over_e:
   x = hodge.restrict_scalars(x)
  d = hodge.deligne_data(x)[k]
@@ -438,7 +437,7 @@ def deligne_c(case, n, sign=1, psi=False):
   out = out * g("Q%d" % p, p - (n - 1) // 2)
  for q in range(hi):
   out = out * g("R%d" % q, q - lo)
- m = hodge.standard_motive(case, n, "M", psi)
+ m = mot.twisted_m if psi else mot.std["M"]
  odd = "M" if m.weight % 2 else "N"
  betti = sign * (-1) ** r * (-1 if psi else 1)
  out = out * g("c%s%s" % (odd, "p" if betti > 0 else "m"))
@@ -447,26 +446,32 @@ def deligne_c(case, n, sign=1, psi=False):
  return out
 
 
-def condensate(case, n, sign=1):
- """The full period ratio that the cancellation theorems evaluate.
+def period_ratio(mot, sign=1):
+ """Full period ratio of the case motives mot, which the cancellation
+ theorems evaluate.
 
  For the rational pair this is the product over both quadratic twists of
  c^2 / (vol_M vol_N); for the imaginary quadratic pairs it is c^2/(vol vol)
  or c/(vol vol) depending on whether the central value is a square.
  """
- spec = cases.get(case, n)
+ spec, case, n = mot.spec, mot.case, mot.n
  twists = (False, True) if spec.twists else (False,)
  out = (vol_L(case, n, "M") * vol_L(case, n, "N")) ** -len(twists)
  for psi in twists:
-  out = out * deligne_c(case, n, sign, psi) ** spec.e
+  out = out * deligne_c(mot, sign, psi) ** spec.e
  return out
+
+
+def condensate(case, n, sign=1):
+ """The period ratio of (case, n), its motives built afresh."""
+ return period_ratio(hodge.CaseMotives(case, n), sign)
 
 
 def condensate_residual(case, n, sign=1):
  """Residual of condensate/(2 pi i)^m; empty means the identity holds."""
- spec = cases.get(case, n)
- x = condensate(case, n, sign) * PeriodScalar.gen("twopii", -spec.m(n))
- return reduce(x, case_relations(case, n), spec.mod)
+ mot = hodge.CaseMotives(case, n)
+ x = period_ratio(mot, sign) * PeriodScalar.gen("twopii", -mot.spec.m(n))
+ return reduce(x, case_relations(mot), mot.spec.mod)
 
 
 # ---------------------------------------------------------------------------

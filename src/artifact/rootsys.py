@@ -199,9 +199,10 @@ def roots(rtype, rank):
 
 
 def _reflect(v, a):
- num = sum(x * y for x, y in zip(v, a))
- den = sum(x * x for x in a)
- c = Fraction(2 * num, 1) / den
+ """v reflected in the wall of a, over Z: 2(v,a)/(a,a) must be integral."""
+ c, rem = divmod(2 * sum(x * y for x, y in zip(v, a)), sum(x * x for x in a))
+ if rem:
+  raise ValueError("reflection of %r in %r leaves the lattice" % (v, a))
  return tuple(x - c * y for x, y in zip(v, a))
 
 
@@ -239,7 +240,7 @@ def _restricted_pair(g):
 
 def chamber_check(g):
  """Count big-system chambers inside one small-system chamber by orbit
- enumeration and compare with the tabulated index; the orbit size must
+ enumeration over Z and compare with the tabulated index; the orbit size must
  also match the order of the big Weyl group, the product of the degrees
  of SO(2 rank + 1)."""
  g = _descriptor(g)
@@ -250,8 +251,6 @@ def chamber_check(g):
  big, small, rank = pair
  if rank > 4:
   raise UnsupportedGroup("brute force limited to rank 4")
- big = [tuple(Fraction(x) for x in r) for r in big]
- small = [tuple(Fraction(x) for x in r) for r in small]
  orbit = _generic_orbit(big)
  small_pos = [a for a in small if _positive(a)]
  def dominant(x):
@@ -288,11 +287,11 @@ def _simple_roots(system):
 
 
 def _generic_orbit(system):
- """Orbit of a generic vector under the reflection group of the system;
- simple reflections suffice to generate it."""
+ """Orbit of a generic integral vector under the reflection group of the
+ system, in Z^rank; simple reflections suffice to generate it."""
  rank = len(system[0])
  gens = _simple_roots(system)
- v = tuple(Fraction(3 ** (rank - i)) for i in range(rank))
+ v = tuple(3 ** (rank - i) for i in range(rank))
  orbit = {v}
  frontier = [v]
  while frontier:

@@ -7,8 +7,10 @@ degree-1 images, the exterior-model checks in Fraction arithmetic:
 random elements with their raw n/d coefficients and every sum seeded with
 Fraction(0), and the hand-written group data (dimensions, ranks, the
 maximal compact subgroups and the four discriminant tables) that the
-degree table of rootsys replaced, and the Deligne periods and determinant
-relations with their powers of 2*pi*i written out by hand."""
+degree table of rootsys replaced, the Deligne periods and determinant
+relations with their powers of 2*pi*i written out by hand, the Weyl orbit
+in Fraction arithmetic, and the rotation lemma with its orthogonality,
+sigma-equivariance and change-of-basis checks as QSqrt matrix products."""
 
 from fractions import Fraction
 import functools
@@ -22,8 +24,10 @@ from artifact.exteralg import (ExteriorElement, _check_index, _merge,
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet, _auto_sqrt_class,
                                  _column_order, _hnf)
-from artifact.ggpcheck import LedgerUnderdetermined
-from artifact.rootsys import GroupDescriptor, GroupInvariants
+from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _det3, _dot,
+                               _frac_mat, _matvec, _sqfree)
+from artifact.hodge import CaseMotives
+from artifact.rootsys import GroupDescriptor, GroupInvariants, _simple_roots
 
 
 def dense_int_vector(x, cols, scale=2):
@@ -83,7 +87,7 @@ def dense_reduce(x, rels, mod="Q"):
 def three_reduce_verdicts(case, n, extra=None):
  """(gamma1, gamma2, condensate) of one case, one reduction each."""
  m = cases.get(case, n).m(n)
- rels = periodring.case_relations(case, n)
+ rels = periodring.case_relations(CaseMotives(case, n))
  mod = "Q" if case == "pgl-q" else "sqrtQ"
  cond = periodring.condensate(case, n)
  if extra is not None:
@@ -471,3 +475,120 @@ def written_out_deligne_c(case, n, sign=1, psi=False):
   else:
    out = out * g("cMp" if sign > 0 else "cMm")
  return out
+
+
+# ---------------------------------------------------------------------------
+# chamber orbit and rotation lemma in Fraction / Q(sqrt b) arithmetic
+
+
+def fraction_reflect(v, a):
+ num = sum(x * y for x, y in zip(v, a))
+ den = sum(x * x for x in a)
+ c = Fraction(2 * num, 1) / den
+ return tuple(x - c * y for x, y in zip(v, a))
+
+
+def fraction_generic_orbit(system):
+ """Orbit of (3^rank, ..., 3) under the simple reflections, on Fraction
+ vectors."""
+ system = [tuple(Fraction(x) for x in r) for r in system]
+ rank = len(system[0])
+ gens = _simple_roots(system)
+ v = tuple(Fraction(3 ** (rank - i)) for i in range(rank))
+ orbit = {v}
+ frontier = [v]
+ while frontier:
+  nxt = []
+  for x in frontier:
+   for a in gens:
+    y = fraction_reflect(x, a)
+    if y not in orbit:
+     orbit.add(y)
+     nxt.append(y)
+  frontier = nxt
+ return orbit
+
+
+def _fraction_axis_vector(basis, binv, axis):
+ coords = linalg.matmul([axis], binv)[0]
+ den = math.lcm(*(c.denominator for c in coords))
+ ints = [int(c * den) for c in coords]
+ g = math.gcd(*ints)
+ if g == 0:
+  raise ValueError("axis misses the lattice")
+ return linalg.matmul([[i // g for i in ints]], basis)[0]
+
+
+def qsqrt_rotation_check(v1, v2, sigma):
+ """The rotation lemma with alpha built over Q(sqrt b) and checked by QSqrt
+ matrix products: alpha^T alpha = 1, alpha sigma = sigma alpha, and the
+ change of basis V2 alpha^T V1^-1 as a product of lifted matrices."""
+ matmul, transpose = linalg.matmul, linalg.transpose
+ v1 = _frac_mat(v1)
+ v2 = _frac_mat(v2)
+ sigma = _frac_mat(sigma)
+ ident = linalg.identity(3)
+ st = transpose(sigma)
+ if matmul(st, sigma) != ident:
+  raise ValueError("sigma is not orthogonal")
+ s2 = matmul(sigma, sigma)
+ if matmul(s2, sigma) != ident or sigma == ident:
+  raise ValueError("sigma must have order exactly 3")
+ inverses = []
+ for name, basis in (("v1", v1), ("v2", v2)):
+  if _det3(basis) == 0:
+   raise ValueError("%s is not a basis" % name)
+  binv = linalg.inv(basis)
+  if any(c.denominator != 1
+         for row in matmul(matmul(basis, st), binv) for c in row):
+   raise ValueError("%s is not sigma-stable" % name)
+  inverses.append(binv)
+ proj = [[ident[i][j] + sigma[i][j] + st[i][j] for j in range(3)]
+         for i in range(3)]
+ axis = next(row for row in proj if any(row))
+ if _det3(v1) ** 2 != _det3(v2) ** 2:
+  raise ValueError("lattice volumes differ")
+ a1 = _fraction_axis_vector(v1, inverses[0], axis)
+ a2 = _fraction_axis_vector(v2, inverses[1], axis)
+ if _dot(a1, a1) != _dot(a2, a2):
+  raise ValueError("sigma-invariant volumes differ")
+
+ def plane_part(v):
+  t = _dot(v, axis) / _dot(axis, axis)
+  return [x - t * a for x, a in zip(v, axis)]
+
+ u1 = next((p for p in map(plane_part, v1) if any(p)), None)
+ u2 = next((p for p in map(plane_part, v2) if any(p)), None)
+ if u1 is None or u2 is None:
+  raise ValueError("lattice degenerates onto the axis")
+ b0 = _dot(u1, u1) / _dot(u2, u2)
+ b, co = _sqfree(b0.numerator * b0.denominator)
+ r = Fraction(co, b0.denominator)
+ if r * r * b != b0:
+  raise AssertionError("square-class split failed")
+ fmat = matmul(transpose([u1, _matvec(sigma, u1), [Fraction(0)] * 3]),
+               linalg.inv(transpose([u2, _matvec(sigma, u2), axis])))
+ fu2 = _matvec(fmat, u2)
+ fsu2 = _matvec(fmat, _matvec(sigma, u2))
+ if _dot(fu2, fu2) != b0 * _dot(u2, u2) or \
+    _dot(fu2, fsu2) != b0 * _dot(u2, _matvec(sigma, u2)):
+  raise AssertionError("plane map is not conformal")
+ n_axis = _dot(axis, axis)
+ scale = 1 / (r * b)
+ alpha = [[QSqrt(b, x * y / n_axis, scale * f) for y, f in zip(axis, frow)]
+          for x, frow in zip(axis, fmat)]
+
+ def lift(m):
+  return [[QSqrt(b, x) for x in row] for row in m]
+
+ sig = lift(sigma)
+ if matmul(transpose(alpha), alpha) != lift(ident) or \
+    matmul(alpha, sig) != matmul(sig, alpha):
+  raise AssertionError("constructed map is not a sigma-commuting "
+                       "rotation")
+ change = matmul(matmul(lift(v2), transpose(alpha)), lift(inverses[0]))
+ det = _det3(change)
+ if det.is_zero():
+  raise AssertionError("rotation does not carry the spans over")
+ return True, {"b": b, "scale": r, "alpha": alpha, "change_of_basis": change,
+               "change_det": det}

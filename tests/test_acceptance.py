@@ -36,7 +36,7 @@ def test_exponent_table_full_sweep():
  entries = 0
  for case in CASES:
   for n in range(1, 9):
-   for row in lg.table1_row(case, n):
+   for row in lg.table1_row(hg.CaseMotives(case, n)):
     assert row["pass"], (case, n, row["name"])
     assert Fraction(row["computed_exp"]) == Fraction(row["expected_exp"])
     assert Fraction(row["computed_exp"]).denominator == 1
@@ -143,7 +143,7 @@ def test_hodge_oracle_equivalence():
    b = hg.standard_motive(case, n, "N")
    assert _mults(hg.tensor(a, b)) == oracle_tensor(a, b), (case, n)
    for factor, std in (("M", a), ("N", b)):
-    ad = hg.case_adjoint(case, n, factor)
+    ad = hg.CaseMotives(case, n).adjoint(factor)
     if case in ("pgl-q", "pgl-e"):
      expect = oracle_linear_adjoint(std)
     else:

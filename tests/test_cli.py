@@ -219,6 +219,6 @@ class TestUsageErrors:
  def test_inconsistent_relations_not_a_usage_error(self, monkeypatch):
   g = periodring.PeriodScalar.gen
   bad = periodring.RelationSet([(g("Q0") * g("pi"), "Q"), (g("Q0"), "Q")])
-  monkeypatch.setattr(periodring, "case_relations", lambda case, n: bad)
+  monkeypatch.setattr(periodring, "case_relations", lambda mot: bad)
   with pytest.raises(periodring.InconsistentRelations):
    main(["period", "--expr", "Q0", "--case", "pgl-q"])

@@ -1,12 +1,16 @@
 """Case drivers, the volume ledger with verifiable derivations, and the
 quadratic-field rotation lemma."""
 
+import collections
 from fractions import Fraction
+import math
 import random
 
 import pytest
 
+from artifact import cases
 from artifact import ggpcheck as gc
+from artifact import hodge as hg
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 from artifact.ggpcheck import (run_case, torsion_ledger,
@@ -14,7 +18,8 @@ from artifact.ggpcheck import (run_case, torsion_ledger,
                                rotation_check, verify_all, QSqrt,
                                _matvec, _frac_mat)
 from artifact.linalg import identity, matmul, transpose
-from reference_kernels import dense_solve, three_reduce_verdicts
+from reference_kernels import (dense_solve, qsqrt_rotation_check,
+                               three_reduce_verdicts)
 
 
 class TestRunCase:
@@ -67,6 +72,37 @@ class TestRunCase:
   rep = run_case("pgl-q", 3, extra=PeriodScalar.gen("Q0", 1))
   assert not rep.passed()
   assert rep.failing() == "condensate"
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_hodge_structures_built_once(self, monkeypatch, case):
+  # each standard motive, and each tensor of two of them, is built at
+  # most once per run_case
+  std, tensor = hg.standard_motive, hg.tensor
+  built, made, tensors = collections.Counter(), {}, collections.Counter()
+
+  def counting_std(case, n, factor, psi=False):
+   built[case, n, factor, psi] += 1
+   h = std(case, n, factor, psi)
+   made[id(h)] = (factor, psi)
+   return h
+
+  def counting_tensor(a, b):
+   if id(a) in made and id(b) in made:
+    tensors[made[id(a)], made[id(b)]] += 1
+   return tensor(a, b)
+
+  monkeypatch.setattr(hg, "standard_motive", counting_std)
+  monkeypatch.setattr(hg, "tensor", counting_tensor)
+  for n in range(1, 13):
+   built.clear()
+   made.clear()
+   tensors.clear()
+   assert run_case(case, n).passed()
+   want = [("M", False), ("N", False)]
+   if cases.get(case, n).twists:
+    want.append(("M", True))
+   assert built == {(case, n) + k: 1 for k in want}, (case, n)
+   assert tensors == {(k, ("N", False)): 1 for k in want if k[0] == "M"}
 
 
 class TestLedger:
@@ -226,6 +262,101 @@ class TestRotation:
  def test_qsqrt_arithmetic(self):
   x = QSqrt(5, Fraction(1, 2), Fraction(3))
   assert (x * x.inv()) == QSqrt(5, 1, 0)
+
+
+V2_SQRT3 = [[1, 1, -2], [0, 1, -1], [1, 1, 1]]
+# a rational rotation about the z-axis (3-4-5) to conjugate sigma by, so
+# that sigma and the bases carry denominators
+R345 = [[Fraction(3, 5), Fraction(-4, 5), 0],
+        [Fraction(4, 5), Fraction(3, 5), 0],
+        [0, 0, 1]]
+
+
+def _conjugated(r, sigma, bases):
+ """(R sigma R^T, the bases with every row v replaced by R v)."""
+ r = _frac_mat(r)
+ sig = matmul(matmul(r, _frac_mat(sigma)), transpose(r))
+ return sig, [[_matvec(r, row) for row in _frac_mat(b)] for b in bases]
+
+
+def seeded_rotation_lattices(count=24, seed=20261018):
+ """(v1, v2, sigma) triples: the second lattice is the first, or the one
+ of square class 3, turned by a seeded rational rotation commuting with
+ the coordinate cycle; every third triple is conjugated by R345."""
+ rng = random.Random(seed)
+ out = []
+ for k in range(count):
+  t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+  alpha = rational_rotation(t)
+  base = V2_SQRT3 if k % 2 else V1
+  v2 = [_matvec(alpha, row) for row in _frac_mat(base)]
+  if k % 3 == 2:
+   sigma, (v1, v2) = _conjugated(R345, SIGMA, [V1, v2])
+   out.append((v1, v2, sigma))
+  else:
+   out.append((V1, v2, SIGMA))
+ return out
+
+
+def integer_parts(alpha):
+ """(P, Q, D) with alpha = (P + sqrt(b) Q)/D, P and Q integral."""
+ d = math.lcm(*(c.denominator for row in alpha for x in row
+                for c in (x.x, x.y)))
+ return ([[int(x.x * d) for x in row] for row in alpha],
+         [[int(x.y * d) for x in row] for row in alpha], d)
+
+
+class TestIntegerRotation:
+ """rotation_check runs over Z; the QSqrt matrix products it replaced are
+ the reference."""
+
+ LATTICES = seeded_rotation_lattices()
+
+ def test_lattice_set_covers_both_classes_and_denominators(self):
+  assert len(self.LATTICES) >= 20
+  classes = {qsqrt_rotation_check(*lat)[1]["b"] for lat in self.LATTICES}
+  assert classes == {1, 3}
+  assert any(gc._cleared(_frac_mat(s))[1] > 1 for _, _, s in self.LATTICES)
+
+ @pytest.mark.parametrize("k", range(len(LATTICES)))
+ def test_desc_equals_reference(self, k):
+  ok, desc = rotation_check(*self.LATTICES[k])
+  ok_ref, ref = qsqrt_rotation_check(*self.LATTICES[k])
+  assert ok is ok_ref is True
+  for key in ("b", "scale", "alpha", "change_of_basis", "change_det"):
+   assert desc[key] == ref[key], key
+  assert repr(desc) == repr(ref)
+
+ @pytest.mark.parametrize("k", [0, 1, 2, 5])
+ def test_identities_hold_on_the_integer_parts(self, k):
+  v1, v2, sigma = self.LATTICES[k]
+  desc = rotation_check(v1, v2, sigma)[1]
+  p, q, d = integer_parts(desc["alpha"])
+  gc._rotation_identities(p, q, d, desc["b"],
+                          gc._cleared(_frac_mat(sigma))[0])
+
+ @pytest.mark.parametrize("k", [0, 1, 2, 5])
+ def test_doubled_sqrt_part_fails_orthogonality(self, k):
+  # negative control: 2Q still commutes with sigma, but P^T P + b Q^T Q
+  # moves off D^2
+  v1, v2, sigma = self.LATTICES[k]
+  desc = rotation_check(v1, v2, sigma)[1]
+  p, q, d = integer_parts(desc["alpha"])
+  q2 = [[2 * x for x in row] for row in q]
+  with pytest.raises(AssertionError, match="not orthogonal"):
+   gc._rotation_identities(p, q2, d, desc["b"],
+                           gc._cleared(_frac_mat(sigma))[0])
+
+ @pytest.mark.parametrize("k", [0, 1, 2, 5])
+ def test_broken_commutation_fails_equivariance(self, k):
+  # negative control: one entry of P moved breaks PS = SP
+  v1, v2, sigma = self.LATTICES[k]
+  desc = rotation_check(v1, v2, sigma)[1]
+  p, q, d = integer_parts(desc["alpha"])
+  p[0][0] += 1
+  with pytest.raises(AssertionError, match="commute with sigma"):
+   gc._rotation_identities(p, q, d, desc["b"],
+                           gc._cleared(_frac_mat(sigma))[0])
 
 
 class TestVerifyAll:

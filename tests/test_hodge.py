@@ -136,7 +136,7 @@ class TestOperations:
   assert _mults(ad) == {(1, -1): 1, (0, 0): 1, (-1, 1): 1}
 
  def test_so5_symplectic_rank(self):
-  ad = hg.case_adjoint("so-even", 2, "N")
+  ad = hg.CaseMotives("so-even", 2).adjoint("N")
   assert ad.rank() == 10
   vals = [m for _, m in ad.pieces()]
   assert vals == [1, 1, 2, 2, 2, 1, 1]
@@ -144,20 +144,20 @@ class TestOperations:
  def test_adjoint_ranks(self):
   for n in range(1, 9):
    k = n
-   assert hg.case_adjoint("so-even", n, "M").rank() == k * (2 * k - 1)
-   assert hg.case_adjoint("so-even", n, "N").rank() == k * (2 * k + 1)
-   assert hg.case_adjoint("so-odd", n, "M").rank() == \
+   assert hg.CaseMotives("so-even", n).adjoint("M").rank() == k * (2 * k - 1)
+   assert hg.CaseMotives("so-even", n).adjoint("N").rank() == k * (2 * k + 1)
+   assert hg.CaseMotives("so-odd", n).adjoint("M").rank() == \
        (k + 1) * (2 * k + 1)
    for case in ("pgl-q", "pgl-e"):
-    assert hg.case_adjoint(case, n, "M").rank() == n * n - 1
-    assert hg.case_adjoint(case, n, "N").rank() == (n + 1) ** 2 - 1
+    assert hg.CaseMotives(case, n).adjoint("M").rank() == n * n - 1
+    assert hg.CaseMotives(case, n).adjoint("N").rank() == (n + 1) ** 2 - 1
 
  def test_symmetry_preserved_everywhere(self):
   for case in CASES:
    for n in (1, 3, 5):
     for factor in ("M", "N"):
      for h in (hg.standard_motive(case, n, factor),
-               hg.case_adjoint(case, n, factor)):
+               hg.CaseMotives(case, n).adjoint(factor)):
       for (p, q), m in h.mult.items():
        assert h.mult[(q, p)] == m
 
@@ -209,7 +209,7 @@ class TestOracles:
  def test_adjoint_multiplicities(self, case, n):
   for factor in ("M", "N"):
    std = hg.standard_motive(case, n, factor)
-   ad = hg.case_adjoint(case, n, factor)
+   ad = hg.CaseMotives(case, n).adjoint(factor)
    if case in ("pgl-q", "pgl-e"):
     expect = oracle_linear_adjoint(std)
    else:
@@ -234,7 +234,7 @@ class TestOracles:
   for case in ("so-even", "so-odd"):
    for n in (1, 2, 4):
     for factor in ("M", "N"):
-     ad = hg.case_adjoint(case, n, factor)
+     ad = hg.CaseMotives(case, n).adjoint(factor)
      r = hg.restrict_scalars(ad)
      assert r.rank() == 2 * ad.rank()
      assert r.fplus == r.fminus == ad.diagonal_mult()

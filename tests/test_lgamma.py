@@ -76,7 +76,7 @@ class TestLeadingCoeff:
 
  def test_so_adjoint_example(self):
   # the n=2 even orthogonal case gives pi^-18 at 0 after restriction
-  adj = lg.adjoint_structure("so-even", 2)
+  adj = lg.adjoint_structure(hg.CaseMotives("so-even", 2))
   res = hg.restrict_scalars(adj)
   assert lg.leading_coeff(lg.l_infinity(res), 0) == \
       PeriodScalar.gen("pi", -18)
@@ -86,22 +86,24 @@ class TestTable:
  @pytest.mark.parametrize("case", CASES)
  @pytest.mark.parametrize("n", range(1, 9))
  def test_all_rows_match(self, case, n):
-  for row in lg.table1_row(case, n):
+  for row in lg.table1_row(hg.CaseMotives(case, n)):
    assert row["pass"], (case, n, row)
    assert Fraction(row["computed_exp"]).denominator == 1
 
  def test_so_discriminant_ratio(self):
   for n in (1, 2, 5):
    rows = {r["name"]: r["computed_exp"]
-           for r in lg.table1_row("so-even", n)}
+           for r in lg.table1_row(hg.CaseMotives("so-even", n))}
    assert rows["discriminant_ratio"] == -n
 
  def test_pgl_complex_ratio_example(self):
-  rows = {r["name"]: r["computed_exp"] for r in lg.table1_row("pgl-e", 1)}
+  rows = {r["name"]: r["computed_exp"]
+          for r in lg.table1_row(hg.CaseMotives("pgl-e", 1))}
   assert rows["ratio"] == -2
 
  def test_so_odd_ratio_example(self):
-  rows = {r["name"]: r["computed_exp"] for r in lg.table1_row("so-odd", 1)}
+  rows = {r["name"]: r["computed_exp"]
+          for r in lg.table1_row(hg.CaseMotives("so-odd", 1))}
   assert rows["ratio"] == -4
 
  def test_rho_is_square_in_pgl_cases(self):
@@ -110,17 +112,17 @@ class TestTable:
    for n in (1, 2, 3):
     spec = cases.get(case, n)
     single = lg.pi_exponent(lg.leading_coeff(
-        lg.l_infinity(lg._doubled(hg.case_tensor(case, n))),
+        lg.l_infinity(lg._doubled(hg.CaseMotives(case, n).tensor)),
         spec.r(n)))
     rows = {r["name"]: r["computed_exp"]
-            for r in lg.table1_row(case, n)}
+            for r in lg.table1_row(hg.CaseMotives(case, n))}
     assert rows["rho_at_center"] == 2 * single
 
  def test_functional_equation_shift(self):
   # evaluating at s0 + r equals evaluating the r-twist at s0
   for case in ("pgl-q", "so-even"):
    for n in (1, 2, 3):
-    t = hg.case_tensor(case, n)
+    t = hg.CaseMotives(case, n).tensor
     r = cases.get(case, n).r(n)
     if t.over_e:
      t = hg.restrict_scalars(t)

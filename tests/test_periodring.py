@@ -10,6 +10,7 @@ import pytest
 
 from artifact import cases, ggpcheck, hodge, periodring
 from artifact.cases import CASES
+from artifact.hodge import CaseMotives
 from artifact.periodring import (PeriodScalar, RelationSet,
                                  InconsistentRelations, reduce,
                                  case_relations, vol_L,
@@ -143,7 +144,7 @@ class TestCancellation:
    assert cases.get("so-odd", n).m(n) == 2 * n * (n + 1)
 
  def test_perturbation_names_residual(self):
-  rels = case_relations("pgl-q", 3)
+  rels = case_relations(CaseMotives("pgl-q", 3))
   x = condensate("pgl-q", 3) * g("twopii", -12) * g("Q0")
   res = reduce(x, rels, "Q")
   assert not res.is_one()
@@ -170,7 +171,7 @@ class TestRelationDrops:
   for case in CASES:
    for n in range(1, 13):
     spec = cases.get(case, n)
-    rels = case_relations(case, n)
+    rels = case_relations(CaseMotives(case, n))
     x = condensate(case, n) * g("twopii", -spec.m(n))
     orbits = []
     for y, _lev in rels.relations:
@@ -192,7 +193,7 @@ class TestRelationDrops:
   # reduces at: so it stays declared
   xi = g("Xi.s") * g("Xi.sb")
   for n in range(1, 13):
-   rest = _without(case_relations(case, n), xi)
+   rest = _without(case_relations(CaseMotives(case, n)), xi)
    assert reduce(xi, rest, "sqrtQ").is_one()
    assert reduce(xi, rest, "Q") == xi
 
@@ -207,13 +208,14 @@ class TestTwistRule:
   for n in range(1, 13):
    for psi in ((False, True) if cases.get(case, n).twists else (False,)):
     for sign in (1, -1):
-     assert deligne_c(case, n, sign, psi) == \
+     assert deligne_c(CaseMotives(case, n), sign, psi) == \
          written_out_deligne_c(case, n, sign, psi), (case, n, sign, psi)
 
  @pytest.mark.parametrize("case", CASES)
  def test_relations_match_written_out(self, case):
   for n in range(1, 13):
-   ours, ref = case_relations(case, n), written_out_case_relations(case, n)
+   ours = case_relations(CaseMotives(case, n))
+   ref = written_out_case_relations(case, n)
    assert ours.relations == ref.relations, (case, n)
    assert ours.rational_gens == ref.rational_gens, (case, n)
 
@@ -355,7 +357,7 @@ class TestSparseReduce:
  def test_matches_dense_reference(self, case):
   rng = random.Random(CASES.index(case))
   for n in range(1, 13):
-   rels = case_relations(case, n)
+   rels = case_relations(CaseMotives(case, n))
    gens = sorted({s for r, _ in rels.relations for s in r.exps} |
                  set(rels.rational_gens)) + list(OUTSIDE)
    for mod in ("Q", "sqrtQ"):
@@ -373,7 +375,7 @@ class TestSparseReduce:
   # twopii is never a pivot, which is what lets run_case read all three
   # verdicts off one residue
   for n in range(1, 13):
-   rels = case_relations(case, n)
+   rels = case_relations(CaseMotives(case, n))
    for mod in ("Q", "sqrtQ"):
     x = condensate(case, n) * g("pi", half)
     base = reduce(x, rels, mod)
@@ -387,7 +389,7 @@ class TestSparseReduce:
     reduce(g("Q0.s"), rels, "Q")
 
  def test_denominator_beyond_two_rejected(self):
-  rels = case_relations("pgl-q", 2)
+  rels = case_relations(CaseMotives("pgl-q", 2))
   for name in ("Q0", "free", "sqrtdisc.3"):
    with pytest.raises(ValueError, match="denominator beyond 2"):
     reduce(g(name, Fraction(1, 3)), rels, "Q")

@@ -15,6 +15,7 @@ from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
 from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS,
+                               fraction_generic_orbit, fraction_reflect,
                                written_out_invariants)
 
 
@@ -242,7 +243,8 @@ class TestWeylIndex:
 
  @pytest.mark.parametrize("g", [
      "SL(4)/R", "SL(5)/R", "SL(6)/R", "SL(7)/R", "SL(8)/R", "SL(9)/R",
-     "SO(3,3)", "SO(5,3)", "SO(5,5)", "SO(7,3)", "SO(7,1)", "PGL(4)/C"])
+     "SO(3,3)", "SO(5,3)", "SO(5,5)", "SO(7,3)", "SO(7,1)", "PGL(4)/C",
+     "SL(4)/C", "SO(5)/C"])
  def test_chamber_enumeration(self, g):
   assert rs.chamber_check(g)
 
@@ -258,6 +260,40 @@ class TestWeylIndex:
        else d
   monkeypatch.setattr(rs, "_degrees", mutant)
   assert rs.chamber_check(g) is False
+
+
+class TestIntegerOrbit:
+ """The chamber orbit runs over Z; the Fraction orbit it replaced is the
+ reference."""
+
+ # the chamber-checked groups with a restricted pair (the complex groups
+ # SL(4)/C, PGL(4)/C and SO(5)/C have none)
+ @pytest.mark.parametrize("g", [
+     "SL(4)/R", "SL(5)/R", "SL(6)/R", "SL(7)/R", "SL(8)/R", "SL(9)/R",
+     "SO(3,3)", "SO(5,3)", "SO(5,5)", "SO(7,3)", "SO(7,1)"])
+ def test_orbit_equals_fraction_orbit(self, g):
+  big = rs._restricted_pair(rs._descriptor(g))[0]
+  orbit = rs._generic_orbit(big)
+  assert orbit == fraction_generic_orbit(big)
+  assert all(type(x) is int for v in orbit for x in v)
+
+ def test_reflect_matches_fraction_reflect(self):
+  for rtype, rank in (("B", 3), ("C", 3), ("D", 4), ("BC", 2)):
+   system = rs.roots(rtype, rank)
+   for v in system + [(7, -3, 5, 2)[:rank]]:
+    for a in system:
+     assert rs._reflect(v, a) == fraction_reflect(v, a)
+
+ @pytest.mark.parametrize("v,a", [((1, 0), (2, 2)), ((1, 0), (1, 2)),
+                                  ((1, 1, 0), (1, 1, 1))])
+ def test_non_integral_coefficient_raises(self, v, a):
+  # negative control: 2(v,a)/(a,a) is 1/2, 2/5 and 4/3; truncating it
+  # would give a wrong vector instead of an error
+  assert fraction_reflect(v, a) != \
+      tuple(x - (2 * sum(p * q for p, q in zip(v, a)) //
+                 sum(y * y for y in a)) * y for x, y in zip(v, a))
+  with pytest.raises(ValueError, match="leaves the lattice"):
+   rs._reflect(v, a)
 
 
 class TestMacdonald:
