@@ -39,6 +39,12 @@ def _print_table(rows, headers):
   print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
 
 
+def _print_table1(rows):
+ _print_table([(r["name"], r["computed_exp"], r["expected_exp"],
+                "pass" if r["pass"] else "FAIL") for r in rows],
+              ["column", "computed", "closed form", "verdict"])
+
+
 def cmd_invariants(args):
  iv = rootsys.invariants(args.group)
  data = iv.as_dict()
@@ -89,9 +95,7 @@ def cmd_lfactor(args):
  if args.json:
   print(json.dumps([lgamma.row_json(r) for r in rows], indent=1))
  else:
-  _print_table([(r["name"], r["computed_exp"], r["expected_exp"],
-                 "pass" if r["pass"] else "FAIL") for r in rows],
-               ["column", "computed", "closed form", "verdict"])
+  _print_table1(rows)
  return 0 if all(r["pass"] for r in rows) else 1
 
 
@@ -109,9 +113,7 @@ def cmd_check(args):
  if args.json:
   print(json.dumps(rep.as_dict(), indent=1))
  else:
-  _print_table([(r["name"], r["computed_exp"], r["expected_exp"],
-                 "pass" if r["pass"] else "FAIL") for r in rep.table1],
-               ["column", "computed", "closed form", "verdict"])
+  _print_table1(rep.table1)
   print("condensate: residual %s, m=%d -> %s" %
         (rep.condensate["residual"], rep.condensate["m"],
          "pass" if rep.condensate["pass"] else "FAIL"))

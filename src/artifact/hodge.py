@@ -1,7 +1,8 @@
-"""Rational pure Hodge structures with real-Frobenius data on the diagonal
-piece, the standard motives of each case family, and the functorial
-operations (tensor, dual, Tate twist, adjoint, restriction of scalars) that
-feed the archimedean L-factor and period computations.
+"""Rational pure Hodge structures with the trace of the real Frobenius on
+the diagonal piece, the standard motives of each case family, and the
+functorial operations (direct sum, tensor, dual, Tate twist, adjoint,
+restriction of scalars) that feed the archimedean L-factor and period
+computations.  Traces add under direct sums and multiply under tensors.
 """
 
 from . import cases
@@ -10,13 +11,14 @@ from . import cases
 class HodgeStructure:
  """Pure weight-w structure given by its (p,q) multiplicity map.
 
- fplus/fminus count the +1/-1 eigenvalues of the real Frobenius on the
- (w/2, w/2) piece; both are zero when the weight is odd, the piece is
- absent, or the structure carries the imaginary-quadratic flag (over_e),
- in which case no real Frobenius acts before restriction of scalars.
+ trace is the trace of the real Frobenius on the (w/2, w/2) piece: zero
+ when the weight is odd or the piece is absent, and None when the
+ structure carries the imaginary-quadratic flag (over_e), in which case no
+ real Frobenius acts before restriction of scalars.  The counts fplus and
+ fminus of its +1 and -1 eigenvalues are read off the trace.
  """
 
- def __init__(self, weight, mult, fplus=0, fminus=0, over_e=False):
+ def __init__(self, weight, mult, trace=0):
   self.weight = weight
   self.mult = {}
   for (p, q), m in mult.items():
@@ -29,17 +31,23 @@ class HodgeStructure:
   for (p, q), m in self.mult.items():
    if self.mult.get((q, p), 0) != m:
     raise ValueError("multiplicity map breaks conjugation symmetry")
-  self.fplus = fplus
-  self.fminus = fminus
-  self.over_e = over_e
-  diag = self.mult.get((weight // 2, weight // 2), 0) if weight % 2 == 0 \
-      else 0
-  if over_e:
-   if fplus or fminus:
-    raise ValueError("no real Frobenius data on a flagged structure")
-  elif fplus + fminus != diag:
-   raise ValueError("diagonal eigenvalue counts must sum to the "
-                    "diagonal multiplicity")
+  self.trace = trace
+  diag = self.diagonal_mult()
+  if trace is not None and (abs(trace) > diag or (diag - trace) % 2):
+   raise ValueError("no involution has trace %d on a diagonal piece of "
+                    "rank %d" % (trace, diag))
+
+ @property
+ def over_e(self):
+  return self.trace is None
+
+ @property
+ def fplus(self):
+  return 0 if self.over_e else (self.diagonal_mult() + self.trace) // 2
+
+ @property
+ def fminus(self):
+  return 0 if self.over_e else (self.diagonal_mult() - self.trace) // 2
 
  def rank(self):
   return sum(self.mult.values())
@@ -49,17 +57,14 @@ class HodgeStructure:
    return 0
   return self.mult.get((self.weight // 2, self.weight // 2), 0)
 
- def frobenius_trace(self):
-  return self.fplus - self.fminus
-
  def pieces(self):
   """Multiplicities sorted by decreasing p."""
   return sorted(self.mult.items(), key=lambda kv: -kv[0][0])
 
  def __eq__(self, other):
   return isinstance(other, HodgeStructure) and \
-      (self.weight, self.mult, self.fplus, self.fminus, self.over_e) == \
-      (other.weight, other.mult, other.fplus, other.fminus, other.over_e)
+      (self.weight, self.mult, self.trace) == \
+      (other.weight, other.mult, other.trace)
 
  def __repr__(self):
   body = ", ".join("(%d,%d):%d" % (p, q, m) for (p, q), m in self.pieces())
@@ -68,63 +73,60 @@ class HodgeStructure:
   return "HodgeStructure(w=%d, {%s}%s)" % (self.weight, body, tag)
 
 
+def direct_sum(a, b):
+ if a.weight != b.weight:
+  raise ValueError("direct sum of weights %d and %d" % (a.weight, b.weight))
+ out = dict(a.mult)
+ for k, m in b.mult.items():
+  out[k] = out.get(k, 0) + m
+ return HodgeStructure(a.weight, out, None if a.over_e or b.over_e
+                       else a.trace + b.trace)
+
+
 def tensor(a, b):
- w = a.weight + b.weight
  out = {}
  for (p, q), m in a.mult.items():
   for (pp, qq), mm in b.mult.items():
    key = (p + pp, q + qq)
    out[key] = out.get(key, 0) + m * mm
- over_e = a.over_e or b.over_e
- if over_e or w % 2:
-  return HodgeStructure(w, out, over_e=over_e)
  # only the diagonal-times-diagonal block is Frobenius-stable; the rest
- # pairs off and contributes evenly to both eigenvalues
- diag = out.get((w // 2, w // 2), 0)
- trace = a.frobenius_trace() * b.frobenius_trace()
- return HodgeStructure(w, out, fplus=(diag + trace) // 2,
-                       fminus=(diag - trace) // 2)
+ # pairs off and is traceless
+ return HodgeStructure(a.weight + b.weight, out, None if a.over_e or b.over_e
+                       else a.trace * b.trace)
 
 
 def dual(a):
  out = {(-p, -q): m for (p, q), m in a.mult.items()}
- return HodgeStructure(-a.weight, out, fplus=a.fplus, fminus=a.fminus,
-                       over_e=a.over_e)
+ return HodgeStructure(-a.weight, out, a.trace)
 
 
 def tate_twist(a, j):
  out = {(p - j, q - j): m for (p, q), m in a.mult.items()}
- fp, fm = (a.fplus, a.fminus) if j % 2 == 0 else (a.fminus, a.fplus)
- return HodgeStructure(a.weight - 2 * j, out, fplus=fp, fminus=fm,
-                       over_e=a.over_e)
+ # the real Frobenius acts on Q(1) by -1
+ trace = a.trace if a.over_e or j % 2 == 0 else -a.trace
+ return HodgeStructure(a.weight - 2 * j, out, trace)
 
 
 def _square_part(a, anti):
  """Lambda^2 (anti=True) or Sym^2 of a, with exact Frobenius bookkeeping."""
- w = 2 * a.weight
+ sign = -1 if anti else 1
  keys = sorted(a.mult)
  out = {}
  trace = 0
  for i, k1 in enumerate(keys):
   m1 = a.mult[k1]
   key = (2 * k1[0], 2 * k1[1])
-  same = m1 * (m1 - 1) // 2 if anti else m1 * (m1 + 1) // 2
-  out[key] = out.get(key, 0) + same
-  if k1[0] == k1[1]:
-   t = a.frobenius_trace()
-   trace += (t * t - m1) // 2 if anti else (t * t + m1) // 2
+  out[key] = out.get(key, 0) + m1 * (m1 + sign) // 2
+  if k1[0] == k1[1] and not a.over_e:
+   # tr(F on Sym^2 or Lambda^2) = (tr(F)^2 +- tr(F^2)) / 2, and F^2 = 1
+   trace += (a.trace * a.trace + sign * m1) // 2
   for k2 in keys[i + 1:]:
    m2 = a.mult[k2]
    key = (k1[0] + k2[0], k1[1] + k2[1])
    out[key] = out.get(key, 0) + m1 * m2
    if key[0] == key[1] and k2 == (k1[1], k1[0]):
-    trace += m1 if not anti else -m1
- out = {k: m for k, m in out.items() if m}
- if a.over_e or w % 2:
-  return HodgeStructure(w, out, over_e=a.over_e)
- diag = out.get((w // 2, w // 2), 0)
- return HodgeStructure(w, out, fplus=(diag + trace) // 2,
-                       fminus=(diag - trace) // 2)
+    trace += sign * m1
+ return HodgeStructure(2 * a.weight, out, None if a.over_e else trace)
 
 
 def adjoint(a, pairing):
@@ -134,10 +136,8 @@ def adjoint(a, pairing):
   if mult.get((0, 0), 0) < 1:
    raise ValueError("no trivial summand to remove")
   mult[(0, 0)] -= 1
-  if t.over_e:
-   return HodgeStructure(0, mult, over_e=True)
   # the removed trivial line is Frobenius-fixed
-  return HodgeStructure(0, mult, fplus=t.fplus - 1, fminus=t.fminus)
+  return HodgeStructure(0, mult, None if t.over_e else t.trace - 1)
  if pairing == "orthogonal":
   return tate_twist(_square_part(a, anti=True), a.weight)
  if pairing == "symplectic":
@@ -150,12 +150,8 @@ def adjoint(a, pairing):
 def restrict_scalars(a):
  if not a.over_e:
   raise ValueError("restriction of scalars needs a flagged structure")
- out = {k: 2 * m for k, m in a.mult.items()}
- if a.weight % 2:
-  return HodgeStructure(a.weight, out)
- d = a.mult.get((a.weight // 2, a.weight // 2), 0)
- # the real Frobenius swaps the two conjugate copies on the diagonal
- return HodgeStructure(a.weight, out, fplus=d, fminus=d)
+ # the real Frobenius swaps the two conjugate copies: trace 0
+ return HodgeStructure(a.weight, {k: 2 * m for k, m in a.mult.items()})
 
 
 def deligne_data(a):
@@ -163,37 +159,31 @@ def deligne_data(a):
  if a.over_e:
   raise ValueError("restrict scalars before taking real-Frobenius data")
  off = sum(m for (p, q), m in a.mult.items() if p > q)
- dplus = off + a.fplus
- dminus = off + a.fminus
- diag = a.diagonal_mult()
- if diag and a.fplus and a.fminus:
+ if abs(a.trace) != a.diagonal_mult():
   raise ValueError("Deligne_period violated")
- eps = 0 if not diag else (1 if a.fminus == 0 else -1)
+ eps = (a.trace > 0) - (a.trace < 0)
  pplus = (a.weight - 1 - eps) // 2
  pminus = (a.weight - 1 + eps) // 2
- return dplus, dminus, pplus, pminus
+ return off + a.fplus, off + a.fminus, pplus, pminus
 
 
 def _linear_std(rank, over_e, psi):
  """Standard structure of a linear or symplectic factor: weight rank-1,
- one line per piece."""
+ one line per piece; psi flips the Frobenius sign of the diagonal line."""
  w = rank - 1
  mult = {(w - i, i): 1 for i in range(rank)}
  if over_e or w % 2:
-  return HodgeStructure(w, mult, over_e=over_e)
- fp, fm = (0, 1) if psi else (1, 0)
- return HodgeStructure(w, mult, fplus=fp, fminus=fm)
+  return HodgeStructure(w, mult, None if over_e else 0)
+ return HodgeStructure(w, mult, -1 if psi else 1)
 
 
 def _orthogonal_std(rank, over_e):
  """Standard structure of the even orthogonal group SO_rank: weight
- rank-2, doubled middle piece."""
+ rank-2, doubled middle piece with Frobenius eigenvalues +1 and -1."""
  w = rank - 2
  mult = {(w - i, i): 1 for i in range(w + 1)}
  mult[(w // 2, w // 2)] = 2
- if over_e:
-  return HodgeStructure(w, mult, over_e=True)
- return HodgeStructure(w, mult, fplus=1, fminus=1)
+ return HodgeStructure(w, mult, None if over_e else 0)
 
 
 def standard_motive(case, n, factor, psi=False):

@@ -467,13 +467,6 @@ def condensate(case, n, sign=1):
  return period_ratio(hodge.CaseMotives(case, n), sign)
 
 
-def condensate_residual(case, n, sign=1):
- """Residual of condensate/(2 pi i)^m; empty means the identity holds."""
- mot = hodge.CaseMotives(case, n)
- x = period_ratio(mot, sign) * PeriodScalar.gen("twopii", -mot.spec.m(n))
- return reduce(x, case_relations(mot), mot.spec.mod)
-
-
 # ---------------------------------------------------------------------------
 # tiny s-expression front end for the CLI
 

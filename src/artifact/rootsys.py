@@ -88,11 +88,12 @@ class GroupInvariants:
    raise UnsupportedGroup("inconsistent invariants: 2q+delta != d(G/K)")
   self.q = (self.d_symm - self.delta) // 2
   self.weyl_index = weyl_index
-  self.delta_K = PeriodScalar.gen("pi", Fraction(d_K + r_K, 2))
+  # vol K ~ pi^delta_K, up to a rational factor
+  self.delta_K = Fraction(d_K + r_K, 2)
 
  def as_dict(self):
   d = {f: getattr(self, f) for f in self.fields}
-  d["delta_K"] = repr(self.delta_K)
+  d["delta_K"] = repr(PeriodScalar.gen("pi", self.delta_K))
   return d
 
 
@@ -307,50 +308,30 @@ def _generic_orbit(system):
 
 
 # ---------------------------------------------------------------------------
-# trace-form duality constant
-
-
-def _mat(n):
- return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _tr_prod(a, b):
- n = len(a)
- return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
-
-
-def _gram(basis):
- return [[_tr_prod(x, y) for y in basis] for x in basis]
-
-
-def _gl_cartan(n):
- basis = []
- for i in range(n):
-  h = _mat(n)
-  h[i][i] = Fraction(1)
-  basis.append(h)
- return basis
+# trace-form duality constant: Cartan elements are diagonal matrices, written
+# as their diagonals, so the trace form of two is their dot product
 
 
 def _so_cartan(n):
  # split realization diag(t_1..t_k, t_1^-1..t_k^-1 [, 1])
  k = n // 2
- if k == 0:
-  raise UnsupportedGroup("degenerate rank")
  basis = []
  for i in range(k):
-  h = _mat(n)
-  h[i][i] = Fraction(1)
-  h[k + i][k + i] = Fraction(-1)
+  h = [0] * n
+  h[i], h[k + i] = 1, -1
   basis.append(h)
  return basis
+
+
+def _gram(basis):
+ return linalg.matmul(basis, linalg.transpose(basis))
 
 
 def dual_trace_form(g):
  """Constant c with (dual of tr-form on a_G) = c * (tr-form on dual Cartan).
 
- Computed by building both Cartan bases as explicit matrices, taking Gram
- matrices of the trace form, inverting one, and reading off the ratio.
+ Computed by writing both Cartan bases as diagonals, taking Gram matrices
+ of the trace form, inverting one, and reading off the ratio.
  """
  g = _descriptor(g)
  if g.product:
@@ -359,8 +340,7 @@ def dual_trace_form(g):
    raise UnsupportedGroup("mixed duality constants in product")
   return vals.pop()
  if g.family == "GL":
-  basis = _gl_cartan(g.n)
-  dual_basis = _gl_cartan(g.n)  # dual group is GL_n again
+  basis = dual_basis = linalg.identity(g.n)  # dual group is GL_n again
  elif g.family == "SO":
   n = g.n
   if n < 2:

@@ -41,6 +41,29 @@ def oracle_square(a, anti):
  return tally
 
 
+def oracle_square_trace(a, anti):
+ """Trace of the real Frobenius on Sym^2 or Lambda^2 of a: F fixes or
+ negates each diagonal basis line (f+ times +1, f- times -1) and swaps
+ the c-th lines of (p,q) and (q,p); each basis monomial x_i x_j or
+ x_i ^ x_j that F maps to plus or minus itself adds that sign."""
+ image = {}
+ for (p, q, c) in _basis(a):
+  if p != q:
+   image[(p, q, c)] = ((q, p, c), 1)
+  else:
+   image[(p, q, c)] = ((p, q, c), 1 if c < a.fplus else -1)
+ bas = _basis(a)
+ trace = 0
+ for i, x in enumerate(bas):
+  for y in bas[i + 1 if anti else i:]:
+   (fx, sx), (fy, sy) = image[x], image[y]
+   if (fx, fy) == (x, y):
+    trace += sx * sy
+   elif (fx, fy) == (y, x):
+    trace += -sx * sy if anti else sx * sy
+ return trace
+
+
 def oracle_linear_adjoint(a):
  tally = oracle_tensor(a, hg.dual(a))
  tally[(0, 0)] -= 1
@@ -54,8 +77,8 @@ def _mults(h):
 def unit(over_e=False):
  """The unit structure Q(0), flagged over E or with Frobenius +1."""
  if over_e:
-  return hg.HodgeStructure(0, {(0, 0): 1}, over_e=True)
- return hg.HodgeStructure(0, {(0, 0): 1}, fplus=1)
+  return hg.HodgeStructure(0, {(0, 0): 1}, trace=None)
+ return hg.HodgeStructure(0, {(0, 0): 1}, trace=1)
 
 
 class TestConstructors:
@@ -95,8 +118,56 @@ class TestConstructors:
   with pytest.raises(ValueError):
    hg.HodgeStructure(1, {(1, 0): 1})  # breaks conjugation symmetry
 
+ @pytest.mark.parametrize("weight,mult,diag,fplus,fminus", [
+     (0, {(0, 0): 1}, 1, 2, -1),
+     (1, {(1, 0): 1, (0, 1): 1}, 0, 1, -1),
+     (2, {(1, 1): 2}, 2, 3, -1)])
+ def test_no_frobenius_has_these_eigenvalue_counts(self, weight, mult, diag,
+                                                   fplus, fminus):
+  # each (f+, f-) pair sums to the diagonal multiplicity, but a negative
+  # count means no involution: as a trace, f+ - f- exceeds the rank
+  assert fplus + fminus == diag
+  with pytest.raises(ValueError, match="no involution"):
+   hg.HodgeStructure(weight, mult, trace=fplus - fminus)
+
+ @pytest.mark.parametrize("weight,mult,trace", [
+     (2, {(1, 1): 2}, 1), (2, {(1, 1): 2}, -4), (1, {(1, 0): 1, (0, 1): 1}, 1),
+     (0, {(0, 0): 3}, 2)])
+ def test_trace_needs_diagonal_parity_and_bound(self, weight, mult, trace):
+  with pytest.raises(ValueError, match="no involution"):
+   hg.HodgeStructure(weight, mult, trace)
+
+ def test_eigenvalue_counts_from_trace(self):
+  h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1}, trace=-1)
+  assert (h.fplus, h.fminus, h.over_e) == (1, 2, False)
+  e = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1}, trace=None)
+  assert (e.fplus, e.fminus, e.over_e) == (0, 0, True)
+  assert h != e and h == hg.HodgeStructure(2, dict(h.mult), -1)
+
 
 class TestOperations:
+ def test_direct_sum_adds_multiplicities_and_traces(self):
+  a = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, trace=-1)
+  b = hg.HodgeStructure(2, {(1, 1): 3}, trace=1)
+  s = hg.direct_sum(a, b)
+  assert _mults(s) == {(2, 0): 1, (1, 1): 4, (0, 2): 1}
+  assert (s.trace, s.fplus, s.fminus) == (0, 2, 2)
+  assert hg.direct_sum(a, a).trace == -2
+
+ def test_direct_sum_flagged_if_either_summand_is(self):
+  flagged = hg.HodgeStructure(2, {(1, 1): 3}, trace=None)
+  plain = hg.HodgeStructure(2, {(1, 1): 1}, trace=1)
+  for s in (hg.direct_sum(flagged, plain), hg.direct_sum(plain, flagged),
+            hg.direct_sum(flagged, flagged)):
+   assert s.over_e and _mults(s)[(1, 1)] == s.rank()
+  assert not hg.direct_sum(plain, plain).over_e
+
+ def test_direct_sum_rejects_unequal_weights(self):
+  with pytest.raises(ValueError):
+   hg.direct_sum(unit(), hg.tate_twist(unit(), 1))
+  with pytest.raises(ValueError):
+   hg.direct_sum(hg.standard_motive("pgl-q", 2, "M"), unit())
+
  def test_tensor_example(self):
   t = hg.tensor(hg.standard_motive("pgl-q", 2, "M"),
                 hg.standard_motive("pgl-q", 2, "N"))
@@ -170,6 +241,24 @@ class TestOperations:
    assert s1 == s2
 
 
+class TestSquareTrace:
+ """The Frobenius trace of Sym^2 and Lambda^2 against the basis oracle, on
+ unflagged structures: the case families only square flagged ones."""
+
+ @pytest.mark.parametrize("weight,mult,trace", [
+     (0, {(0, 0): 3}, 1), (0, {(0, 0): 4}, -2), (2, {(2, 0): 2, (1, 1): 3,
+                                                     (0, 2): 2}, 3),
+     (2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}, 0),
+     (1, {(1, 0): 2, (0, 1): 2}, 0),
+     (3, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}, 0)])
+ @pytest.mark.parametrize("anti", [True, False])
+ def test_square_part_trace(self, weight, mult, trace, anti):
+  a = hg.HodgeStructure(weight, mult, trace)
+  sq = hg._square_part(a, anti)
+  assert _mults(sq) == oracle_square(a, anti)
+  assert sq.trace == oracle_square_trace(a, anti)
+
+
 class TestDeligneData:
  def test_odd_weight_tensor(self):
   t = hg.tensor(hg.standard_motive("pgl-q", 2, "M"),
@@ -177,14 +266,13 @@ class TestDeligneData:
   assert hg.deligne_data(t) == (3, 3, 1, 1)
 
  def test_diagonal_plus(self):
-  h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1},
-                        fplus=2, fminus=0)
+  h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}, trace=2)
   dplus, dminus, pplus, pminus = hg.deligne_data(h)
   assert (dplus, dminus) == (3, 1)
   assert (pplus, pminus) == (0, 1)  # w/2 - 1 and w/2
 
  def test_violation(self):
-  h = hg.HodgeStructure(0, {(0, 0): 2}, fplus=1, fminus=1)
+  h = hg.HodgeStructure(0, {(0, 0): 2}, trace=0)
   with pytest.raises(ValueError, match="Deligne_period violated"):
    hg.deligne_data(h)
 

@@ -1,5 +1,7 @@
-"""Archimedean Gamma-products, leading coefficients, and the exponent
-table: computed vs closed-form values for every case family."""
+"""Archimedean Gamma-factor multiplicity maps, the pi-power of their
+leading coefficients, and the exponent table: computed vs closed-form
+values for every case family, and against the hand-built (f+, f-)
+versions of the doubled structures."""
 
 from fractions import Fraction
 
@@ -7,79 +9,74 @@ import pytest
 
 from artifact import lgamma as lg
 from artifact import hodge as hg
+from artifact import rootsys as rs
 from artifact import cases
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
+from reference_kernels import (frobenius_data, written_out_adjoint_structure,
+                               written_out_doubled, written_out_l_infinity,
+                               written_out_leading_coeff)
 from test_hodge import unit
-
-
-class TestGammaProduct:
- def test_mul_and_cancel(self):
-  a = lg.GammaProduct({("C", 0): 1, ("R", 1): 2})
-  b = lg.GammaProduct({("C", 0): -1})
-  assert (a * b).factors == {("R", 1): 2}
-
- def test_pow(self):
-  a = lg.GammaProduct({("C", 2): 1})
-  assert (a ** 3).factors == {("C", 2): 3}
-
- def test_bad_kind(self):
-  with pytest.raises(ValueError):
-   lg.GammaProduct({("H", 0): 1})
 
 
 class TestLInfinity:
  def test_trivial_motive(self):
-  assert lg.l_infinity(unit()).factors == {("R", 0): 1}
+  assert lg.l_infinity(unit()) == {("R", 0): 1}
 
  def test_pair_rule(self):
   t = hg.tensor(hg.standard_motive("pgl-q", 2, "M"),
                 hg.standard_motive("pgl-q", 2, "N"))
-  assert lg.l_infinity(t).factors == {("C", 0): 1, ("C", -1): 2}
+  assert lg.l_infinity(t) == {("C", 0): 1, ("C", -1): 2}
 
  def test_pgl_pair_squared_after_restriction(self):
   t = hg.restrict_scalars(hg.tensor(hg.standard_motive("pgl-e", 2, "M"),
                                     hg.standard_motive("pgl-e", 2, "N")))
-  assert lg.l_infinity(t).factors == {("C", 0): 2, ("C", -1): 4}
+  assert lg.l_infinity(t) == {("C", 0): 2, ("C", -1): 4}
 
  def test_diagonal_rule(self):
-  h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1},
-                        fplus=2, fminus=1)
-  assert lg.l_infinity(h).factors == {("C", 0): 1, ("R", -1): 2,
-                                      ("R", 0): 1}
+  h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1}, trace=1)
+  assert lg.l_infinity(h) == {("C", 0): 1, ("R", -1): 2, ("R", 0): 1}
 
 
 class TestLeadingCoeff:
  def test_gamma_c_at_two(self):
-  g = lg.GammaProduct({("C", 0): 1})
-  assert lg.leading_coeff(g, 2) == PeriodScalar.gen("pi", -2)
+  assert lg.pi_power({("C", 0): 1}, 2) == -2
 
  def test_gamma_c_pole(self):
-  g = lg.GammaProduct({("C", 0): 1})
-  assert lg.leading_coeff(g, 0) == PeriodScalar.one()
-  assert lg.leading_coeff(g, -2) == PeriodScalar.gen("pi", 2)
+  g = {("C", 0): 1}
+  assert lg.pi_power(g, 0) == 0
+  assert lg.pi_power(g, -2) == 2
 
  def test_gamma_r_half_powers(self):
-  g = lg.GammaProduct({("R", 0): 1})
-  assert lg.leading_coeff(g, 1) == PeriodScalar.one()
-  assert lg.leading_coeff(g, 2) == PeriodScalar.gen("pi", -1)
-  assert lg.leading_coeff(g, 3) == PeriodScalar.gen("pi", -1)
-  assert lg.leading_coeff(g, -1) == PeriodScalar.gen("pi", 1)
+  g = {("R", 0): 1}
+  assert lg.pi_power(g, 1) == 0
+  assert lg.pi_power(g, 2) == -1
+  assert lg.pi_power(g, 3) == -1
+  assert lg.pi_power(g, -1) == 1
 
- def test_monoid_homomorphism(self):
-  a = lg.GammaProduct({("C", 1): 2, ("R", 0): 1})
-  b = lg.GammaProduct({("C", -1): 1, ("R", 3): 2})
+ def test_linear_over_summed_maps(self):
+  a = {("C", 1): 2, ("R", 0): 1}
+  b = {("C", -1): 1, ("R", 3): 2, ("R", 0): -1}
+  summed = {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
   for s0 in (-2, 0, 1, 4):
-   assert lg.leading_coeff(a * b, s0) == \
-       lg.leading_coeff(a, s0) * lg.leading_coeff(b, s0)
+   assert lg.pi_power(summed, s0) == \
+       lg.pi_power(a, s0) + lg.pi_power(b, s0)
+   assert lg.pi_power({k: -3 * m for k, m in a.items()}, s0) == \
+       -3 * lg.pi_power(a, s0)
+  assert lg.pi_power({}, 5) == 0
+
+ def test_bad_kind(self):
+  with pytest.raises(ValueError, match="unknown factor kind"):
+   lg.pi_power({("H", 0): 1}, 0)
+  with pytest.raises(ValueError, match="unknown factor kind"):
+   lg.pi_power({("C", 0): 1, ("H", 0): 0}, 0)
 
  def test_so_adjoint_example(self):
   # the n=2 even orthogonal case gives pi^-18 at 0 after restriction
   adj = lg.adjoint_structure(hg.CaseMotives("so-even", 2))
   res = hg.restrict_scalars(adj)
-  assert lg.leading_coeff(lg.l_infinity(res), 0) == \
-      PeriodScalar.gen("pi", -18)
+  assert lg.pi_power(lg.l_infinity(res), 0) == -18
 
 
 class TestTable:
@@ -111,9 +108,9 @@ class TestTable:
   for case in ("pgl-q", "pgl-e"):
    for n in (1, 2, 3):
     spec = cases.get(case, n)
-    single = lg.pi_exponent(lg.leading_coeff(
+    single = lg.pi_power(
         lg.l_infinity(lg._doubled(hg.CaseMotives(case, n).tensor)),
-        spec.r(n)))
+        spec.r(n))
     rows = {r["name"]: r["computed_exp"]
             for r in lg.table1_row(hg.CaseMotives(case, n))}
     assert rows["rho_at_center"] == 2 * single
@@ -127,11 +124,46 @@ class TestTable:
     if t.over_e:
      t = hg.restrict_scalars(t)
     for s0 in (-1, 0, 2):
-     assert lg.leading_coeff(lg.l_infinity(t), s0 + r) == \
-         lg.leading_coeff(lg.l_infinity(hg.tate_twist(t, r)), s0)
+     assert lg.pi_power(lg.l_infinity(t), s0 + r) == \
+         lg.pi_power(lg.l_infinity(hg.tate_twist(t, r)), s0)
 
 
 class TestConsistency:
- def test_pi_exponent_rejects_mixed(self):
-  with pytest.raises(ValueError):
-   lg.pi_exponent(PeriodScalar.gen("Q0", 1))
+ def test_pi_power_is_the_pure_pi_scalar(self):
+  # the leading coefficient is pi^pi_power times a rational number, with
+  # no other period in it
+  for g in ({("C", -1): 3, ("R", 1): -2}, rs.discriminant("SO(4,2)")):
+   for s0 in (-3, 0, 2):
+    x = lg.pi_power(g, s0)
+    assert isinstance(x, Fraction)
+    assert PeriodScalar.gen("pi", x) == written_out_leading_coeff(g, s0)
+
+
+class TestWrittenOut:
+ """The doubled tensor and doubled adjoint of every (case, n <= 12) carry
+ the (f+, f-) counts the hand-built versions add up, and their L-factors
+ and the case groups' discriminants have the same pi-power at every
+ s0 in [-4, 4] as the written-out leading-coefficient rule gives."""
+
+ @pytest.mark.parametrize("case", CASES)
+ @pytest.mark.parametrize("n", range(1, 13))
+ def test_matches_written_out(self, case, n):
+  mot = hg.CaseMotives(case, n)
+  assert frobenius_data(lg.adjoint_structure(mot)) == \
+      written_out_adjoint_structure(mot)
+  doubled = [(lg._doubled(mot.tensor),
+              written_out_doubled(frobenius_data(mot.tensor))),
+             (lg._doubled(lg.adjoint_structure(mot)),
+              written_out_doubled(written_out_adjoint_structure(mot)))]
+  for got, want in doubled:
+   assert frobenius_data(got) == want
+   factors = lg.l_infinity(got)
+   assert factors == written_out_l_infinity(want)
+   for s0 in range(-4, 5):
+    assert PeriodScalar.gen("pi", lg.pi_power(factors, s0)) == \
+        written_out_leading_coeff(written_out_l_infinity(want), s0)
+  for group in cases.get(case, n).groups(n):
+   disc = rs.discriminant(group)
+   for s0 in range(-4, 5):
+    assert PeriodScalar.gen("pi", lg.pi_power(disc, s0)) == \
+        written_out_leading_coeff(disc, s0)

@@ -14,10 +14,11 @@ from artifact.hodge import CaseMotives
 from artifact.periodring import (PeriodScalar, RelationSet,
                                  InconsistentRelations, reduce,
                                  case_relations, vol_L,
-                                 deligne_c, condensate, condensate_residual,
+                                 deligne_c, condensate,
                                  parse_expr, _hnf)
 import oracle_periods as orc
-from reference_kernels import (dense_reduce, written_out_case_relations,
+from reference_kernels import (condensate_residual, dense_reduce,
+                               written_out_case_relations,
                                written_out_deligne_c)
 
 

@@ -19,10 +19,7 @@ SRC = os.path.dirname(artifact.__file__)
 BENCH = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
 
 # public names kept without a program caller, each with its reason
-ALLOWED = {
-    # the reference for run_case's one-residue reading of the three verdicts
-    ("periodring", "condensate_residual"),
-}
+ALLOWED = set()
 
 
 def _names(tree):
@@ -135,6 +132,7 @@ def test_layers():
  assert GRAPH["cases"] == set() and GRAPH["linalg"] == set()
  assert GRAPH["hodge"] == {"cases"}
  assert GRAPH["periodring"] == {"cases", "hodge"}
+ assert GRAPH["lgamma"] == {"hodge", "rootsys"}
  assert [mod for mod, deps in GRAPH.items() if "cli" in deps] == []
 
 
