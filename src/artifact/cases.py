@@ -1,9 +1,13 @@
 """The four case families as plain data.
 
 A family is one classical group pair.  The families differ only in the
-data below, and every layer reads it from the family's CaseSpec instead of
-branching on a family name.  get(name, n) is the one place that
-canonicalizes a family name and checks n.
+hand-written data below, and every layer reads it from the family's
+CaseSpec instead of branching on a family name.  What follows from this
+data is not written here: hodge.CaseMotives reads the centre r off the
+tensor motive's weight and takes the quadratic twist exactly when the
+motives live over Q, ggpcheck.run_case reduces modulo sqrt(Q*) exactly
+over E, and the orthogonal formulas of periodring read M's rank.  get(name,
+n) is the one place that canonicalizes a family name and checks n.
 """
 
 from fractions import Fraction
@@ -13,14 +17,10 @@ class CaseSpec:
  """One family's data; the fields marked (n) are functions of n.
 
  name, aliases  canonical family name and its other spellings
- mod            level of the period reduction: "Q" or "sqrtQ"
- r(n), m(n)     central shift and predicted power of 2*pi*i in the full
-                cancellation
+ m(n)           predicted power of 2*pi*i in the full cancellation
  e              power of the central value (2 where it is a square), and so
                 of the Deligne period in the condensate
- twists         whether the condensate runs over both quadratic twists
  over_e         whether the standard motives live over the quadratic field
- shift          orthogonal families only: 0 for so-even, 1 for so-odd
  groups(n)      (G, H) real-group descriptors
  targets(n)     closed-form pi exponents of the four computed columns
  factors(n)     {"M"/"N": (pairing, rank)}: the factor's standard motive is
@@ -28,8 +28,8 @@ class CaseSpec:
                 "orthogonal" or "symplectic")
  """
 
- __slots__ = ("name", "aliases", "mod", "r", "m", "e", "twists", "over_e",
-              "shift", "groups", "targets", "factors")
+ __slots__ = ("name", "aliases", "m", "e", "over_e", "groups", "targets",
+              "factors")
 
  def __init__(self, **fields):
   for k, v in fields.items():
@@ -53,9 +53,8 @@ def _linear_factors(n):
 
 
 PGL_Q = CaseSpec(
-    name="pgl-q", aliases=("pglq",), mod="Q",
-    r=lambda n: n, m=lambda n: n * (n + 1), e=2,
-    twists=True, over_e=False, shift=None,
+    name="pgl-q", aliases=("pglq",), m=lambda n: n * (n + 1), e=2,
+    over_e=False,
     groups=lambda n: (" x ".join(["PGL(%d)/R" % n, "PGL(%d)/R" % (n + 1)] * 2),
                       "GL(%d)/R x GL(%d)/R" % (n, n)),
     targets=lambda n: _linear_targets(2 * n - 2 * (n // 2),
@@ -63,17 +62,15 @@ PGL_Q = CaseSpec(
     factors=_linear_factors)
 
 PGL_E = CaseSpec(
-    name="pgl-e", aliases=("pgle",), mod="sqrtQ",
-    r=lambda n: n, m=lambda n: n * (n + 1), e=2,
-    twists=False, over_e=True, shift=None,
+    name="pgl-e", aliases=("pgle",), m=lambda n: n * (n + 1), e=2,
+    over_e=True,
     groups=lambda n: ("PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n),
     targets=lambda n: _linear_targets(n - 1, 1 - n, n),
     factors=_linear_factors)
 
 SO_EVEN = CaseSpec(
-    name="so-even", aliases=("so-even-e", "soeven"), mod="sqrtQ",
-    r=lambda n: 2 * n - 1, m=lambda n: 2 * n * n, e=1,
-    twists=False, over_e=True, shift=0,
+    name="so-even", aliases=("so-even-e", "soeven"), m=lambda n: 2 * n * n,
+    e=1, over_e=True,
     groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1),
                       "SO(%d)/C" % (2 * n)),
     targets=lambda n: _targets(
@@ -84,9 +81,8 @@ SO_EVEN = CaseSpec(
                        "N": ("symplectic", 2 * n)})
 
 SO_ODD = CaseSpec(
-    name="so-odd", aliases=("so-odd-e", "soodd"), mod="sqrtQ",
-    r=lambda n: 2 * n, m=lambda n: 2 * n * (n + 1), e=1,
-    twists=False, over_e=True, shift=1,
+    name="so-odd", aliases=("so-odd-e", "soodd"),
+    m=lambda n: 2 * n * (n + 1), e=1, over_e=True,
     groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
                       "SO(%d)/C" % (2 * n + 1)),
     targets=lambda n: _targets(

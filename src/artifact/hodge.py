@@ -198,15 +198,18 @@ def standard_motive(case, n, factor, psi=False):
 
 class CaseMotives:
  """The Hodge structures of one (case, n), each built once: std["M"],
- std["N"], M twisted by psi (or None) and the untwisted tensor M x N."""
+ std["N"], M twisted by the quadratic character psi (None over E, where
+ no twist is taken) and the untwisted tensor M x N, with the centre
+ r = (w(M x N) + 1)/2 of L(M x N, s)."""
 
  def __init__(self, case, n):
   self.spec = cases.get(case, n)
   self.case, self.n = self.spec.name, n
   self.std = {f: standard_motive(self.case, n, f) for f in ("M", "N")}
-  self.twisted_m = standard_motive(self.case, n, "M", True) \
-      if self.spec.twists else None
+  self.twisted_m = None if self.spec.over_e else \
+      standard_motive(self.case, n, "M", True)
   self.tensor = tensor(self.std["M"], self.std["N"])
+  self.r = (self.tensor.weight + 1) // 2
 
  def adjoint(self, factor):
   """Adjoint structure of the factor's group, in the case's pairing."""

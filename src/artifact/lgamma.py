@@ -78,7 +78,7 @@ def table1_row(mot):
      "discriminant_ratio": pi_power(rootsys.discriminant(g), 0) -
                            2 * pi_power(rootsys.discriminant(h), 0),
      "rho_at_center": spec.e * pi_power(l_infinity(_doubled(mot.tensor)),
-                                        spec.r(n)),
+                                        mot.r),
      "adjoint_at_zero": pi_power(l_infinity(_doubled(adjoint_structure(mot))),
                                  0)}
  computed["ratio"] = computed["rho_at_center"] - computed["adjoint_at_zero"]

@@ -301,22 +301,25 @@ def _det_relation(det, x):
                                                     x.weight * x.rank())
 
 
-def _split_relations(n, m, nn):
+def _ratio_relations(prefix, x):
+ """Relations among the period ratios prefix_p, p = 0..w, of a factor
+ whose standard motive x has weight w: prefix_p prefix_(w-p) i^(2w) for
+ each pair p < w - p and the real middle ratio over Q, or over E the same
+ between the two embeddings .sb and .s for every p."""
+ g, w = PeriodScalar.gen, x.weight
+ if x.over_e:
+  return [(g("%s%d.sb" % (prefix, p)) * g("%s%d.s" % (prefix, w - p)) *
+           g("i", 2 * w), "Q") for p in range(w + 1)]
+ rels = [(g("%s%d" % (prefix, p)) * g("%s%d" % (prefix, w - p)) *
+          g("i", 2 * w), "Q") for p in range(w + 1) if p < w - p]
+ if w % 2 == 0:
+  rels.append((g("%s%d" % (prefix, w // 2)), "Q"))  # real middle eigenvector
+ return rels
+
+
+def _split_relations(m, nn):
  g = PeriodScalar.gen
- rels = []
- j = n - 1
- t = j // 2
- for p in range(j + 1):
-  if p < j - p:
-   rels.append((g("Q%d" % p) * g("Q%d" % (j - p)) * g("i", 2 * j), "Q"))
- if j % 2 == 0:
-  rels.append((g("Q%d" % t), "Q"))  # real middle eigenvector
- for q in range(j + 2):
-  if q < j + 1 - q:
-   rels.append((g("R%d" % q) * g("R%d" % (j + 1 - q)) * g("i", 2 * (j + 1)),
-                "Q"))
- if (j + 1) % 2 == 0:
-  rels.append((g("R%d" % ((j + 1) // 2)), "Q"))
+ rels = _ratio_relations("Q", m) + _ratio_relations("R", nn)
  rels.append((_det_relation("dM", m), "Q"))
  rels.append((_det_relation("dMpsi", m), "Q"))  # psi keeps weight and rank
  rels.append((_det_relation("dN", nn), "Q"))
@@ -329,23 +332,13 @@ def _split_relations(n, m, nn):
  return RelationSet(rels)
 
 
-def _quadratic_relations(n, m, nn):
- g = PeriodScalar.gen
- rels = []
- j = n - 1
- for p in range(j + 1):
-  rels.append((g("Q%d.sb" % p) * g("Q%d.s" % (j - p)) * g("i", 2 * j), "Q"))
- for q in range(j + 2):
-  rels.append((g("R%d.sb" % q) * g("R%d.s" % (j + 1 - q)) *
-               g("i", 2 * (j + 1)), "Q"))
- x = _det_relation("detA", m)
- for p in range(j + 1):
-  x = x * g("Q%d.s" % p, -1)
- rels.append((x, "Q"))
- x = _det_relation("detB", nn)
- for q in range(j + 2):
-  x = x * g("R%d.s" % q, -1)
- rels.append((x, "Q"))
+def _quadratic_relations(m, nn):
+ rels = _ratio_relations("Q", m) + _ratio_relations("R", nn)
+ for det, prefix, x in (("detA", "Q", m), ("detB", "R", nn)):
+  y = _det_relation(det, x)
+  for p in range(x.rank()):
+   y = y * PeriodScalar.gen("%s%d.s" % (prefix, p), -1)
+  rels.append((y, "Q"))
  return RelationSet(rels)
 
 
@@ -360,12 +353,19 @@ def _orthogonal_relations(n, m, nn):
                                          for x in ("Q%d" % k, "R%d" % k)])
 
 
+def _orthogonal_k(spec, n):
+ """k with M the standard motive of SO(2k + 2), or None when M is not
+ orthogonal."""
+ pairing, rank = spec.factors(n)["M"]
+ return rank // 2 - 1 if pairing == "orthogonal" else None
+
+
 def case_relations(mot):
  """The relation set of one (case, n), from its hodge.CaseMotives."""
- spec = mot.spec
- build = _orthogonal_relations if spec.shift is not None else \
-     _quadratic_relations if spec.over_e else _split_relations
- return build(mot.n, mot.std["M"], mot.std["N"])
+ m, nn = mot.std["M"], mot.std["N"]
+ if _orthogonal_k(mot.spec, mot.n) is not None:
+  return _orthogonal_relations(mot.n, m, nn)
+ return _quadratic_relations(m, nn) if m.over_e else _split_relations(m, nn)
 
 
 def _orthogonal_ratios(prefix, top):
@@ -383,11 +383,11 @@ def vol_L(case, n, which):
  if which not in ("M", "N"):
   raise ValueError("which must be 'M' or 'N'")
  g = PeriodScalar.gen
- if spec.shift is not None:
+ k = _orthogonal_k(spec, n)
+ if k is not None:
   if which == "N":
    return g("sqrtD", n * n) * _orthogonal_ratios("R", n)
-  k = n - 1 + spec.shift  # M is the orthogonal factor SO(2k + 2)
-  return g("sqrtD", (1 - spec.shift) * n * (n - 1)) * \
+  return g("sqrtD", (n - k) * n * (n - 1)) * \
       _orthogonal_ratios("Q", k) * g("Delta.s", k) * g("Xi.s", k)
  nm = "Q%d" if which == "M" else "R%d"
  out = PeriodScalar.one()
@@ -401,7 +401,7 @@ def vol_L(case, n, which):
 
 def deligne_c(mot, sign=1, psi=False):
  """Deligne period c^sign of X(r), X = M x N the tensor motive of the case
- motives mot, r = spec.r(n); psi twists M (families with twists only).
+ motives mot, r = mot.r its centre; psi twists M (motives over Q only).
  The twist rule gives (2 pi i)^(r d^sign), d^sign of X restricted to Q,
  and over E (i sqrtD)^(-d/2).  The split family's period ends in the Betti
  minor of the odd-weight factor, of sign sign (-1)^r chi(psi), and
@@ -409,22 +409,21 @@ def deligne_c(mot, sign=1, psi=False):
  spec, n = mot.spec, mot.n
  if sign not in (1, -1):
   raise ValueError("sign must be +1 or -1")
- if psi and not spec.twists:
+ if psi and mot.twisted_m is None:
   raise ValueError("quadratic twist only applies to pgl-q")
  g = PeriodScalar.gen
- k = 0 if sign > 0 else 1  # d^+ or d^- of deligne_data
+ pm = 0 if sign > 0 else 1  # d^+ or d^- of deligne_data
  x = hodge.tensor(mot.twisted_m, mot.std["N"]) if psi else mot.tensor
  if x.over_e:
   x = hodge.restrict_scalars(x)
- d = hodge.deligne_data(x)[k]
- r = spec.r(n)
- out = g("twopii", r * d)
+ d = hodge.deligne_data(x)[pm]
+ out = g("twopii", mot.r * d)
  if spec.over_e:
   out = out * (g("i") * g("sqrtD")) ** Fraction(-d, 2)
- if spec.shift is not None:
-  s = spec.shift
-  out = out * _orthogonal_ratios("Q", n - 1 + s) * _orthogonal_ratios("R", n)
-  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * n + 2 * s)
+ k = _orthogonal_k(spec, n)
+ if k is not None:
+  out = out * _orthogonal_ratios("Q", k) * _orthogonal_ratios("R", n)
+  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * k + 2)
  if spec.over_e:
   for p in range(n):
    out = out * g("Q%d.s" % p, p - n)
@@ -439,10 +438,10 @@ def deligne_c(mot, sign=1, psi=False):
   out = out * g("R%d" % q, q - lo)
  m = mot.twisted_m if psi else mot.std["M"]
  odd = "M" if m.weight % 2 else "N"
- betti = sign * (-1) ** r * (-1 if psi else 1)
+ betti = sign * (-1) ** mot.r * (-1 if psi else 1)
  out = out * g("c%s%s" % (odd, "p" if betti > 0 else "m"))
  if psi and odd == "M":
-  out = out * g("i", -hodge.deligne_data(m)[k])
+  out = out * g("i", -hodge.deligne_data(m)[pm])
  return out
 
 
@@ -455,7 +454,7 @@ def period_ratio(mot, sign=1):
  or c/(vol vol) depending on whether the central value is a square.
  """
  spec, case, n = mot.spec, mot.case, mot.n
- twists = (False, True) if spec.twists else (False,)
+ twists = (False,) if mot.twisted_m is None else (False, True)
  out = (vol_L(case, n, "M") * vol_L(case, n, "N")) ** -len(twists)
  for psi in twists:
   out = out * deligne_c(mot, sign, psi) ** spec.e

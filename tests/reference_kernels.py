@@ -13,8 +13,11 @@ in Fraction arithmetic, the rotation lemma with its orthogonality,
 sigma-equivariance and change-of-basis checks as QSqrt matrix products, the
 cancellation residual of one case, and the doubled Hodge structures of the
 exponent table with their (f+, f-) counts added by hand, their
-Gamma-factors, and the leading coefficient as a pi-power scalar."""
+Gamma-factors, and the leading coefficient as a pi-power scalar, and the
+case data that the motives now give: the centre r(n), the reduction level,
+the quadratic twist and the orthogonal shift as each family wrote them."""
 
+import collections
 from fractions import Fraction
 import functools
 import itertools
@@ -31,6 +34,21 @@ from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _det3, _dot,
                                _frac_mat, _matvec, _sqfree)
 from artifact.hodge import CaseMotives
 from artifact.rootsys import GroupDescriptor, GroupInvariants, _simple_roots
+
+
+WrittenOutCaseData = collections.namedtuple(
+    "WrittenOutCaseData", ["r", "mod", "twists", "shift"])
+
+
+def written_out_case_data(case, n):
+ """The hand-written central shift r(n), reduction level, whether the
+ condensate runs over both quadratic twists, and the orthogonal shift (0
+ for so-even, 1 for so-odd, None otherwise) of one (case, n)."""
+ return {"pgl-q": WrittenOutCaseData(n, "Q", True, None),
+         "pgl-e": WrittenOutCaseData(n, "sqrtQ", False, None),
+         "so-even": WrittenOutCaseData(2 * n - 1, "sqrtQ", False, 0),
+         "so-odd": WrittenOutCaseData(2 * n, "sqrtQ", False, 1)}[
+             cases.get(case, n).name]
 
 
 def dense_int_vector(x, cols, scale=2):
@@ -91,7 +109,7 @@ def three_reduce_verdicts(case, n, extra=None):
  """(gamma1, gamma2, condensate) of one case, one reduction each."""
  m = cases.get(case, n).m(n)
  rels = periodring.case_relations(CaseMotives(case, n))
- mod = "Q" if case == "pgl-q" else "sqrtQ"
+ mod = written_out_case_data(case, n).mod
  cond = periodring.condensate(case, n)
  if extra is not None:
   cond = cond * extra
@@ -113,7 +131,8 @@ def condensate_residual(case, n, sign=1):
  mot = CaseMotives(case, n)
  x = periodring.period_ratio(mot, sign) * \
      PeriodScalar.gen("twopii", -mot.spec.m(n))
- return periodring.reduce(x, periodring.case_relations(mot), mot.spec.mod)
+ return periodring.reduce(x, periodring.case_relations(mot),
+                          written_out_case_data(case, n).mod)
 
 
 def dense_solve(ledger, target):
@@ -429,9 +448,9 @@ def _written_out_orthogonal_relations(n, shift):
 
 
 def written_out_case_relations(case, n):
- spec = cases.get(case, n)
- if spec.shift is not None:
-  return _written_out_orthogonal_relations(n, spec.shift)
+ spec, shift = cases.get(case, n), written_out_case_data(case, n).shift
+ if shift is not None:
+  return _written_out_orthogonal_relations(n, shift)
  return (_written_out_quadratic_relations if spec.over_e
          else _written_out_split_relations)(n)
 
@@ -444,14 +463,14 @@ def _orthogonal_ratios(prefix, top):
 
 
 def written_out_deligne_c(case, n, sign=1, psi=False):
- spec = cases.get(case, n)
+ spec, data = cases.get(case, n), written_out_case_data(case, n)
  if sign not in (1, -1):
   raise ValueError("sign must be +1 or -1")
- if psi and not spec.twists:
+ if psi and not data.twists:
   raise ValueError("quadratic twist only applies to pgl-q")
  g = PeriodScalar.gen
- if spec.shift is not None:
-  s = spec.shift
+ if data.shift is not None:
+  s = data.shift
   out = g("twopii", 4 * n * n * (2 * n - 1 + 3 * s))
   out = out * (g("i") * g("sqrtD")) ** (-2 * n * (n + s))
   out = out * _orthogonal_ratios("Q", n - 1 + s) * _orthogonal_ratios("R", n)

@@ -7,28 +7,41 @@ import os
 import pytest
 
 import artifact
-from artifact import cases
+from artifact import cases, ggpcheck, periodring
 from artifact.cases import CASES
+from artifact.hodge import CaseMotives
+from reference_kernels import written_out_case_data
 
 SPELLINGS = {a for s in cases.SPECS.values() for a in (s.name,) + s.aliases}
 SRC = os.path.dirname(artifact.__file__)
 
 
 class TestCaseSpec:
+ def test_fields(self):
+  assert cases.CaseSpec.__slots__ == ("name", "aliases", "m", "e", "over_e",
+                                      "groups", "targets", "factors")
+
  def test_constants(self):
   for n in range(1, 9):
    for case in ("pgl-q", "pgl-e"):
-    d = cases.get(case, n)
-    assert (d.r(n), d.m(n), d.e) == (n, n * (n + 1), 2)
-   d = cases.get("so-even", n)
-   assert (d.r(n), d.m(n), d.e) == (2 * n - 1, 2 * n * n, 1)
-   d = cases.get("so-odd", n)
-   assert (d.r(n), d.m(n), d.e) == (2 * n, 2 * n * (n + 1), 1)
+    d, r = cases.get(case, n), written_out_case_data(case, n).r
+    assert (r, d.m(n), d.e) == (n, n * (n + 1), 2)
+   d, r = cases.get("so-even", n), written_out_case_data("so-even", n).r
+   assert (r, d.m(n), d.e) == (2 * n - 1, 2 * n * n, 1)
+   d, r = cases.get("so-odd", n), written_out_case_data("so-odd", n).r
+   assert (r, d.m(n), d.e) == (2 * n, 2 * n * (n + 1), 1)
 
  def test_reduction_level(self):
-  assert cases.get("pgl-q", 3).mod == "Q"
+  assert written_out_case_data("pgl-q", 3).mod == "Q"
   for case in ("pgl-e", "so-even", "so-odd"):
-   assert cases.get(case, 3).mod == "sqrtQ"
+   assert written_out_case_data(case, 3).mod == "sqrtQ"
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_m_witness(self, case):
+  # the one hand-written power of 2 pi i: 2m = e rank(M x N)
+  for n in range(1, 13):
+   spec = cases.get(case, n)
+   assert 2 * spec.m(n) == spec.e * CaseMotives(case, n).tensor.rank()
 
  def test_aliases(self):
   for name in CASES:
@@ -48,6 +61,34 @@ class TestCaseSpec:
 
  def test_large_n_accepted(self):
   assert cases.get("pgl-q", 40).m(40) == 40 * 41
+
+
+class TestDerivedCaseData:
+ """The case data read off the motives equals what each family wrote out
+ by hand (tests/reference_kernels.py), for every (case, n <= 12)."""
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_centre_twist_and_shift(self, case):
+  for n in range(1, 13):
+   mot, ref = CaseMotives(case, n), written_out_case_data(case, n)
+   assert mot.r == ref.r, (case, n)
+   assert (mot.twisted_m is not None) == ref.twists, (case, n)
+   k = periodring._orthogonal_k(mot.spec, n)
+   assert (None if k is None else k + 1 - n) == ref.shift, (case, n)
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_reduction_level(self, monkeypatch, case):
+  levels, reduce = [], periodring.reduce
+
+  def recording(x, rels, mod="Q"):
+   levels.append(mod)
+   return reduce(x, rels, mod)
+
+  monkeypatch.setattr(periodring, "reduce", recording)
+  for n in range(1, 13):
+   levels.clear()
+   assert ggpcheck.run_case(case, n).passed()
+   assert levels == [written_out_case_data(case, n).mod], (case, n)
 
 
 def family_comparisons(source):

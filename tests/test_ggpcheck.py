@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from artifact import cases
 from artifact import ggpcheck as gc
 from artifact import hodge as hg
 from artifact.cases import CASES
@@ -19,7 +18,7 @@ from artifact.ggpcheck import (run_case, torsion_ledger,
                                _matvec, _frac_mat)
 from artifact.linalg import identity, matmul, transpose
 from reference_kernels import (dense_solve, qsqrt_rotation_check,
-                               three_reduce_verdicts)
+                               three_reduce_verdicts, written_out_case_data)
 
 
 class TestRunCase:
@@ -99,10 +98,25 @@ class TestRunCase:
    tensors.clear()
    assert run_case(case, n).passed()
    want = [("M", False), ("N", False)]
-   if cases.get(case, n).twists:
+   if written_out_case_data(case, n).twists:
     want.append(("M", True))
    assert built == {(case, n) + k: 1 for k in want}, (case, n)
    assert tensors == {(k, ("N", False)): 1 for k in want if k[0] == "M"}
+
+
+class TestReductionLevel:
+ """Negative control for the level run_case reduces at: sqrt(2) is trivial
+ modulo sqrt(Q*) but not modulo Q*, so the split family must report it as
+ the condensate residual while the three families over E absorb it."""
+
+ def test_sqrt_rational_fault(self):
+  fault = PeriodScalar.gen("sqrtdisc.2")
+  for n in range(1, 13):
+   rep = run_case("pgl-q", n, extra=fault)
+   assert rep.failing() == "condensate", n
+   assert rep.condensate["residual"] == "sqrtdisc.2", n
+   for case in ("pgl-e", "so-even", "so-odd"):
+    assert run_case(case, n, extra=fault).passed(), (case, n)
 
 
 class TestLedger:
@@ -146,6 +160,11 @@ class TestLedger:
   led = VolumeLedger().without("rt2")
   with pytest.raises(LedgerUnderdetermined, match="underdetermined"):
    led.derive("buggerme")
+
+ def test_symbol_in_no_axiom(self):
+  # without KP2, cF is in no axiom, and the solve finds no combination
+  with pytest.raises(LedgerUnderdetermined, match="underdetermined"):
+   VolumeLedger().without("KP2").derive("kp-compare")
 
  def test_oinkA_survives_without_rt2(self):
   rec = VolumeLedger().without("rt2").derive("oinkA")

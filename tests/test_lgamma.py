@@ -15,7 +15,8 @@ from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
 from reference_kernels import (frobenius_data, written_out_adjoint_structure,
-                               written_out_doubled, written_out_l_infinity,
+                               written_out_case_data, written_out_doubled,
+                               written_out_l_infinity,
                                written_out_leading_coeff)
 from test_hodge import unit
 
@@ -107,10 +108,9 @@ class TestTable:
   # the center value doubles the single product's exponent
   for case in ("pgl-q", "pgl-e"):
    for n in (1, 2, 3):
-    spec = cases.get(case, n)
     single = lg.pi_power(
         lg.l_infinity(lg._doubled(hg.CaseMotives(case, n).tensor)),
-        spec.r(n))
+        written_out_case_data(case, n).r)
     rows = {r["name"]: r["computed_exp"]
             for r in lg.table1_row(hg.CaseMotives(case, n))}
     assert rows["rho_at_center"] == 2 * single
@@ -120,7 +120,7 @@ class TestTable:
   for case in ("pgl-q", "so-even"):
    for n in (1, 2, 3):
     t = hg.CaseMotives(case, n).tensor
-    r = cases.get(case, n).r(n)
+    r = written_out_case_data(case, n).r
     if t.over_e:
      t = hg.restrict_scalars(t)
     for s0 in (-1, 0, 2):
@@ -137,6 +137,24 @@ class TestConsistency:
     x = lg.pi_power(g, s0)
     assert isinstance(x, Fraction)
     assert PeriodScalar.gen("pi", x) == written_out_leading_coeff(g, s0)
+
+
+class TestRankCoincidence:
+ """The pole order at s = 0 of the full group's adjoint L-factor equals
+ delta(G) = rank G - rank K and the f+ of the doubled adjoint structure:
+ the paper's rank coincidence, checked here only, not by the pipeline."""
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_pole_order_is_delta(self, case):
+  for n in range(1, 13):
+   mot = hg.CaseMotives(case, n)
+   h = lg._doubled(lg.adjoint_structure(mot))
+   # Gamma_C(s + a) has a pole at 0 when a <= 0, Gamma_R(s + a) when a is
+   # also even
+   poles = sum(m for (kind, a), m in lg.l_infinity(h).items()
+               if a <= 0 and (kind == "C" or a % 2 == 0))
+   delta = rs.invariants(mot.spec.groups(n)[0]).delta
+   assert poles == delta == h.fplus, (case, n)
 
 
 class TestWrittenOut:

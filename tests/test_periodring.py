@@ -18,6 +18,7 @@ from artifact.periodring import (PeriodScalar, RelationSet,
                                  parse_expr, _hnf)
 import oracle_periods as orc
 from reference_kernels import (condensate_residual, dense_reduce,
+                               written_out_case_data,
                                written_out_case_relations,
                                written_out_deligne_c)
 
@@ -180,7 +181,8 @@ class TestRelationDrops:
       orbits.append(y)
     for y in orbits:
      drops += 1
-     holds = reduce(x, _without(rels, y), spec.mod).is_one()
+     holds = reduce(x, _without(rels, y),
+                    written_out_case_data(case, n).mod).is_one()
      unused = {(case, n, repr(y)), (case, None, repr(y))} & self.UNUSED
      assert holds == bool(unused), (case, n, y)
      kept += holds
@@ -207,7 +209,8 @@ class TestTwistRule:
  @pytest.mark.parametrize("case", CASES)
  def test_deligne_c_matches_written_out(self, case):
   for n in range(1, 13):
-   for psi in ((False, True) if cases.get(case, n).twists else (False,)):
+   for psi in ((False, True) if written_out_case_data(case, n).twists
+               else (False,)):
     for sign in (1, -1):
      assert deligne_c(CaseMotives(case, n), sign, psi) == \
          written_out_deligne_c(case, n, sign, psi), (case, n, sign, psi)
