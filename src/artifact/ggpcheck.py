@@ -6,10 +6,12 @@ from fractions import Fraction
 import math
 
 from . import cases
+from . import exteralg
 from . import hodge
 from . import lgamma
 from . import linalg
 from . import periodring
+from . import rootsys
 from .periodring import PeriodScalar, _hnf
 
 
@@ -95,7 +97,7 @@ def _merge_lin(*parts):
  out = {}
  for part in parts:
   for k, v in part.items():
-   out[k] = out.get(k, Fraction(0)) + v
+   out[k] = out[k] + v if k in out else v
  return {k: v for k, v in out.items() if v}
 
 
@@ -111,43 +113,48 @@ def _sub_scaled(acc, f, form):
 
 def default_axioms():
  """Axiom relations for the volume ledger, as linear forms that vanish
- modulo logarithms of rationals.
-
- Symbols: hP/ht are the cuspidal and trivial parts of the degree-i volumes
- on the nine-dimensional space Y, sP/st their twisted-metric versions,
- bP/bt the same on the three-dimensional quotient, vbar its volume, and
- rtY/rtsY/rtB the three torsion symbols.  cE/cF are period classes entering
- only through the conditional axioms."""
+ modulo logarithms of rationals.  Symbols: hP/ht are the cuspidal and
+ trivial parts of the degree-i volumes on Y, the symmetric space of y,
+ sP/st their twisted-metric versions, bP/bt the same on the quotient (of
+ bar), vbar its volume, rtY/rtsY/rtB the torsions.  d(G/K), q and delta of
+ y and bar give the RTalt_*, duality_* and support_* axioms; written out:
+   rt1: the torsion of Y is rational;
+   rt2: the twisted torsion of Y is the quotient's torsion squared;
+   Trivial_Volume: the trivial volumes of Y have rational alternating product;
+   trivvolume: that product for the twisted metric is vbar squared;
+   btriv: that product on the quotient is vbar;
+   sigma_fixed: both metrics give one cuspidal volume in degree q of Y;
+   KP1: conditionally, hP3 is the period class cE;
+   KP2: conditionally, sP4 is the period class cF."""
  axioms = []
 
- def ax(name, form, kind="axiom"):
-  axioms.append((name, _merge_lin(form), kind))
+ def ax(name, *parts, kind="axiom"):
+  axioms.append((name, _merge_lin(*parts), kind))
 
- ax("RTalt_Y", _merge_lin({"rtY": Fraction(1)}, _alt("hP", 9, -1),
-                          _alt("ht", 9, -1)))
- ax("RTalt_sigma", _merge_lin({"rtsY": Fraction(1)}, _alt("sP", 9, -1),
-                              _alt("st", 9, -1)))
- ax("RTalt_bar", _merge_lin({"rtB": Fraction(1)}, _alt("bP", 3, -1),
-                            _alt("bt", 3, -1)))
+ y = rootsys.invariants("PGL(2)/C x PGL(2)/C x PGL(2)/C")
+ bar = rootsys.invariants("PGL(2)/C")
+ metrics = ((y, (("Y", "P", "rtY", "hP", "ht"),
+                 ("sigma", "sigma", "rtsY", "sP", "st"))),
+            (bar, (("bar", "bar", "rtB", "bP", "bt"),)))
+ for g, ms in metrics:
+  for tag, _, rt, cusp, triv in ms:
+   ax("RTalt_" + tag, {rt: Fraction(1)}, _alt(cusp, g.d_symm, -1),
+      _alt(triv, g.d_symm, -1))
  ax("rt1", {"rtY": Fraction(1)})
  ax("rt2", {"rtsY": Fraction(1), "rtB": Fraction(-2)})
- for i in range(5):
-  ax("duality_P_%d" % i, {"hP%d" % i: Fraction(1),
-                          "hP%d" % (9 - i): Fraction(1)})
-  ax("duality_sigma_%d" % i, {"sP%d" % i: Fraction(1),
-                              "sP%d" % (9 - i): Fraction(1)})
- for i in range(2):
-  ax("duality_bar_%d" % i, {"bP%d" % i: Fraction(1),
-                            "bP%d" % (3 - i): Fraction(1)})
- # tempered cohomology is concentrated in the middle band of degrees
- for i in (0, 1, 2, 7, 8, 9):
-  ax("support_P_%d" % i, {"hP%d" % i: Fraction(1)})
-  ax("support_sigma_%d" % i, {"sP%d" % i: Fraction(1)})
- for i in (0, 3):
-  ax("support_bar_%d" % i, {"bP%d" % i: Fraction(1)})
- ax("Trivial_Volume", _alt("ht", 9))
- ax("trivvolume", _merge_lin(_alt("st", 9), {"vbar": Fraction(-2)}))
- ax("btriv", _merge_lin(_alt("bt", 3), {"vbar": Fraction(-1)}))
+ for g, ms in metrics:
+  for i in range((g.d_symm + 1) // 2):  # i < d - i
+   for _, tag, _, cusp, _ in ms:
+    ax("duality_%s_%d" % (tag, i),
+       {cusp + str(i): Fraction(1), cusp + str(g.d_symm - i): Fraction(1)})
+ for g, ms in metrics:
+  tempered = {i for i, _ in exteralg.model_dims(g.delta, g.q, 1)}
+  for i in sorted(set(range(g.d_symm + 1)) - tempered):
+   for _, tag, _, cusp, _ in ms:
+    ax("support_%s_%d" % (tag, i), {cusp + str(i): Fraction(1)})
+ ax("Trivial_Volume", _alt("ht", y.d_symm))
+ ax("trivvolume", _alt("st", y.d_symm), {"vbar": Fraction(-2)})
+ ax("btriv", _alt("bt", bar.d_symm), {"vbar": Fraction(-1)})
  ax("sigma_fixed", {"sP3": Fraction(1), "hP3": Fraction(-1)})
  ax("KP1", {"hP3": Fraction(1), "cE": Fraction(-1)}, kind="conditional")
  ax("KP2", {"sP4": Fraction(1), "cF": Fraction(-1)}, kind="conditional")
@@ -170,6 +177,9 @@ class VolumeLedger:
 
  def __init__(self, axioms=None):
   self.axioms = list(default_axioms() if axioms is None else axioms)
+  names = [name for name, _, _ in self.axioms]
+  if len(set(names)) < len(names):
+   raise ValueError("repeated axiom name %r" % max(names, key=names.count))
   self.symbols = sorted({s for _, form, _ in self.axioms for s in form} |
                         {s for form in TARGETS.values() for s in form})
   self.derivations = {}

@@ -15,7 +15,8 @@ cancellation residual of one case, and the doubled Hodge structures of the
 exponent table with their (f+, f-) counts added by hand, their
 Gamma-factors, and the leading coefficient as a pi-power scalar, and the
 case data that the motives now give: the centre r(n), the reduction level,
-the quadratic twist and the orthogonal shift as each family wrote them."""
+the quadratic twist and the orthogonal shift as each family wrote them, and
+the volume ledger's axioms with their degrees written out."""
 
 import collections
 from fractions import Fraction
@@ -30,8 +31,8 @@ from artifact.exteralg import (ExteriorElement, _check_index, _merge,
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet, _auto_sqrt_class,
                                  _column_order, _hnf)
-from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _det3, _dot,
-                               _frac_mat, _matvec, _sqfree)
+from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _alt, _det3,
+                               _dot, _frac_mat, _matvec, _merge_lin, _sqfree)
 from artifact.hodge import CaseMotives
 from artifact.rootsys import GroupDescriptor, GroupInvariants, _simple_roots
 
@@ -168,6 +169,46 @@ def dense_solve(ledger, target):
   if mat[row][ncols]:
    coeffs[ledger.axioms[col][0]] = mat[row][ncols]
  return coeffs
+
+
+def written_out_axioms():
+ """The volume ledger's 37 axioms with every degree written out by hand:
+ top degrees 9 (Y) and 3 (the quotient), the duality pairs below the
+ middle degree and the support degrees outside [q, q + delta]."""
+ axioms = []
+
+ def ax(name, form, kind="axiom"):
+  axioms.append((name, _merge_lin(form), kind))
+
+ ax("RTalt_Y", _merge_lin({"rtY": Fraction(1)}, _alt("hP", 9, -1),
+                          _alt("ht", 9, -1)))
+ ax("RTalt_sigma", _merge_lin({"rtsY": Fraction(1)}, _alt("sP", 9, -1),
+                              _alt("st", 9, -1)))
+ ax("RTalt_bar", _merge_lin({"rtB": Fraction(1)}, _alt("bP", 3, -1),
+                            _alt("bt", 3, -1)))
+ ax("rt1", {"rtY": Fraction(1)})
+ ax("rt2", {"rtsY": Fraction(1), "rtB": Fraction(-2)})
+ for i in range(5):
+  ax("duality_P_%d" % i, {"hP%d" % i: Fraction(1),
+                          "hP%d" % (9 - i): Fraction(1)})
+  ax("duality_sigma_%d" % i, {"sP%d" % i: Fraction(1),
+                              "sP%d" % (9 - i): Fraction(1)})
+ for i in range(2):
+  ax("duality_bar_%d" % i, {"bP%d" % i: Fraction(1),
+                            "bP%d" % (3 - i): Fraction(1)})
+ # tempered cohomology is concentrated in the middle band of degrees
+ for i in (0, 1, 2, 7, 8, 9):
+  ax("support_P_%d" % i, {"hP%d" % i: Fraction(1)})
+  ax("support_sigma_%d" % i, {"sP%d" % i: Fraction(1)})
+ for i in (0, 3):
+  ax("support_bar_%d" % i, {"bP%d" % i: Fraction(1)})
+ ax("Trivial_Volume", _alt("ht", 9))
+ ax("trivvolume", _merge_lin(_alt("st", 9), {"vbar": Fraction(-2)}))
+ ax("btriv", _merge_lin(_alt("bt", 3), {"vbar": Fraction(-1)}))
+ ax("sigma_fixed", {"sP3": Fraction(1), "hP3": Fraction(-1)})
+ ax("KP1", {"hP3": Fraction(1), "cE": Fraction(-1)}, kind="conditional")
+ ax("KP2", {"sP4": Fraction(1), "cF": Fraction(-1)}, kind="conditional")
+ return axioms
 
 
 def wedge_apply_w(model, x):

@@ -8,8 +8,10 @@ import random
 
 import pytest
 
+from artifact import exteralg
 from artifact import ggpcheck as gc
 from artifact import hodge as hg
+from artifact import rootsys
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 from artifact.ggpcheck import (run_case, torsion_ledger,
@@ -18,7 +20,8 @@ from artifact.ggpcheck import (run_case, torsion_ledger,
                                _matvec, _frac_mat)
 from artifact.linalg import identity, matmul, transpose
 from reference_kernels import (dense_solve, qsqrt_rotation_check,
-                               three_reduce_verdicts, written_out_case_data)
+                               three_reduce_verdicts, written_out_axioms,
+                               written_out_case_data)
 
 
 class TestRunCase:
@@ -190,6 +193,81 @@ class TestLedger:
  def test_unknown_target(self):
   with pytest.raises(ValueError):
    VolumeLedger().derive("nonsense")
+
+
+class TestAxiomsFromGroups:
+ """The degree axioms are read off rootsys.invariants and
+ exteralg.model_dims; mutants of that data are planted by monkeypatching
+ the two functions that default_axioms calls."""
+
+ def test_equal_to_written_out(self):
+  got, want = gc.default_axioms(), written_out_axioms()
+  assert [name for name, _, _ in got] == [name for name, _, _ in want]
+  assert got == want
+  # the pivot symbols of the sparse solve follow the forms' key order
+  assert [list(form) for _, form, _ in got] == \
+      [list(form) for _, form, _ in want]
+
+ def test_repeated_name_rejected(self):
+  # a repeat would collapse two coefficients into one entry and let
+  # without() drop both axioms
+  axioms = [("rt2" if name == "rt1" else name, form, kind)
+            for name, form, kind in gc.default_axioms()]
+  with pytest.raises(ValueError, match="repeated axiom name 'rt2'"):
+   VolumeLedger(axioms)
+  led = VolumeLedger()
+  with pytest.raises(ValueError, match="repeated axiom name 'rt1'"):
+   VolumeLedger(led.axioms + led.axioms[3:4])
+  assert len(led.without("rt2").axioms) == len(led.axioms) - 1
+
+ @staticmethod
+ def window_shift(monkeypatch, dq, ddelta):
+  dims = exteralg.model_dims
+  monkeypatch.setattr(exteralg, "model_dims", lambda delta, q, k:
+                      dims(delta + ddelta, q + dq, k))
+
+ @staticmethod
+ def dimension_shift(monkeypatch, group, by):
+  invariants = rootsys.invariants
+
+  def shifted(g):
+   inv = invariants(g)
+   if g == group:
+    inv.d_symm += by
+   return inv
+  monkeypatch.setattr(rootsys, "invariants", shifted)
+
+ @pytest.mark.parametrize("group", ["PGL(2)/C x PGL(2)/C x PGL(2)/C",
+                                    "PGL(2)/C"])
+ @pytest.mark.parametrize("by", [1, -1])
+ def test_dimension_mutants_break_reference(self, monkeypatch, group, by):
+  self.dimension_shift(monkeypatch, group, by)
+  assert gc.default_axioms() != written_out_axioms()
+
+ @pytest.mark.parametrize("dq, ddelta, count, changed", [
+     (1, 0, 37, {"buggerme", "kp-compare"}),
+     (-1, 0, 37, {"oinkA", "buggerme", "kp-compare"}),
+     (0, -1, 40, {"buggerme", "kp-compare"}),
+     (0, 1, 34, set())])
+ def test_window_mutants(self, monkeypatch, dq, ddelta, count, changed):
+  """A shifted or resized tempered window breaks the reference equality,
+  but every derivation still succeeds, replays and keeps its class: the
+  ledger sees q + 1, q - 1 and delta - 1 only in the coefficients.  On
+  delta + 1 only the reference equality sees the mutant: the support
+  axioms it drops, in degree q + delta + 1 of Y and of the quotient,
+  follow from duality and the support axiom of the dual degree."""
+  ref = VolumeLedger(written_out_axioms())
+  self.window_shift(monkeypatch, dq, ddelta)
+  assert gc.default_axioms() != written_out_axioms()
+  led = VolumeLedger()
+  assert len(led.axioms) == count
+  differs = set()
+  for name in gc.TARGETS:
+   rec, want = led.derive(name), ref.derive(name)
+   assert led.replay(rec) and rec["class"] == want["class"], name
+   if rec["coefficients"] != want["coefficients"]:
+    differs.add(name)
+  assert differs == changed
 
 
 SIGMA = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]

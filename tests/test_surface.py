@@ -133,6 +133,10 @@ def test_layers():
  assert GRAPH["hodge"] == {"cases"}
  assert GRAPH["periodring"] == {"cases", "hodge"}
  assert GRAPH["lgamma"] == {"hodge", "rootsys"}
+ assert GRAPH["exteralg"] == {"linalg"}
+ assert GRAPH["rootsys"] == {"linalg", "periodring"}
+ assert GRAPH["ggpcheck"] == {"cases", "exteralg", "hodge", "lgamma",
+                              "linalg", "periodring", "rootsys"}
  assert [mod for mod, deps in GRAPH.items() if "cli" in deps] == []
 
 
