@@ -6,7 +6,8 @@ CaseSpec instead of branching on a family name.  What follows from this
 data is not written here: hodge.CaseMotives reads the centre r off the
 tensor motive's weight and takes the quadratic twist exactly when the
 motives live over Q, ggpcheck.run_case reduces modulo sqrt(Q*) exactly
-over E, and the orthogonal formulas of periodring read M's rank.  get(name,
+over E, the orthogonal formulas of periodring read M's rank, and
+rootsys.case_groups builds the groups H in G from the factors.  get(name,
 n) is the one place that canonicalizes a family name and checks n.
 """
 
@@ -21,15 +22,13 @@ class CaseSpec:
  e              power of the central value (2 where it is a square), and so
                 of the Deligne period in the condensate
  over_e         whether the standard motives live over the quadratic field
- groups(n)      (G, H) real-group descriptors
  targets(n)     closed-form pi exponents of the four computed columns
- factors(n)     {"M"/"N": (pairing, rank)}: the factor's standard motive is
-                the rank-dimensional one of that pairing ("linear",
-                "orthogonal" or "symplectic")
+ factors(n)     {"M"/"N": (pairing, rank)}: the standard motive of a factor
+                of G's dual group, of that pairing ("linear", "orthogonal"
+                or "symplectic") and rank
  """
 
- __slots__ = ("name", "aliases", "m", "e", "over_e", "groups", "targets",
-              "factors")
+ __slots__ = ("name", "aliases", "m", "e", "over_e", "targets", "factors")
 
  def __init__(self, **fields):
   for k, v in fields.items():
@@ -55,8 +54,6 @@ def _linear_factors(n):
 PGL_Q = CaseSpec(
     name="pgl-q", aliases=("pglq",), m=lambda n: n * (n + 1), e=2,
     over_e=False,
-    groups=lambda n: (" x ".join(["PGL(%d)/R" % n, "PGL(%d)/R" % (n + 1)] * 2),
-                      "GL(%d)/R x GL(%d)/R" % (n, n)),
     targets=lambda n: _linear_targets(2 * n - 2 * (n // 2),
                                       2 * ((n // 2) - n), n),
     factors=_linear_factors)
@@ -64,15 +61,12 @@ PGL_Q = CaseSpec(
 PGL_E = CaseSpec(
     name="pgl-e", aliases=("pgle",), m=lambda n: n * (n + 1), e=2,
     over_e=True,
-    groups=lambda n: ("PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n),
     targets=lambda n: _linear_targets(n - 1, 1 - n, n),
     factors=_linear_factors)
 
 SO_EVEN = CaseSpec(
     name="so-even", aliases=("so-even-e", "soeven"), m=lambda n: 2 * n * n,
     e=1, over_e=True,
-    groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1),
-                      "SO(%d)/C" % (2 * n)),
     targets=lambda n: _targets(
         n, -n,
         -Fraction(1, 3) * (2 * n - 1) * 2 * n * (2 * n + 1) - n * (n + 1),
@@ -83,8 +77,6 @@ SO_EVEN = CaseSpec(
 SO_ODD = CaseSpec(
     name="so-odd", aliases=("so-odd-e", "soodd"),
     m=lambda n: 2 * n * (n + 1), e=1, over_e=True,
-    groups=lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
-                      "SO(%d)/C" % (2 * n + 1)),
     targets=lambda n: _targets(
         n + 1, -(n + 1),
         -Fraction(1, 3) * 2 * n * (2 * n + 1) * (2 * n + 2) - n * (n + 1),

@@ -71,7 +71,7 @@ def table1_row(mot):
  expected = spec.targets(n)
  expected["ratio"] = expected["rho_at_center"] - expected["adjoint_at_zero"]
 
- g, h = (rootsys.GroupDescriptor.parse(d) for d in spec.groups(n))
+ g, h = rootsys.case_groups(spec.factors(n), spec.over_e)
  computed = {
      "compact_volume_ratio": rootsys.invariants(g).delta_K -
                              2 * rootsys.invariants(h).delta_K,

@@ -2,7 +2,8 @@
 
 One table, the degrees of the basic invariants, gives the invariants
 (dimensions, ranks, the defect delta, minimal tempered degree q, the
-compact volume) and the discriminant's Gamma-factors.  Also the relative
+compact volume) and the discriminant's Gamma-factors.  The case groups
+(G, H) are read off the factor motives' dual groups.  Also the relative
 Weyl indices with their chamber-count cross-check, and the duality constant
 of the trace form, all in exact arithmetic.
 """
@@ -12,7 +13,6 @@ import math
 import re
 
 from . import linalg
-from .periodring import PeriodScalar
 
 
 class UnsupportedGroup(ValueError):
@@ -93,7 +93,7 @@ class GroupInvariants:
 
  def as_dict(self):
   d = {f: getattr(self, f) for f in self.fields}
-  d["delta_K"] = repr(PeriodScalar.gen("pi", self.delta_K))
+  d["delta_K"] = {0: "1", 1: "pi"}.get(self.delta_K, "pi^%s" % self.delta_K)
   return d
 
 
@@ -111,6 +111,29 @@ def _degrees(family, n):
   pfaffian = [n // 2] if n % 2 == 0 and n > 0 else []
   return list(range(2, 2 * ((n - 1) // 2) + 1, 2)) + pfaffian
  raise UnsupportedGroup("unsupported group: %r" % (family,))
+
+
+# pairing -> (family, shift): family(r + shift) is the split group whose
+# dual's standard representation has that pairing and rank r
+_DUAL_GROUP = {"linear": ("PGL", 0), "orthogonal": ("SO", 0),
+               "symplectic": ("SO", 1)}
+
+
+def case_groups(factors, over_e):
+ """(G, H) from the factors {"M"/"N": (pairing, r)}: G is the product of
+ their _DUAL_GROUP groups, smaller first, and H the smaller with GL(r) for
+ PGL(r) (PGL and SL have the same degrees, so G's choice between them is
+ not seen).  Over E complex groups viewed as real; over Q the split real
+ forms, G and H each taken twice (the squared split case, as
+ lgamma._doubled doubles the Hodge structures)."""
+ base = "ComplexAsReal" if over_e else "Real"
+ (fam, r), big = sorted(((_DUAL_GROUP[p][0], k + _DUAL_GROUP[p][1])
+                         for p, k in factors.values()), key=lambda f: f[1])
+ g = [GroupDescriptor(f, k, base) for f, k in ((fam, r), big)]
+ h = GroupDescriptor("GL" if fam == "PGL" else fam, r, base)
+ if over_e:
+  return GroupDescriptor(product=g), h
+ return GroupDescriptor(product=g * 2), GroupDescriptor(product=[h, h])
 
 
 def _dim_rank(degrees):
@@ -173,8 +196,12 @@ def discriminant(g):
 # root systems in orthonormal coordinates
 
 
+# the axial roots +-c e_i each type adds to the roots +-e_i +- e_j of D
+_AXIAL = {"B": (1,), "C": (2,), "BC": (1, 2), "D": ()}
+
+
 def roots(rtype, rank):
- if rtype not in ("B", "C", "D", "BC"):
+ if rtype not in _AXIAL:
   raise UnsupportedGroup("unsupported root system type: %r" % (rtype,))
  rs = []
  for i in range(rank):
@@ -184,17 +211,11 @@ def roots(rtype, rank):
      v = [0] * rank
      v[i], v[j] = si, sj
      rs.append(tuple(v))
- if rtype in ("B", "BC"):
+ for c in _AXIAL[rtype]:
   for i in range(rank):
-   for s in (1, -1):
+   for s in (c, -c):
     v = [0] * rank
     v[i] = s
-    rs.append(tuple(v))
- if rtype in ("C", "BC"):
-  for i in range(rank):
-   for s in (1, -1):
-    v = [0] * rank
-    v[i] = 2 * s
     rs.append(tuple(v))
  return rs
 
@@ -355,17 +376,8 @@ def dual_trace_form(g):
  # inverses, so one block of each gives the same constant
  induced = linalg.inv(_gram(basis))
  dgram = _gram(dual_basis)
- c = None
- k = len(induced)
- for i in range(k):
-  for j in range(k):
-   if dgram[i][j] == 0:
-    if induced[i][j] != 0:
-     raise UnsupportedGroup("forms are not proportional")
-    continue
-   r = induced[i][j] / dgram[i][j]
-   if c is None:
-    c = r
-   elif c != r:
-    raise UnsupportedGroup("forms are not proportional")
- return c
+ pairs = [(a, b) for ra, rb in zip(induced, dgram) for a, b in zip(ra, rb)]
+ ratios = {a / b for a, b in pairs if b}
+ if len(ratios) != 1 or any(a for a, b in pairs if not b):
+  raise UnsupportedGroup("forms are not proportional")
+ return ratios.pop()

@@ -15,8 +15,9 @@ cancellation residual of one case, and the doubled Hodge structures of the
 exponent table with their (f+, f-) counts added by hand, their
 Gamma-factors, and the leading coefficient as a pi-power scalar, and the
 case data that the motives now give: the centre r(n), the reduction level,
-the quadratic twist and the orthogonal shift as each family wrote them, and
-the volume ledger's axioms with their degrees written out."""
+the quadratic twist and the orthogonal shift as each family wrote them, the
+case groups (G, H) as descriptor strings, and the volume ledger's axioms
+with their degrees written out."""
 
 import collections
 from fractions import Fraction
@@ -50,6 +51,20 @@ def written_out_case_data(case, n):
          "so-even": WrittenOutCaseData(2 * n - 1, "sqrtQ", False, 0),
          "so-odd": WrittenOutCaseData(2 * n, "sqrtQ", False, 1)}[
              cases.get(case, n).name]
+
+
+# the (G, H) real-group descriptors as each family wrote them, before
+# rootsys.case_groups read them off the factors
+WRITTEN_OUT_GROUPS = {
+    "pgl-q": lambda n: (" x ".join(["PGL(%d)/R" % n,
+                                    "PGL(%d)/R" % (n + 1)] * 2),
+                        "GL(%d)/R x GL(%d)/R" % (n, n)),
+    "pgl-e": lambda n: ("PGL(%d)/C x PGL(%d)/C" % (n, n + 1), "GL(%d)/C" % n),
+    "so-even": lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n, 2 * n + 1),
+                          "SO(%d)/C" % (2 * n)),
+    "so-odd": lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
+                         "SO(%d)/C" % (2 * n + 1)),
+}
 
 
 def dense_int_vector(x, cols, scale=2):

@@ -19,7 +19,7 @@ SRC = os.path.dirname(artifact.__file__)
 class TestCaseSpec:
  def test_fields(self):
   assert cases.CaseSpec.__slots__ == ("name", "aliases", "m", "e", "over_e",
-                                      "groups", "targets", "factors")
+                                      "targets", "factors")
 
  def test_constants(self):
   for n in range(1, 9):

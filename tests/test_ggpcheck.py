@@ -67,8 +67,8 @@ class TestRunCase:
  def test_passed_iff_nothing_fails(self):
   rep = run_case("pgl-e", 2)
   assert rep.passed() and rep.failing() is None
-  rep.gamma2 = dict(rep.gamma2, **{"pass": False})
-  assert not rep.passed() and rep.failing() == "gamma2"
+  rep.condensate = dict(rep.condensate, **{"pass": False})
+  assert not rep.passed() and rep.failing() == "condensate"
 
  def test_injected_fault_names_condensate(self):
   rep = run_case("pgl-q", 3, extra=PeriodScalar.gen("Q0", 1))
@@ -469,9 +469,13 @@ class TestVerifyAll:
   with pytest.raises(ValueError):
    verify_all(13)
 
- def test_perturbation_flips_and_names(self):
-  status, _, lines = verify_all(
-      3, perturb=("so-even", 2, PeriodScalar.gen("pi", Fraction(1, 2))))
+ def test_perturbation_flips_and_names(self, monkeypatch):
+  def faulty(case, n):
+   extra = PeriodScalar.gen("pi", Fraction(1, 2)) \
+       if (case, n) == ("so-even", 2) else None
+   return run_case(case, n, extra=extra)
+  monkeypatch.setattr(gc, "run_case", faulty)
+  status, _, lines = verify_all(3)
   assert status != 0
   assert any("first failing identity: so-even n=2" in l for l in lines)
 
@@ -532,3 +536,18 @@ class TestOneReduction:
     want = three_reduce_verdicts(case, n, extra)
     assert (rep.gamma1, rep.gamma2, rep.condensate) == want, \
         (case, n, extra)
+
+ def test_condensate_decides_gamma1_and_gamma2(self):
+  # failing() reads the condensate alone: over every case and fault it
+  # passes exactly when gamma1 and gamma2 both do
+  grid = (None,) + FAULTS + tuple(PeriodScalar.gen(g)
+                                  for g in ("Q0", "sqrtD", "i"))
+  seen = collections.Counter()
+  for case in CASES:
+   for n in range(1, 13):
+    for extra in grid:
+     rep = run_case(case, n, extra=extra)
+     assert rep.condensate["pass"] == \
+         (rep.gamma1["pass"] and rep.gamma2["pass"]), (case, n, extra)
+     seen[rep.failing()] += 1
+  assert seen == {None: 145, "condensate": 191}

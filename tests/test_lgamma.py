@@ -10,7 +10,6 @@ import pytest
 from artifact import lgamma as lg
 from artifact import hodge as hg
 from artifact import rootsys as rs
-from artifact import cases
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
@@ -153,7 +152,8 @@ class TestRankCoincidence:
    # also even
    poles = sum(m for (kind, a), m in lg.l_infinity(h).items()
                if a <= 0 and (kind == "C" or a % 2 == 0))
-   delta = rs.invariants(mot.spec.groups(n)[0]).delta
+   g, _ = rs.case_groups(mot.spec.factors(n), mot.spec.over_e)
+   delta = rs.invariants(g).delta
    assert poles == delta == h.fplus, (case, n)
 
 
@@ -180,7 +180,7 @@ class TestWrittenOut:
    for s0 in range(-4, 5):
     assert PeriodScalar.gen("pi", lg.pi_power(factors, s0)) == \
         written_out_leading_coeff(written_out_l_infinity(want), s0)
-  for group in cases.get(case, n).groups(n):
+  for group in rs.case_groups(mot.spec.factors(n), mot.spec.over_e):
    disc = rs.discriminant(group)
    for s0 in range(-4, 5):
     assert PeriodScalar.gen("pi", lg.pi_power(disc, s0)) == \

@@ -9,12 +9,12 @@ import re
 
 import pytest
 
-from artifact import cases, ggpcheck, lgamma
+from artifact import cases, ggpcheck, hodge, lgamma
 from artifact import rootsys as rs
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
-from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS,
+from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS, WRITTEN_OUT_GROUPS,
                                fraction_generic_orbit, fraction_reflect,
                                written_out_invariants)
 
@@ -118,6 +118,15 @@ class TestInvariants:
   assert iv.as_dict()["delta_K"] == repr(PeriodScalar.gen("pi",
                                                           iv.delta_K))
 
+ @pytest.mark.parametrize("g,shown", [
+     ("GL(1)/R", "1"), ("SO(2,0)", "pi"), ("SL(3)/R", "pi^2"),
+     ("SO(4)/C x SO(5)/C", "pi^10")])
+ def test_compact_volume_as_dict(self, g, shown):
+  # formatted in place, as the period ring writes pi^delta_K
+  k = rs.invariants(g).delta_K
+  assert rs.invariants(g).as_dict()["delta_K"] == shown == \
+      repr(PeriodScalar.gen("pi", k))
+
  def test_unsupported(self):
   with pytest.raises(rs.UnsupportedGroup):
    rs.invariants("E8(8)/R")
@@ -152,7 +161,8 @@ class TestDegreeTable:
  @pytest.mark.parametrize("case", CASES)
  def test_discriminants_match_written_out_tables(self, case):
   for n in range(1, 13):
-   g, h = cases.get(case, n).groups(n)
+   spec = cases.get(case, n)
+   g, h = rs.case_groups(spec.factors(n), spec.over_e)
    assert (rs.discriminant(g), rs.discriminant(h)) == \
        WRITTEN_OUT_DISCRIMINANTS[case](n), (case, n)
 
@@ -204,6 +214,95 @@ class TestDegreeTable:
   assert status == 1
   assert lines[-1] == "first failing identity: " + first
   assert sum(not r.passed() for r in reports) == failing
+
+
+def failing_columns():
+ """{column: number of the 48 (case, n <= 12) whose table1_row fails it}."""
+ out = {}
+ for case in CASES:
+  for n in range(1, 13):
+   for row in lgamma.table1_row(hodge.CaseMotives(case, n)):
+    if not row["pass"]:
+     out[row["name"]] = out.get(row["name"], 0) + 1
+ return out
+
+
+def larger_h(g, h, over_e):
+ big = repr(g.product[1]).replace("PGL(", "GL(")
+ return g, rs.GroupDescriptor.parse(" x ".join([big] * (1 if over_e else 2)))
+
+
+def pgl_h(g, h, over_e):
+ return g, rs.GroupDescriptor.parse(repr(h).replace("GL(", "PGL("))
+
+
+def one_copy(g, h, over_e):
+ if over_e:
+  return g, h
+ return rs.GroupDescriptor(product=g.product[:2]), h.product[0]
+
+
+def sl_g(g, h, over_e):
+ return rs.GroupDescriptor.parse(repr(g).replace("PGL(", "SL(")), h
+
+
+class TestCaseGroups:
+ """case_groups against the (G, H) strings the families wrote out, and
+ negative controls: each mutant of the rule fails compact_volume_ratio and
+ discriminant_ratio in the stated number of the 48 (case, n)."""
+
+ @pytest.mark.parametrize("case", CASES)
+ @pytest.mark.parametrize("n", range(1, 13))
+ def test_matches_written_out(self, case, n):
+  spec = cases.get(case, n)
+  got = rs.case_groups(spec.factors(n), spec.over_e)
+  want = [rs.GroupDescriptor.parse(t) for t in WRITTEN_OUT_GROUPS[case](n)]
+  assert len(got) == len(want) == 2
+  for group, ref in zip(got, want):
+   assert repr(group) == repr(ref)
+   assert rs.invariants(group).as_dict() == rs.invariants(ref).as_dict()
+   assert rs.discriminant(group) == rs.discriminant(ref)
+
+ def test_no_column_fails(self):
+  assert failing_columns() == {}
+
+ @pytest.mark.parametrize("pairing,group,failing", [
+     ("symplectic", ("SO", 0), 24),   # SO(r) for a symplectic factor
+     ("orthogonal", ("SO", 1), 24)])  # SO(r + 1) for an orthogonal one
+ def test_dual_group_table_is_needed(self, monkeypatch, pairing, group,
+                                     failing):
+  monkeypatch.setitem(rs._DUAL_GROUP, pairing, group)
+  assert failing_columns() == {"compact_volume_ratio": failing,
+                               "discriminant_ratio": failing}
+
+ @pytest.mark.parametrize("mutant,failing", [
+     (larger_h, 48), (pgl_h, 12), (one_copy, 12)])
+ def test_choices_are_needed(self, monkeypatch, mutant, failing):
+  rule = rs.case_groups
+  monkeypatch.setattr(rs, "case_groups",
+                      lambda factors, over_e:
+                      mutant(*rule(factors, over_e), over_e))
+  assert failing_columns() == {"compact_volume_ratio": failing,
+                               "discriminant_ratio": failing}
+
+ def test_pgl_or_sl_in_g_is_not_seen(self, monkeypatch):
+  # PGL(r) and SL(r) have the same degrees, so nothing computed from G
+  # tells them apart: the mutant passes every (case, n)
+  rule = rs.case_groups
+  g, _ = sl_g(*rule({"M": ("linear", 2), "N": ("linear", 3)}, True), True)
+  assert repr(g) == "SL(2)/C x SL(3)/C"
+  monkeypatch.setattr(rs, "case_groups",
+                      lambda factors, over_e:
+                      sl_g(*rule(factors, over_e), over_e))
+  assert failing_columns() == {}
+
+ def test_orthogonal_factor_over_q_is_rejected(self):
+  factors = {"M": ("symplectic", 4), "N": ("orthogonal", 4)}
+  assert [repr(g) for g in rs.case_groups(factors, True)] == \
+      ["SO(4)/C x SO(5)/C", "SO(4)/C"]
+  # no family has an orthogonal factor over Q: a real SO needs a signature
+  with pytest.raises(rs.UnsupportedGroup):
+   rs.case_groups(factors, False)
 
 
 class TestWeylOrders:
@@ -333,3 +432,12 @@ class TestTraceForm:
    rs.dual_trace_form("SO(1)/C")
   with pytest.raises(rs.UnsupportedGroup, match="mixed duality"):
    rs.dual_trace_form("GL(2)/C x SO(4)/C")
+
+ @pytest.mark.parametrize("grams", [
+     ([[2, 0], [0, 2]], [[4, 0], [0, 2]]),   # two ratios
+     ([[2, 1], [1, 2]], [[2, 0], [0, 2]])])  # an entry against a zero
+ def test_non_proportional_forms(self, monkeypatch, grams):
+  # SO(5): the Cartan basis has length 5, the dual one length 4
+  monkeypatch.setattr(rs, "_gram", lambda b: grams[len(b[0]) == 4])
+  with pytest.raises(rs.UnsupportedGroup, match="not proportional"):
+   rs.dual_trace_form("SO(5)")
