@@ -8,7 +8,7 @@ tensor motive's weight and takes the quadratic twist exactly when the
 motives live over Q, ggpcheck.run_case reduces modulo sqrt(Q*) exactly
 over E, the orthogonal formulas of periodring read M's rank, and
 rootsys.case_groups builds the groups H in G from the factors.  get(name,
-n) is the one place that canonicalizes a family name and checks n.
+n) is the one place that looks a family up and checks n.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from fractions import Fraction
 class CaseSpec:
  """One family's data; the fields marked (n) are functions of n.
 
- name, aliases  canonical family name and its other spellings
+ name           family name
  m(n)           predicted power of 2*pi*i in the full cancellation
  e              power of the central value (2 where it is a square), and so
                 of the Deligne period in the condensate
@@ -28,7 +28,7 @@ class CaseSpec:
                 or "symplectic") and rank
  """
 
- __slots__ = ("name", "aliases", "m", "e", "over_e", "targets", "factors")
+ __slots__ = ("name", "m", "e", "over_e", "targets", "factors")
 
  def __init__(self, **fields):
   for k, v in fields.items():
@@ -52,21 +52,18 @@ def _linear_factors(n):
 
 
 PGL_Q = CaseSpec(
-    name="pgl-q", aliases=("pglq",), m=lambda n: n * (n + 1), e=2,
-    over_e=False,
+    name="pgl-q", m=lambda n: n * (n + 1), e=2, over_e=False,
     targets=lambda n: _linear_targets(2 * n - 2 * (n // 2),
                                       2 * ((n // 2) - n), n),
     factors=_linear_factors)
 
 PGL_E = CaseSpec(
-    name="pgl-e", aliases=("pgle",), m=lambda n: n * (n + 1), e=2,
-    over_e=True,
+    name="pgl-e", m=lambda n: n * (n + 1), e=2, over_e=True,
     targets=lambda n: _linear_targets(n - 1, 1 - n, n),
     factors=_linear_factors)
 
 SO_EVEN = CaseSpec(
-    name="so-even", aliases=("so-even-e", "soeven"), m=lambda n: 2 * n * n,
-    e=1, over_e=True,
+    name="so-even", m=lambda n: 2 * n * n, e=1, over_e=True,
     targets=lambda n: _targets(
         n, -n,
         -Fraction(1, 3) * (2 * n - 1) * 2 * n * (2 * n + 1) - n * (n + 1),
@@ -75,8 +72,7 @@ SO_EVEN = CaseSpec(
                        "N": ("symplectic", 2 * n)})
 
 SO_ODD = CaseSpec(
-    name="so-odd", aliases=("so-odd-e", "soodd"),
-    m=lambda n: 2 * n * (n + 1), e=1, over_e=True,
+    name="so-odd", m=lambda n: 2 * n * (n + 1), e=1, over_e=True,
     targets=lambda n: _targets(
         n + 1, -(n + 1),
         -Fraction(1, 3) * 2 * n * (2 * n + 1) * (2 * n + 2) - n * (n + 1),
@@ -87,13 +83,10 @@ SO_ODD = CaseSpec(
 SPECS = {s.name: s for s in (PGL_Q, PGL_E, SO_EVEN, SO_ODD)}
 CASES = tuple(SPECS)
 
-_CANON = {a: s for s in SPECS.values() for a in (s.name,) + s.aliases}
-
 
 def get(name, n):
- """The CaseSpec of a family name or alias ('_' for '-' and any letter
- case accepted), after checking n >= 1."""
- spec = _CANON.get(str(name).replace("_", "-").lower())
+ """The CaseSpec of a family name, after checking n >= 1."""
+ spec = SPECS.get(name)
  if spec is None:
   raise ValueError("unknown case: %r" % (name,))
  if n < 1:

@@ -12,7 +12,7 @@ from . import lgamma
 from . import linalg
 from . import periodring
 from . import rootsys
-from .periodring import PeriodScalar, _hnf
+from .periodring import PeriodScalar, _hnf, _residue
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,8 @@ class VolumeLedger:
  def _membership_class(self, target):
   """Smallest scaling class: integer axiom combination (rational class),
   half-integer (square-root class), or none.  The axioms and the target
-  are scaled by one common denominator, which keeps the lattice exact."""
+  are scaled by one common denominator, which keeps the lattice exact; the
+  target is in it exactly when its residue is 0."""
   forms = [form for _, form, _ in self.axioms]
   den = math.lcm(*(Fraction(x).denominator for form in forms + [target]
                    for x in form.values()))
@@ -198,12 +199,7 @@ class VolumeLedger:
 
   ech = _hnf([ints(form, 1) for form in forms], len(self.symbols))
   for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
-   t = ints(target, scale)
-   for col, row in ech:
-    if t[col] % row[col] == 0:
-     f = t[col] // row[col]
-     t = [a - f * b for a, b in zip(t, row)]
-   if not any(t):
+   if not any(_residue(ints(target, scale), ech)):
     return label
   return None
 

@@ -21,7 +21,6 @@ is written never matters.
 
 from fractions import Fraction
 
-from . import cases
 from . import hodge
 
 
@@ -149,27 +148,21 @@ def _column_order(gens):
  return sorted(gens, key=rank)
 
 
-def _to_int_vector(x, index):
- """Exponents of x at doubled scale (exponent 1/2 -> 1): a dense vector
- over the indexed columns, and a {generator: int} dict for the generators
- outside the index."""
+def _to_int_vector(x, index, scale=1):
+ """Exponents of x at doubled scale (exponent 1/2 -> 1), times scale, as
+ a dense vector over the indexed columns."""
  v = [0] * len(index)
- rest = {}
  for g, e in x.exps.items():
   d = e.denominator
   if d > 2:
    raise ValueError("exponent denominator beyond 2 not supported: %r" % (x,))
-  a = e.numerator * (2 // d)
-  k = index.get(g)
-  if k is None:
-   rest[g] = a
-  else:
-   v[k] = a
- return v, rest
+  v[index[g]] = e.numerator * (2 // d) * scale
+ return v
 
 
 def _hnf(rows, ncols):
- """Row-style Hermite form of the integer row span. Returns echelon rows."""
+ """Row-style Hermite form of the integer row span.  Returns the echelon
+ rows as (pivot column, positive pivot, nonzero entries (column, entry))."""
  work = [r[:] for r in rows if any(r)]
  basis = []
  for c in range(ncols):
@@ -193,62 +186,25 @@ def _hnf(rows, ncols):
   piv = hit[0]
   if piv[c] < 0:
    piv = [-x for x in piv]
-  basis.append((c, piv))
+  basis.append((c, piv[c], [(k, a) for k, a in enumerate(piv) if a]))
   work = rest
  return basis
 
 
+def _residue(t, basis):
+ """Reduce the integer vector t in place against echelon rows of _hnf,
+ floor-dividing at each pivot, and return it: t is in the row span
+ exactly when its residue is 0."""
+ for c, p, row in basis:
+  q = t[c] // p
+  if q:
+   for k, a in row:
+    t[k] -= q * a
+ return t
+
+
 class InconsistentRelations(ValueError):
  pass
-
-
-def _echelon(rels, mod, unit):
- """Hermite echelon of the relation set's integer lattice at one modulus.
-
- Columns are the set's generators, its rational generators and i, in
- _column_order; entries are exponents at doubled scale, and unit is the
- doubled-scale exponent at which a generator of rational square class is
- trivial.  Returns (cols, {gen: col}, basis) with basis rows as (pivot
- column, pivot entry, nonzero entries of the row)."""
- gens = {"i"}
- for r, _lev in rels.relations:
-  gens.update(r.exps)
- gens.update(rels.rational_gens)
- cols = _column_order(gens)
- index = {g: k for k, g in enumerate(cols)}
- n = len(cols)
- lattice = []
- for r, lev in rels.relations:
-  v, _ = _to_int_vector(r, index)
-  if mod == "Q":
-   # x ~ 1 mod Q* contributes x itself; x ~ 1 mod sqrt(Q*) only x^2
-   mult = 2 if lev == "Q" else 4
-  else:
-   # mod sqrt(Q*), square roots of Q*-trivial scalars are trivial too
-   mult = 1 if lev == "Q" else 2
-  if mult == 1 and any(a % 2 for a in v):
-   raise ValueError("half-integral relation exponents are not supported")
-  lattice.append([a * mult // 2 for a in v])
- # unit-type generators: g^base is rational, stored at doubled scale
- for g in cols:
-  base = None
-  if _auto_sqrt_class(g):
-   base = 2  # g^2 rational
-  elif g in rels.rational_gens:
-   base = 1  # g rational
-  if base is not None:
-   v = [0] * n
-   v[index[g]] = base * unit // 2
-   lattice.append(v)
-
- basis = _hnf(lattice, n)
- for c, row in basis:
-  if cols[c] in ("pi", "twopii"):
-   raise InconsistentRelations(
-    "relation set forces a rational relation among pi powers: " +
-    "*".join("%s^%d" % (cols[k], row[k]) for k in range(n) if row[k]))
- return cols, index, [(c, row[c], [(k, a) for k, a in enumerate(row) if a])
-                      for c, row in basis]
 
 
 def reduce(x, rels, mod="Q"):
@@ -256,28 +212,40 @@ def reduce(x, rels, mod="Q"):
 
  Returns a PeriodScalar; the empty product means x is trivial at the
  requested level.  Raises InconsistentRelations if the relations force a
- multiplicative relation between powers of pi and 2*pi*i themselves.  Each
- call echelonizes the set's lattice once.  A generator the set does not
- mention has no column: its residue is its own exponent, taken modulo the
- unit row when it is of rational square class (sqrtD, sqrtdisc.*).
+ multiplicative relation between powers of pi and 2*pi*i themselves.
+
+ The set has one lattice: the scalars trivial modulo Q*, at doubled
+ scale, over the generators of x and of the set and i, in _column_order.
+ A relation modulo Q* spans itself and one modulo sqrt(Q*) its square; a
+ generator of rational square class spans its square and a rational one
+ itself.  y is trivial modulo sqrt(Q*) exactly when y^2 is modulo Q*, so
+ at sqrtQ the residue of x^2 is halved.
  """
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
- unit = 4 if mod == "Q" else 2
- cols, index, basis = _echelon(rels, mod, unit)
- t, rest = _to_int_vector(x, index)
- for c, p, row in basis:
-  q = t[c] // p
-  if q:
-   for k, a in row:
-    t[k] -= q * a
- out = {cols[k]: Fraction(a, 2) for k, a in enumerate(t) if a}
- for g, a in rest.items():
-  if _auto_sqrt_class(g):
-   a %= unit
-  if a:
-   out[g] = Fraction(a, 2)
- return PeriodScalar(out)
+ gens = {"i", *x.exps, *rels.rational_gens}
+ for r, _lev in rels.relations:
+  gens.update(r.exps)
+ cols = _column_order(gens)
+ index = {g: k for k, g in enumerate(cols)}
+ lattice = [_to_int_vector(r, index, 1 if lev == "Q" else 2)
+            for r, lev in rels.relations]
+ for k, g in enumerate(cols):
+  unit = 4 if _auto_sqrt_class(g) else 2 if g in rels.rational_gens else 0
+  if unit:
+   v = [0] * len(cols)
+   v[k] = unit
+   lattice.append(v)
+ basis = _hnf(lattice, len(cols))
+ for c, _p, row in basis:
+  if cols[c] in ("pi", "twopii"):
+   raise InconsistentRelations(
+    "relation set forces a rational relation among pi powers: " +
+    "*".join("%s^%s" % (cols[k], Fraction(a, 2)) for k, a in row))
+ scale = 1 if mod == "Q" else 2
+ t = _residue(_to_int_vector(x, index, scale), basis)
+ return PeriodScalar({cols[k]: Fraction(a, 2 * scale)
+                      for k, a in enumerate(t) if a})
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +345,12 @@ def _orthogonal_ratios(prefix, top):
  return out
 
 
-def vol_L(case, n, which):
- """Lattice volume of the Betti realization, as a period scalar."""
- spec = cases.get(case, n)
+def vol_L(mot, which):
+ """Lattice volume of the Betti realization of the factor which of the
+ case motives mot, as a period scalar."""
  if which not in ("M", "N"):
   raise ValueError("which must be 'M' or 'N'")
- g = PeriodScalar.gen
+ spec, n, g = mot.spec, mot.n, PeriodScalar.gen
  k = _orthogonal_k(spec, n)
  if k is not None:
   if which == "N":
@@ -453,11 +421,10 @@ def period_ratio(mot, sign=1):
  c^2 / (vol_M vol_N); for the imaginary quadratic pairs it is c^2/(vol vol)
  or c/(vol vol) depending on whether the central value is a square.
  """
- spec, case, n = mot.spec, mot.case, mot.n
  twists = (False,) if mot.twisted_m is None else (False, True)
- out = (vol_L(case, n, "M") * vol_L(case, n, "N")) ** -len(twists)
+ out = (vol_L(mot, "M") * vol_L(mot, "N")) ** -len(twists)
  for psi in twists:
-  out = out * deligne_c(mot, sign, psi) ** spec.e
+  out = out * deligne_c(mot, sign, psi) ** mot.spec.e
  return out
 
 

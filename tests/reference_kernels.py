@@ -108,7 +108,12 @@ def dense_reduce(x, rels, mod="Q"):
    v = [0] * n
    v[idx[g]] = 2 * base if mod == "Q" else base
    lattice.append(v)
- basis = _hnf(lattice, n)
+ basis = []
+ for c, _p, entries in _hnf(lattice, n):
+  row = [0] * n
+  for k, a in entries:
+   row[k] = a
+  basis.append((c, row))
  for c, row in basis:
   if cols[c] in ("pi", "twopii"):
    raise InconsistentRelations("pi relation")
@@ -123,10 +128,11 @@ def dense_reduce(x, rels, mod="Q"):
 
 def three_reduce_verdicts(case, n, extra=None):
  """(gamma1, gamma2, condensate) of one case, one reduction each."""
- m = cases.get(case, n).m(n)
- rels = periodring.case_relations(CaseMotives(case, n))
+ mot = CaseMotives(case, n)
+ m = mot.spec.m(n)
+ rels = periodring.case_relations(mot)
  mod = written_out_case_data(case, n).mod
- cond = periodring.condensate(case, n)
+ cond = periodring.period_ratio(mot)
  if extra is not None:
   cond = cond * extra
  reduced = dense_reduce(cond, rels, mod)

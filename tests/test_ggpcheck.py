@@ -331,6 +331,21 @@ class TestRotation:
   assert ok and desc["b"] == 3
   assert not desc["change_det"].is_zero()
 
+ def test_square_ratio_runs_the_factorization(self):
+  # the plane parts' squared lengths have ratio b0 = 1/4, a rational
+  # square that _sqfree must factor: b = 1 and scale 1/2
+  v2 = [[3, -1, 1], [1, -1, 0], [0, 1, -1]]
+  ok, desc = rotation_check(V1, v2, SIGMA)
+  assert ok and desc["b"] == 1 and desc["scale"] == Fraction(1, 2)
+  assert desc["change_det"] == QSqrt(1, 1)
+  assert repr(desc) == repr(qsqrt_rotation_check(V1, v2, SIGMA)[1])
+
+ def test_sqfree_bruteforce(self):
+  for n in range(1, 2001):
+   part, co = gc._sqfree(n)
+   assert part * co * co == n, n
+   assert all(part % (p * p) for p in range(2, math.isqrt(part) + 1)), n
+
  def test_unequal_axis_volume(self):
   third = Fraction(1, 3)
   v2 = [[3, 3, 3], [2 * third, -third, -third],

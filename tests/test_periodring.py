@@ -14,7 +14,7 @@ from artifact.hodge import CaseMotives
 from artifact.periodring import (PeriodScalar, RelationSet,
                                  InconsistentRelations, reduce,
                                  case_relations, vol_L,
-                                 deligne_c, condensate,
+                                 deligne_c, period_ratio,
                                  parse_expr, _hnf)
 import oracle_periods as orc
 from reference_kernels import (condensate_residual, dense_reduce,
@@ -110,22 +110,34 @@ class TestReduce:
  def test_inconsistent(self):
   rels = RelationSet([(g("Q0.s") * g("pi"), "Q"),
                       (g("Q0.s"), "Q")])
-  with pytest.raises(InconsistentRelations):
-   reduce(g("Q0.s"), rels, "Q")
+  # the message states the forced relation in its own exponents, at
+  # either level
+  for mod in ("Q", "sqrtQ"):
+   with pytest.raises(InconsistentRelations, match=r": pi\^1$"):
+    reduce(g("Q0.s"), rels, mod)
+
+ def test_half_integral_relation_at_sqrt_level(self):
+  # Q0 R0 is the square of the relation, so Q0 is R0^-1 modulo sqrt(Q*)
+  rels = RelationSet([(g("Q0", half) * g("R0", half), "Q")])
+  assert reduce(g("Q0"), rels, "sqrtQ") == g("R0", -1)
 
 
 class TestVolumes:
  def test_pgl_q_n2(self):
-  assert vol_L("pgl-q", 2, "M") == g("Q1")
+  assert vol_L(CaseMotives("pgl-q", 2), "M") == g("Q1")
 
  def test_pgl_e_n1(self):
-  assert vol_L("pgl-e", 1, "M").is_one()
+  assert vol_L(CaseMotives("pgl-e", 1), "M").is_one()
 
  def test_so_even_n2_symbols(self):
-  v = vol_L("so-even", 2, "M")
+  v = vol_L(CaseMotives("so-even", 2), "M")
   assert v.exps.get("Delta.s") == 1
   assert v.exps.get("Xi.s") == 1
   assert v.exps.get("Q0") == -2
+
+ def test_factor_name_checked(self):
+  with pytest.raises(ValueError, match="which must be"):
+   vol_L(CaseMotives("pgl-q", 2), "X")
 
 
 class TestCancellation:
@@ -147,7 +159,7 @@ class TestCancellation:
 
  def test_perturbation_names_residual(self):
   rels = case_relations(CaseMotives("pgl-q", 3))
-  x = condensate("pgl-q", 3) * g("twopii", -12) * g("Q0")
+  x = period_ratio(CaseMotives("pgl-q", 3)) * g("twopii", -12) * g("Q0")
   res = reduce(x, rels, "Q")
   assert not res.is_one()
   assert any(k.startswith("Q") for k in res.exps)
@@ -174,7 +186,7 @@ class TestRelationDrops:
    for n in range(1, 13):
     spec = cases.get(case, n)
     rels = case_relations(CaseMotives(case, n))
-    x = condensate(case, n) * g("twopii", -spec.m(n))
+    x = period_ratio(CaseMotives(case, n)) * g("twopii", -spec.m(n))
     orbits = []
     for y, _lev in rels.relations:
      if y.conj() not in orbits:
@@ -381,7 +393,7 @@ class TestSparseReduce:
   for n in range(1, 13):
    rels = case_relations(CaseMotives(case, n))
    for mod in ("Q", "sqrtQ"):
-    x = condensate(case, n) * g("pi", half)
+    x = period_ratio(CaseMotives(case, n)) * g("pi", half)
     base = reduce(x, rels, mod)
     for k in (-3, -1, 1, 2):
      assert reduce(x * g("twopii", k), rels, mod) == base * g("twopii", k)
@@ -406,9 +418,14 @@ class TestSparseReduce:
 
 
 def _residue(basis, t):
+ """Residue of t against the echelon rows, each expanded to a dense row."""
  t = list(t)
- for c, row in basis:
-  q = t[c] // row[c]
+ for c, p, entries in basis:
+  row = [0] * len(t)
+  for k, a in entries:
+   row[k] = a
+  assert row[c] == p
+  q = t[c] // p
   for k in range(len(t)):
    t[k] -= q * row[k]
  return t
@@ -437,5 +454,7 @@ class TestHnfProperties:
    assert not any(_residue(basis, row))
   # pivots are positive and the residue sits in [0, pivot) at each pivot
   res = _residue(basis, t)
-  for c, row in basis:
-   assert row[c] > 0 and 0 <= res[c] < row[c]
+  for c, p, _entries in basis:
+   assert p > 0 and 0 <= res[c] < p
+  # the residue that reduce and the ledger read is the same
+  assert periodring._residue(list(t), basis) == res
