@@ -334,16 +334,39 @@ def _frac_mat(m):
  return [[Fraction(x) for x in row] for row in m]
 
 
+def _scalar(c):
+ return [[c, 0, 0], [0, c, 0], [0, 0, c]]
+
+
 def _det3(m):
  return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
          - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _adj3(m):
+ """Adjugate of a 3x3 matrix over any commutative ring, adj(m) m =
+ m adj(m) = det(m) 1: the cofactors of _det3, read with cyclic indices."""
+ return [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+          - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+          for j in range(3)] for i in range(3)]
+
+
+def _det3_sqrt(p, q, b):
+ """(x, y) with det(P + sqrt(b) Q) = x + y sqrt(b), for 3x3 integer P, Q:
+ det(P + tQ) = det P + t tr(adj(P) Q) + t^2 tr(P adj(Q)) + t^3 det Q."""
+ def trace_of_product(m, n):
+  return sum(_dot(row, col) for row, col in zip(m, zip(*n)))
+
+ return (_det3(p) + b * trace_of_product(p, _adj3(q)),
+         trace_of_product(_adj3(p), q) + b * _det3(q))
+
+
 def _cleared(m):
- """(W, e): e is the lcm of the denominators of m and W = e m is integral."""
+ """(W, e): e is the lcm of the denominators of m (ints or Fractions) and
+ W = e m is integral."""
  e = math.lcm(*(x.denominator for row in m for x in row))
- return [[int(x * e) for x in row] for row in m], e
+ return [[x.numerator * (e // x.denominator) for x in row] for row in m], e
 
 
 def _qsqrt_mat(b, p, q, d):
@@ -355,107 +378,123 @@ def _rotation_identities(p, q, d, b, s):
  """Check over Z that alpha = (P + sqrt(b) Q)/D commutes with sigma (S is
  sigma with its denominators cleared) and is orthogonal: PS = SP, QS = SQ,
  P^T P + b Q^T Q = D^2 1 and P^T Q + Q^T P = 0.  AssertionError otherwise."""
- matmul, transpose, ident = linalg.matmul, linalg.transpose, linalg.identity(3)
+ matmul, transpose = linalg.matmul, linalg.transpose
  if any(matmul(m, s) != matmul(s, m) for m in (p, q)):
   raise AssertionError("constructed map does not commute with sigma")
  pp, qq, pq = (matmul(transpose(x), y) for x, y in ((p, p), (q, q), (p, q)))
- if any(pp[i][j] + b * qq[i][j] != d * d * ident[i][j] or pq[i][j] + pq[j][i]
-        for i in range(3) for j in range(3)):
+ if any(pp[i][j] + b * qq[i][j] != (d * d if i == j else 0)
+        or pq[i][j] + pq[j][i] for i in range(3) for j in range(3)):
   raise AssertionError("constructed map is not orthogonal")
-
-
-def _primitive_axis_vector(basis, binv, axis):
- """Shortest lattice vector on the invariant line; binv is the inverse of
- the basis, whose rows span the lattice."""
- ints = _cleared(linalg.matmul([axis], binv))[0][0]
- g = math.gcd(*ints)
- if g == 0:
-  raise ValueError("axis misses the lattice")
- return linalg.matmul([[i // g for i in ints]], basis)[0]
 
 
 def rotation_check(v1, v2, sigma):
  """Exhibit the quadratic-field rotation carrying the second lattice's
  rational span structure onto the first's.
 
- v1, v2: 3x3 rational matrices whose rows span the lattices; sigma: a
- rational orthogonal matrix of order 3 stabilizing both.  Returns
+ v1, v2: 3x3 matrices of ints or Fractions whose rows span the lattices;
+ sigma: a rational orthogonal matrix of order 3 stabilizing both.  Returns
  (True, description) with the square class b and the rotation matrix over
  Q(sqrt b); raises ValueError with a diagnostic when a hypothesis fails.
+
+ Every check runs over Z: sigma = S/es and each basis V = W/e with S, W
+ integral, and V^-1 = e adj(W)/det W.
  """
  matmul, transpose = linalg.matmul, linalg.transpose
- v1, v2, sigma = (_frac_mat(m) for m in (v1, v2, sigma))
- ident = linalg.identity(3)
- st = transpose(sigma)
- if matmul(st, sigma) != ident:
+ s, es = _cleared(sigma)
+ st = transpose(s)
+ if matmul(st, s) != _scalar(es * es):
   raise ValueError("sigma is not orthogonal")
- if matmul(matmul(sigma, sigma), sigma) != ident or sigma == ident:
+ if matmul(matmul(s, s), s) != _scalar(es ** 3) or s == _scalar(es):
   raise ValueError("sigma must have order exactly 3")
- inverses = []
+ lattices = []
  for name, basis in (("v1", v1), ("v2", v2)):
-  if _det3(basis) == 0:
+  w, e = _cleared(basis)
+  det = _det3(w)
+  if det == 0:
    raise ValueError("%s is not a basis" % name)
-  binv = linalg.inv(basis)
-  # row i of B sigma^T B^-1 holds the coordinates of sigma(row i of B)
-  if any(c.denominator != 1
-         for row in matmul(matmul(basis, st), binv) for c in row):
+  adj = _adj3(w)
+  # row i of V sigma^T V^-1 = W S^T adj(W)/(es det W) holds the
+  # coordinates of sigma(row i of V)
+  if any(c % (es * det) for row in matmul(matmul(w, st), adj) for c in row):
    raise ValueError("%s is not sigma-stable" % name)
-  inverses.append(binv)
+  lattices.append((w, e, det, adj))
+ (w1, e1, det1, adj1), (w2, e2, det2, adj2) = lattices
  # invariant line: kernel of sigma - 1, forced one-dimensional by order 3.
  # 1 + sigma + sigma^2 = 1 + sigma + sigma^T is three times the projection
  # onto it and symmetric, so its first nonzero row spans it
- proj = [[ident[i][j] + sigma[i][j] + st[i][j] for j in range(3)]
-         for i in range(3)]
- axis = next(row for row in proj if any(row))
- if _det3(v1) ** 2 != _det3(v2) ** 2:
+ proj = [[x + y + z for x, y, z in zip(*rows)]
+         for rows in zip(_scalar(es), s, st)]
+ line = next(row for row in proj if any(row))
+ k = math.gcd(*line)
+ axis = [x // k for x in line]
+ # det V = det W / e^3
+ if det1 * det1 * e2 ** 6 != det2 * det2 * e1 ** 6:
   raise ValueError("lattice volumes differ")
- a1 = _primitive_axis_vector(v1, inverses[0], axis)
- a2 = _primitive_axis_vector(v2, inverses[1], axis)
- if _dot(a1, a1) != _dot(a2, a2):
+
+ def axis_norm(w, adj):
+  # the shortest lattice vector on the axis is c V, with c the primitive
+  # integer vector along axis V^-1, i.e. along axis adj(W): never 0, as
+  # adj(W) is invertible.  Returns |c W|^2 = e^2 |c V|^2
+  c = matmul([axis], adj)[0]
+  g = math.gcd(*c)
+  cw = matmul([[x // g for x in c]], w)[0]
+  return _dot(cw, cw)
+
+ if axis_norm(w1, adj1) * e2 * e2 != axis_norm(w2, adj2) * e1 * e1:
   raise ValueError("sigma-invariant volumes differ")
+ n = _dot(axis, axis)
 
- def plane_part(v):
-  t = _dot(v, axis) / _dot(axis, axis)
-  return [x - t * a for x, a in zip(v, axis)]
+ def plane_part(w):
+  # n e times the part off the axis of the first row of V that leaves the
+  # axis line; a basis has rank 3, so some row does
+  return next(u for u in ([n * x - _dot(row, axis) * a
+                           for x, a in zip(row, axis)] for row in w)
+              if any(u))
 
- u1 = next((p for p in map(plane_part, v1) if any(p)), None)
- u2 = next((p for p in map(plane_part, v2) if any(p)), None)
- if u1 is None or u2 is None:
-  raise ValueError("lattice degenerates onto the axis")
- b0 = _dot(u1, u1) / _dot(u2, u2)
+ u1, u2 = plane_part(w1), plane_part(w2)
+ b0 = Fraction(_dot(u1, u1) * e2 * e2, _dot(u2, u2) * e1 * e1)
  b, co = _sqfree(b0.numerator * b0.denominator)
  # num*den = b*co^2, so b0 = (co/den)^2 * b
  r = Fraction(co, b0.denominator)
  if r * r * b != b0:
   raise AssertionError("square-class split failed")
  # the linear map fixing the axis and sending (u2, sigma u2) to
- # (u1, sigma u1); scaled by 1/sqrt(b0) it is a rotation
- fmat = matmul(transpose([u1, _matvec(sigma, u1), [Fraction(0)] * 3]),
-               linalg.inv(transpose([u2, _matvec(sigma, u2), axis])))
+ # (u1, sigma u1) is e2 G/(e1 det M) with G = [u1, S u1, 0] adj(M) and
+ # M = [u2, S u2, axis] (columns); scaled by 1/sqrt(b0) it is a rotation
+ su1, su2 = _matvec(s, u1), _matvec(s, u2)
+ m = transpose([u2, su2, axis])
+ det_m = _det3(m)
+ gm = matmul(transpose([u1, su1, [0, 0, 0]]), _adj3(m))
  # conformality of the plane map, forced by sigma-equivariance
- fu2 = _matvec(fmat, u2)
- fsu2 = _matvec(fmat, _matvec(sigma, u2))
- if _dot(fu2, fu2) != b0 * _dot(u2, u2) or \
-    _dot(fu2, fsu2) != b0 * _dot(u2, _matvec(sigma, u2)):
+ gu2, gsu2 = _matvec(gm, u2), _matvec(gm, su2)
+ n1, dm2 = _dot(u1, u1), det_m * det_m
+ if _dot(gu2, gu2) != dm2 * n1 or \
+    _dot(gu2, gsu2) * _dot(u2, u2) != dm2 * n1 * _dot(u2, su2):
   raise AssertionError("plane map is not conformal")
- n_axis = _dot(axis, axis)
- scale = 1 / (r * b)  # 1/sqrt(b0) = sqrt(b)/(r b)
- # alpha = (P + sqrt(b) Q)/D: P/D projects onto the axis, Q/D is the
- # plane map scaled by 1/sqrt(b0)
- pq, d = _cleared([[x * y / n_axis for y in axis] for x in axis] +
-                  [[scale * f for f in frow] for frow in fmat])
- p, q = pq[:3], pq[3:]
- _rotation_identities(p, q, d, b, _cleared(sigma)[0])
+ # alpha = (P + sqrt(b) Q)/D: P/D = axis axis^T/n projects onto the axis,
+ # Q/D = e2 den G/(e1 det M co b) is the plane map scaled by
+ # 1/sqrt(b0) = sqrt(b) den/(co b)
+ den_q = e1 * det_m * co * b
+ p = [[x * y * den_q for y in axis] for x in axis]
+ q = [[x * e2 * b0.denominator * n for x in row] for row in gm]
+ d = n * den_q
+ k = math.gcd(d, *(x for mat in (p, q) for row in mat for x in row))
+ if d < 0:
+  k = -k
+ p, q, d = ([[x // k for x in row] for row in p],
+            [[x // k for x in row] for row in q], d // k)
+ _rotation_identities(p, q, d, b, s)
  # row i of V2 alpha^T V1^-1 holds the coordinates of alpha(row i of V2)
- # in the first basis: (W2 P^T W1 + sqrt(b) W2 Q^T W1)/(D e2 e1) over Z
- (w2, e2), (w1, e1) = _cleared(v2), _cleared(inverses[0])
- change = _qsqrt_mat(b, *(matmul(matmul(w2, transpose(m)), w1)
-                          for m in (p, q)), d * e2 * e1)
- det = _det3(change)
- if det.is_zero():
+ # in the first basis: (W2 P^T + sqrt(b) W2 Q^T) e1 adj(W1)/(D e2 det W1)
+ inv1 = [[e1 * x for x in row] for row in adj1]
+ cp, cq = (matmul(matmul(w2, transpose(mat)), inv1) for mat in (p, q))
+ dc = d * e2 * det1
+ x, y = _det3_sqrt(cp, cq, b)
+ if x == 0 and y == 0:
   raise AssertionError("rotation does not carry the spans over")
  desc = {"b": b, "scale": r, "alpha": _qsqrt_mat(b, p, q, d),
-         "change_of_basis": change, "change_det": det}
+         "change_of_basis": _qsqrt_mat(b, cp, cq, dc),
+         "change_det": QSqrt(b, Fraction(x, dc ** 3), Fraction(y, dc ** 3))}
  return True, desc
 
 

@@ -30,8 +30,9 @@ GROUPS = tuple("SL(%d)/R" % n for n in range(4, 10)) + (
     "PGL(4)/C", "SO(5)/C", "PGL(2)/C x PGL(3)/C")
 
 # (v1, v2, sigma) matrix files under tests/data/rotation: three instances
-# of the lemma (b = 1 trivial and rational, b = 3) and four failed
-# hypotheses
+# of the lemma (b = 1 trivial and rational, b = 3), the same three turned
+# by the 3-4-5 rotation (denominators in sigma and in both bases) and six
+# failed hypotheses
 ROTATIONS = (
     ("v1", "v1", "sigma"),
     ("v1", "v2_rational", "sigma"),
@@ -40,6 +41,11 @@ ROTATIONS = (
     ("v1", "v2_long_axis", "sigma"),
     ("v1", "v1", "sigma_scaled"),
     ("v1", "v1", "sigma_identity"),
+    ("v1_r345", "v1_r345", "sigma_r345"),
+    ("v1_r345", "v2_rational_r345", "sigma_r345"),
+    ("v1_r345", "v2_sqrt3_r345", "sigma_r345"),
+    ("v1", "v2_singular", "sigma"),
+    ("v1", "v2_double_volume", "sigma"),
 )
 
 

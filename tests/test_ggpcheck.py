@@ -1,8 +1,10 @@
 """Case drivers, the volume ledger with verifiable derivations, and the
 quadratic-field rotation lemma."""
 
+import ast
 import collections
 from fractions import Fraction
+import inspect
 import math
 import random
 
@@ -11,6 +13,7 @@ import pytest
 from artifact import exteralg
 from artifact import ggpcheck as gc
 from artifact import hodge as hg
+from artifact import linalg
 from artifact import rootsys
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
@@ -469,6 +472,133 @@ class TestIntegerRotation:
   with pytest.raises(AssertionError, match="commute with sigma"):
    gc._rotation_identities(p, q, d, desc["b"],
                            gc._cleared(_frac_mat(sigma))[0])
+
+ def test_no_fraction_matrix_path(self, monkeypatch):
+  # regression guard: the checks run on integer matrices, so neither a
+  # Fraction inverse nor QSqrt arithmetic is needed to reach the verdict
+  def banned(*args):
+   raise AssertionError("Fraction matrix path taken")
+
+  monkeypatch.setattr(linalg, "inv", banned)
+  monkeypatch.setattr(QSqrt, "__mul__", banned)
+  for lat in self.LATTICES:
+   assert rotation_check(*lat)[0] is True
+
+ def test_adjugate_and_sqrt_determinant(self):
+  rng = random.Random(20261019)
+
+  def draw():
+   return [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+
+  for _ in range(50):
+   m, q, b = draw(), draw(), rng.choice((1, 2, 3, 5))
+   det = gc._det3(m)
+   scalar = [[det * x for x in row] for row in identity(3)]
+   assert matmul(gc._adj3(m), m) == matmul(m, gc._adj3(m)) == scalar
+   x, y = gc._det3_sqrt(m, q, b)
+   assert gc._det3(gc._qsqrt_mat(b, m, q, 1)) == QSqrt(b, x, y)
+
+
+SINGULAR = [[1, 1, 1], [1, -1, 0], [2, 0, 1]]
+UNSTABLE = [[1, 0, 0], [0, 1, 0], [0, 0, 3]]
+THIRD = Fraction(1, 3)
+LONG_AXIS = [[3, 3, 3], [2 * THIRD, -THIRD, -THIRD],
+             [-THIRD, 2 * THIRD, -THIRD]]
+# one failed hypothesis per ValueError of rotation_check, in check order
+ROTATION_FAILURES = [
+    ("sigma is not orthogonal", V1, V1, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ("sigma must have order exactly 3", V1, V1,
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ("sigma must have order exactly 3", V1, V1,
+     [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    ("v1 is not a basis", SINGULAR, V1, SIGMA),
+    ("v2 is not a basis", V1, SINGULAR, SIGMA),
+    ("v1 is not sigma-stable", UNSTABLE, V1, SIGMA),
+    ("v2 is not sigma-stable", V1, UNSTABLE, SIGMA),
+    # conjugated, v2 is the unit lattice: det W = 1, so only the factor es
+    # of the modulus es det W makes it fail
+    ("v2 is not sigma-stable", V1, R345, SIGMA),
+    ("lattice volumes differ", V1, [[2, 2, 2], [1, -1, 0], [0, 1, -1]],
+     SIGMA),
+    ("sigma-invariant volumes differ", V1, LONG_AXIS, SIGMA),
+]
+
+
+class TestRotationFailures:
+ """Every ValueError of rotation_check carries the reference's message,
+ for the coordinate cycle and for its R345 conjugate, whose denominators
+ the integer tests (mod es det W among them) must scale by."""
+
+ @pytest.mark.parametrize("conjugate", [False, True], ids=["sigma", "r345"])
+ @pytest.mark.parametrize("message, v1, v2, sigma", ROTATION_FAILURES,
+                          ids=[f[0] for f in ROTATION_FAILURES])
+ def test_same_message_as_reference(self, message, v1, v2, sigma,
+                                    conjugate):
+  if conjugate:
+   sigma, (v1, v2) = _conjugated(R345, sigma, [v1, v2])
+  with pytest.raises(ValueError) as ref:
+   qsqrt_rotation_check(v1, v2, sigma)
+  with pytest.raises(ValueError) as got:
+   rotation_check(v1, v2, sigma)
+  assert str(got.value) == str(ref.value) == message
+
+ def test_every_branch_is_covered(self):
+  # the message templates of the ValueErrors raised in rotation_check
+  templates = set()
+  for node in ast.walk(ast.parse(inspect.getsource(gc.rotation_check))):
+   if isinstance(node, ast.Raise) and node.exc.func.id == "ValueError":
+    arg = node.exc.args[0]
+    templates.add(arg.value if isinstance(arg, ast.Constant)
+                  else arg.left.value)
+  assert len(templates) == 6
+  assert {f[0] for f in ROTATION_FAILURES} == \
+      {t.replace("%s", name) for t in templates for name in ("v1", "v2")}
+
+
+def cayley(a, b, c):
+ """(1 - K)(1 + K)^-1 for the skew matrix K above the diagonal (a, b, c):
+ rational and orthogonal, as 1 + K is invertible."""
+ k = [[0, a, b], [-a, 0, c], [-b, -c, 0]]
+ one = identity(3)
+ return matmul([[x - y for x, y in zip(r, s)] for r, s in zip(one, k)],
+               linalg.inv([[x + y for x, y in zip(r, s)]
+                           for r, s in zip(one, k)]))
+
+
+def _cross(u, v):
+ return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+         u[0] * v[1] - u[1] * v[0]]
+
+
+def test_drawn_rotations_equal_reference():
+ """A drawn slope t turns V1 or V2_SQRT3; sigma and both bases are then
+ turned by a drawn Cayley transform.  desc equals the reference's."""
+ hyp = pytest.importorskip("hypothesis")
+ st = hyp.strategies
+ slopes = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+ @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+ @hyp.given(t=slopes, base=st.sampled_from([V1, V2_SQRT3]),
+            skew=st.tuples(*[st.integers(-4, 4)] * 3))
+ def check(t, base, skew):
+  alpha = rational_rotation(t)
+  v2 = [_matvec(alpha, row) for row in _frac_mat(base)]
+  sigma, (v1, v2) = _conjugated(cayley(*skew), SIGMA, [V1, v2])
+  # the facts that leave no raise for a lattice missing the axis or
+  # lying on it: some row of a basis leaves the axis line (rank 3), and
+  # axis adj(W) != 0 (adj(W) is invertible)
+  proj = [[x + y + z for x, y, z in zip(*rows)]
+          for rows in zip(identity(3), sigma, zip(*sigma))]
+  axis = next(row for row in proj if any(row))
+  for basis in (v1, v2):
+   assert any(any(_cross(row, axis)) for row in basis)
+   assert any(matmul([axis], gc._adj3(gc._cleared(basis)[0]))[0])
+  ok, desc = rotation_check(v1, v2, sigma)
+  ok_ref, ref = qsqrt_rotation_check(v1, v2, sigma)
+  assert ok is ok_ref is True
+  assert desc == ref and repr(desc) == repr(ref)
+
+ check()
 
 
 class TestVerifyAll:

@@ -38,6 +38,11 @@ def test_golden_covers_every_command():
  assert any("square class b = 3," in e["stdout"] for e in rotations)
  assert any(e["exit"] == 1 and e["stdout"].startswith("FAIL: ")
             for e in rotations)
+ # a sigma with denominators, and the basis and volume failures
+ assert any("rotation/sigma_r345.txt" in e["argv"] and e["exit"] == 0
+            for e in rotations)
+ for fail in ("v2 is not a basis", "lattice volumes differ"):
+  assert any(e["stdout"] == "FAIL: %s\n" % fail for e in rotations)
 
 
 def test_check_json_carries_the_text_verdicts():
