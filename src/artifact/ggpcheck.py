@@ -98,8 +98,12 @@ def _merge_lin(*parts):
  return {k: v for k, v in out.items() if v}
 
 
-def _sub_scaled(acc, f, form):
- """acc -= f * form in place, dropping the entries that cancel."""
+def _scale_sub(acc, p, f, form):
+ """acc = p * acc - f * form in place over Z, dropping the entries that
+ cancel."""
+ if p != 1:
+  for k in acc:
+   acc[k] *= p
  for k, v in form.items():
   w = acc.get(k, 0) - f * v
   if w:
@@ -186,18 +190,28 @@ class VolumeLedger:
 
  def _membership_class(self, target):
   """Smallest scaling class: integer axiom combination (rational class),
-  half-integer (square-root class), or none.  The axioms and the target
-  are scaled by one common denominator, which keeps the lattice exact; the
-  target is in it exactly when its residue is 0."""
+  half-integer (square-root class), or none.
+
+  The axioms and the target are scaled by one common denominator den into
+  integer rows over the ledger's symbols (every symbol of TARGETS is one),
+  each entry x read as x.numerator * (den / x.denominator).  Reducing
+  scale * den * target against the Hermite rows of the axioms leaves a
+  residue r with integers k_a such that
+    scale * den * target = r + sum(k_a * den * axiom_a),
+  so the class is Q* when r = 0 at scale 1 and sqrtQ* when r = 0 at 2."""
   forms = [form for _, form, _ in self.axioms]
-  den = math.lcm(*(Fraction(x).denominator for form in forms + [target]
+  den = math.lcm(*(x.denominator for form in forms + [target]
                    for x in form.values()))
+  column = {s: j for j, s in enumerate(self.symbols)}
 
   def ints(form, scale):
-   return [int(form[s] * den * scale) if s in form else 0
-           for s in self.symbols]
+   row = [0] * len(column)
+   for s, x in form.items():
+    if x:
+     row[column[s]] = x.numerator * (den // x.denominator) * scale
+   return row
 
-  ech = _hnf([ints(form, 1) for form in forms], len(self.symbols))
+  ech = _hnf([ints(form, 1) for form in forms], len(column))
   for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
    if not any(_residue(ints(target, scale), ech)):
     return label
@@ -206,33 +220,49 @@ class VolumeLedger:
  def _solve(self, target):
   """One rational coefficient vector with sum(c_a * axiom_a) = target.
 
-  Sparse elimination over the axiom forms in axiom order: each axiom
-  independent of the earlier ones becomes a pivot row, carrying its
-  combination of axioms.  The pivots are the greedy basis of the axiom
-  span, so the target's coefficients on it are unique."""
-  pivots = []  # (pivot symbol, row with 1 there, combination of axioms)
+  Fraction-free sparse elimination over Z (Cohen, GTM 138, sec. 2.2;
+  Bareiss 1968) over the axiom forms in axiom order.  A form is scaled by
+  the lcm D of its denominators to an integer row v, with an integer
+  combination combo of axioms, empty at first; throughout
+    D * target = v + sum(combo_a * axiom_a).
+  Against a pivot, an integer row R with entry p at its symbol and an
+  integer combination C with R = sum(C_a * axiom_a), where v has f: cut p
+  and f by their gcd, then v = p v - f R, combo = p combo + f C and
+  D = p D.  An axiom j left with v != 0 is independent of the earlier ones
+  and becomes a pivot, R = v and C = D e_j - combo, both divided by the gcd
+  of their entries.  The pivots are the greedy basis of the axiom span, so
+  the target's coefficients on it are unique; once its v is 0 they are
+  combo / D."""
+  pivots = []  # (pivot symbol, integer row R, integer combination C)
 
-  def eliminate(form, combo):
-   form = {s: v for s, v in form.items() if v}
+  def eliminate(form):
+   d = math.lcm(*(x.denominator for x in form.values()))
+   v = {s: x.numerator * (d // x.denominator) for s, x in form.items() if x}
+   combo = {}
    for sym, row, rcombo in pivots:
-    f = form.get(sym)
+    f = v.get(sym)
     if f:
-     _sub_scaled(form, f, row)
-     _sub_scaled(combo, f, rcombo)
-   return form, combo
+     p = row[sym]
+     g = math.gcd(p, f)
+     p, f = p // g, f // g
+     _scale_sub(v, p, f, row)
+     _scale_sub(combo, p, -f, rcombo)
+     d *= p
+   return v, combo, d
 
   for j, (_, form, _) in enumerate(self.axioms):
-   rem, combo = eliminate(form, {j: Fraction(1)})
-   if rem:
-    sym = next(iter(rem))
-    inv = 1 / rem[sym]
-    pivots.append((sym, {s: v * inv for s, v in rem.items()},
-                   {a: v * inv for a, v in combo.items()}))
-  rem, combo = eliminate(target, {})
+   row, combo, d = eliminate(form)
+   if row:
+    combo = {a: -c for a, c in combo.items()}
+    combo[j] = d
+    g = math.gcd(*row.values(), *combo.values())
+    pivots.append((next(iter(row)), {s: v // g for s, v in row.items()},
+                   {a: c // g for a, c in combo.items()}))
+  rem, combo, d = eliminate(target)
   if rem:
    raise LedgerUnderdetermined("underdetermined")
-  # the combination of the target is minus its elimination multipliers
-  return {self.axioms[a][0]: -v for a, v in sorted(combo.items())}
+  return {self.axioms[a][0]: Fraction(c, d)
+          for a, c in sorted(combo.items())}
 
  def derive(self, name):
   """Derive the named target; records and returns the derivation."""
@@ -240,9 +270,11 @@ class VolumeLedger:
    raise ValueError("unknown target %r" % (name,))
   target = TARGETS[name]
   klass = self._membership_class(target)
-  coeffs = self._solve(target)
+  # outside the lattice the target has no combination of the class's
+  # kind, whether or not it lies in the rational span
   if klass is None:
    raise LedgerUnderdetermined("underdetermined")
+  coeffs = self._solve(target)
   kinds = {n: k for n, _, k in self.axioms}
   record = {"target": name,
             "coefficients": coeffs,
@@ -295,8 +327,8 @@ class QSqrt:
 
  def __init__(self, b, x=0, y=0):
   self.b = b
-  self.x = Fraction(x)
-  self.y = Fraction(y)
+  self.x = x if isinstance(x, Fraction) else Fraction(x)
+  self.y = y if isinstance(y, Fraction) else Fraction(y)
 
  def __add__(self, o):
   return QSqrt(self.b, self.x + o.x, self.y + o.y)

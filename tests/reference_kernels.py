@@ -1,7 +1,8 @@
 """Straightforward dense versions of the exact kernels, kept as references
 for the equivalence tests: a reduction that rebuilds the whole relation
 lattice on every call with a per-column integer vector, the three-reduction
-case verdict, the dense Fraction Gauss-Jordan ledger solve, the long
+case verdict, the dense Fraction Gauss-Jordan ledger solve, the ledger's
+scaling class with its integer rows built through Fraction, the long
 Weyl map and twisted pairing of the exterior model built by wedging
 degree-1 images, the exterior-model checks in Fraction arithmetic:
 random elements with their raw n/d coefficients and every sum seeded with
@@ -31,7 +32,7 @@ from artifact.exteralg import (ExteriorElement, _check_index, _merge,
                                contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet, _auto_sqrt_class,
-                                 _column_order, _hnf)
+                                 _column_order, _hnf, _residue)
 from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _alt, _det3,
                                _dot, _frac_mat, _matvec, _merge_lin, _sqfree)
 from artifact.hodge import CaseMotives
@@ -190,6 +191,25 @@ def dense_solve(ledger, target):
   if mat[row][ncols]:
    coeffs[ledger.axioms[col][0]] = mat[row][ncols]
  return coeffs
+
+
+def fraction_membership_class(ledger, target):
+ """The ledger's scaling class with its dense integer rows built through
+ Fraction: every entry as int(x * den * scale) over ledger.symbols, den the
+ lcm of Fraction(x).denominator over the axioms and the target."""
+ forms = [form for _, form, _ in ledger.axioms]
+ den = math.lcm(*(Fraction(x).denominator for form in forms + [target]
+                  for x in form.values()))
+
+ def ints(form, scale):
+  return [int(form[s] * den * scale) if s in form else 0
+          for s in ledger.symbols]
+
+ ech = _hnf([ints(form, 1) for form in forms], len(ledger.symbols))
+ for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
+  if not any(_residue(ints(target, scale), ech)):
+   return label
+ return None
 
 
 def written_out_axioms():

@@ -22,9 +22,9 @@ from artifact.ggpcheck import (run_case, torsion_ledger,
                                rotation_check, verify_all, QSqrt,
                                _matvec, _frac_mat)
 from artifact.linalg import identity, matmul, transpose
-from reference_kernels import (dense_solve, qsqrt_rotation_check,
-                               three_reduce_verdicts, written_out_axioms,
-                               written_out_case_data)
+from reference_kernels import (dense_solve, fraction_membership_class,
+                               qsqrt_rotation_check, three_reduce_verdicts,
+                               written_out_axioms, written_out_case_data)
 
 
 class TestRunCase:
@@ -125,6 +125,22 @@ class TestReductionLevel:
     assert run_case(case, n, extra=fault).passed(), (case, n)
 
 
+def halved_ledger():
+ """The default ledger with every axiom halved."""
+ return VolumeLedger([(name, {s: v / 2 for s, v in form.items()}, kind)
+                      for name, form, kind in gc.default_axioms()])
+
+
+def zero_entry_ledger():
+ """The default ledger with an explicit zero entry zz in every axiom, and a
+ dependent copy of the first axiom."""
+ axioms = [(name, dict(form, zz=Fraction(0)), kind)
+           for name, form, kind in gc.default_axioms()]
+ name, form, kind = axioms[0]
+ axioms.append(("dup", dict(form), kind))
+ return VolumeLedger(axioms)
+
+
 class TestLedger:
  def test_targets_derive(self):
   led = torsion_ledger()
@@ -185,9 +201,7 @@ class TestLedger:
  def test_halved_axioms_derive_in_rational_class(self):
   # halving every axiom turns the lattice L into L/2, and 2t lies in L
   # iff t lies in L/2: every target, at worst sqrtQ* before, is now Q*
-  halved = [(name, {s: v / 2 for s, v in form.items()}, kind)
-            for name, form, kind in gc.default_axioms()]
-  led = VolumeLedger(halved)
+  led = halved_ledger()
   for name in gc.TARGETS:
    rec = led.derive(name)
    assert rec["class"] == "Q*", name
@@ -377,6 +391,13 @@ class TestRotation:
  def test_qsqrt_arithmetic(self):
   x = QSqrt(5, Fraction(1, 2), Fraction(3))
   assert (x * x.inv()) == QSqrt(5, 1, 0)
+
+ def test_qsqrt_keeps_fraction_parts(self):
+  # a Fraction part is kept as it is; an int part becomes a Fraction
+  half = Fraction(1, 2)
+  x = QSqrt(5, half, 3)
+  assert x.x is half and type(x.y) is Fraction and x.y == 3
+  assert repr(x) == "(1/2 + 3 sqrt(5))"
 
 
 V2_SQRT3 = [[1, 1, -2], [0, 1, -1], [1, 1, 1]]
@@ -657,11 +678,7 @@ class TestSparseSolve:
  def test_explicit_zero_entries_read_as_absent(self):
   # the public constructor does not drop zero coefficients; a dependent
   # axiom and the targets carry one here
-  axioms = [(name, dict(form, zz=Fraction(0)), kind)
-            for name, form, kind in gc.default_axioms()]
-  name, form, kind = axioms[0]
-  axioms.append(("dup", dict(form), kind))
-  led = VolumeLedger(axioms)
+  led = zero_entry_ledger()
   for name, target in gc.TARGETS.items():
    target = dict(target, zz=Fraction(0))
    assert _solve_or_none(VolumeLedger._solve, led, target) == \
@@ -670,6 +687,140 @@ class TestSparseSolve:
  def test_underdetermined_target(self):
   with pytest.raises(LedgerUnderdetermined):
    VolumeLedger().without("rt2")._solve(gc.TARGETS["buggerme"])
+
+
+def reference_ledgers():
+ """(label, ledger): the full ledger, each single-axiom removal, the halved
+ ledger and the ledger with explicit zero entries."""
+ full = VolumeLedger()
+ return ([("full", full)] +
+         [("without " + name, full.without(name)) for name in AXIOM_NAMES] +
+         [("halved", halved_ledger()), ("zero entries", zero_entry_ledger())])
+
+
+REFERENCE_LEDGERS = reference_ledgers()
+
+
+def _assert_equals_reference(led, target, want):
+ """_solve equals want, the dense_solve items, Fraction for Fraction, or
+ both raise; _membership_class equals its Fraction-built reference."""
+ got = _solve_or_none(VolumeLedger._solve, led, target)
+ assert got == want
+ assert got is None or all(type(c) is Fraction for _, c in got)
+ klass = led._membership_class(target)
+ assert klass == fraction_membership_class(led, target)
+ return got, klass
+
+
+class TestIntegerLedger:
+ """The ledger's kernels run over Z; the dense Fraction Gauss-Jordan and
+ the Fraction-built class are the references."""
+
+ @pytest.mark.parametrize("k", range(len(REFERENCE_LEDGERS)),
+                          ids=[label for label, _ in REFERENCE_LEDGERS])
+ def test_kernels_equal_reference(self, k):
+  led = REFERENCE_LEDGERS[k][1]
+  for name, target in gc.TARGETS.items():
+   # zz is in no axiom but those of the zero-entry ledger; dense_solve
+   # reads the target on the ledger's symbols, where its zero is absent,
+   # so one dense solve serves both targets
+   want = _solve_or_none(dense_solve, led, target)
+   for t in (target, dict(target, zz=Fraction(0))):
+    _assert_equals_reference(led, t, want)
+
+ def test_ledger_set_covers_every_outcome(self):
+  seen = collections.Counter()
+  for _, led in REFERENCE_LEDGERS:
+   for target in gc.TARGETS.values():
+    got = _solve_or_none(VolumeLedger._solve, led, target)
+    seen[got is not None, led._membership_class(target)] += 1
+  assert set(seen) == {(True, "Q*"), (True, "sqrtQ*"), (False, None)}
+  assert len(REFERENCE_LEDGERS) == 40
+
+ def test_no_fraction_arithmetic(self, monkeypatch):
+  # regression guard: between reading the axioms and returning the record
+  # only integers are combined, so Fraction's operators are never called
+  led = VolumeLedger()
+  want = {name: (list(dense_solve(led, target).items()),
+                 fraction_membership_class(led, target))
+          for name, target in gc.TARGETS.items()}
+
+  def banned(*args):
+   raise AssertionError("Fraction arithmetic")
+
+  for op in ("add", "sub", "mul", "truediv"):
+   for form in ("__%s__", "__r%s__"):
+    monkeypatch.setattr(Fraction, form % op, banned)
+  monkeypatch.setattr(Fraction, "__neg__", banned)
+  got = {name: (list(led._solve(target).items()),
+                led._membership_class(target))
+         for name, target in gc.TARGETS.items()}
+  records = [led.derive(name) for name in gc.TARGETS]
+  monkeypatch.undo()
+  assert got == want
+  assert all(led.replay(rec) for rec in records)
+
+ def test_unsolvable_class_skips_the_solve(self, monkeypatch):
+  # a target outside the lattice raises before the solve runs
+  def banned(*args):
+   raise AssertionError("solve reached")
+
+  led = VolumeLedger().without("rt2")
+  monkeypatch.setattr(VolumeLedger, "_solve", banned)
+  with pytest.raises(LedgerUnderdetermined, match="underdetermined"):
+   led.derive("buggerme")
+
+
+# symbols of the targets: every ledger has a column for each
+DRAWN_SYMBOLS = ["hP3", "hP4", "sP4", "bP1", "cE", "cF"]
+
+
+def _combination(coeffs, forms):
+ """sum(c * form), keeping the entries that cancel as explicit zeros."""
+ out = {}
+ for c, form in zip(coeffs, forms):
+  for s, v in form.items():
+   out[s] = out.get(s, Fraction(0)) + c * v
+ return out
+
+
+def test_drawn_ledgers_equal_reference():
+ """Sparse rational axiom systems, some axioms dependent on earlier ones,
+ some entries explicit zeros; the target is drawn inside the span or
+ anywhere.  Both kernels equal their references."""
+ hyp = pytest.importorskip("hypothesis")
+ st = hyp.strategies
+ values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+ free_forms = st.dictionaries(st.sampled_from(DRAWN_SYMBOLS), values,
+                              max_size=4)
+ seen = collections.Counter()
+
+ @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+ @hyp.given(data=st.data())
+ def check(data):
+  forms = []
+  for _ in range(data.draw(st.integers(1, 7))):
+   if forms and data.draw(st.booleans()):
+    coeffs = data.draw(st.lists(values, min_size=len(forms),
+                                max_size=len(forms)))
+    forms.append(_combination(coeffs, forms))
+   else:
+    forms.append(data.draw(free_forms))
+  if data.draw(st.booleans()):
+   coeffs = data.draw(st.lists(values, min_size=len(forms),
+                               max_size=len(forms)))
+   target = _combination(coeffs, forms)
+  else:
+   target = data.draw(free_forms)
+  led = VolumeLedger([("a%d" % j, form, "axiom")
+                      for j, form in enumerate(forms)])
+  got, klass = _assert_equals_reference(
+      led, target, _solve_or_none(dense_solve, led, target))
+  seen[got is not None, klass] += 1
+
+ check()
+ assert set(seen) == {(True, "Q*"), (True, "sqrtQ*"), (True, None),
+                      (False, None)}
 
 
 class TestOneReduction:
