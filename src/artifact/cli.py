@@ -13,6 +13,7 @@ Subcommands:
 
 Exit status: 0 when every identity checked passes, 1 when one fails, 2 on a
 usage error (a bad argument or input file), reported as one line on stderr.
+An error that the computation finds in its own data ends in a traceback.
 """
 
 import argparse
@@ -27,6 +28,19 @@ from . import hodge
 from . import lgamma
 from . import periodring
 from . import ggpcheck
+
+
+class UsageError(ValueError):
+ """A bad argument or input file: main alone turns it into exit 2."""
+
+
+def _read(f, *args):
+ """f(*args) on input from the command line: a ValueError it raises is a
+ UsageError."""
+ try:
+  return f(*args)
+ except ValueError as e:
+  raise UsageError(e) from e
 
 
 def _print_table(rows, headers):
@@ -46,7 +60,7 @@ def _print_table1(rows):
 
 
 def cmd_invariants(args):
- iv = rootsys.invariants(args.group)
+ iv = rootsys.invariants(_read(rootsys.GroupDescriptor.parse, args.group))
  data = iv.as_dict()
  if args.json:
   print(json.dumps({k: str(v) for k, v in data.items()}, indent=1))
@@ -57,6 +71,7 @@ def cmd_invariants(args):
 
 
 def cmd_cohomology_model(args):
+ _read(exteralg.model_dims, args.delta, args.q, args.k)
  model = exteralg.TemperedCohomologyModel(args.delta, args.q, args.k)
  _print_table(model.dims, ["degree", "dimension"])
  checks = [("freeness", exteralg.freeness_check(model)),
@@ -80,6 +95,7 @@ def _show_structure(case, n, which):
 
 
 def cmd_hodge(args):
+ _read(cases.get, args.case, args.n)
  h = _show_structure(args.case, args.n, args.show)
  print("weight %d, rank %d%s" % (h.weight, h.rank(),
                                  ", flagged" if h.over_e else ""))
@@ -91,6 +107,7 @@ def cmd_hodge(args):
 
 
 def cmd_lfactor(args):
+ _read(cases.get, args.case, args.n)
  rows = lgamma.table1_row(hodge.CaseMotives(args.case, args.n))
  if args.json:
   print(json.dumps([lgamma.row_json(r) for r in rows], indent=1))
@@ -100,8 +117,11 @@ def cmd_lfactor(args):
 
 
 def cmd_period(args):
- x = periodring.parse_expr(args.expr)
+ x = _read(periodring.parse_expr, args.expr)
  if args.case:
+  _read(cases.get, args.case, args.n)
+  # reducible at all: no exponent of denominator beyond 2
+  _read(periodring.reduce, x, periodring.RelationSet(), args.mod)
   rels = periodring.case_relations(hodge.CaseMotives(args.case, args.n))
   x = periodring.reduce(x, rels, args.mod)
  print(repr(x))
@@ -109,6 +129,7 @@ def cmd_period(args):
 
 
 def cmd_check(args):
+ _read(ggpcheck.check_n, args.n, "n")
  rep = ggpcheck.run_case(args.case, args.n)
  if args.json:
   print(json.dumps(rep.as_dict(), indent=1))
@@ -168,7 +189,7 @@ def _read_matrix(path):
 def cmd_rotation(args):
  # a matrix that cannot be read is a usage error; only hypothesis failures
  # of the lemma itself print FAIL
- mats = [_read_matrix(p) for p in (args.v1, args.v2, args.sigma)]
+ mats = [_read(_read_matrix, p) for p in (args.v1, args.v2, args.sigma)]
  try:
   ok, desc = ggpcheck.rotation_check(*mats)
  except ValueError as e:
@@ -181,6 +202,7 @@ def cmd_rotation(args):
 
 
 def cmd_verify_all(args):
+ _read(ggpcheck.check_n, args.n_max, "n-max")
  status, _, lines = ggpcheck.verify_all(args.n_max)
  for line in lines:
   print(line)
@@ -249,10 +271,7 @@ def main(argv=None):
  args = build_parser().parse_args(argv)
  try:
   return args.func(args)
- except (periodring.InconsistentRelations, ggpcheck.LedgerUnderdetermined):
-  # verdicts about the declared data, not about the command line
-  raise
- except ValueError as e:
+ except UsageError as e:
   print("usage error: %s" % e, file=sys.stderr)
   return 2
 

@@ -50,12 +50,17 @@ class CaseReport:
           "gamma2": self.gamma2}
 
 
+def check_n(n, name):
+ """The cases are verified for n = 1..12; ValueError for another n."""
+ if not 1 <= n <= 12:
+  raise ValueError("%s must be between 1 and 12" % name)
+
+
 def run_case(case, n, extra=None):
  """Full verdict for one case/n: exponent table, the two auxiliary scalar
  reductions, and the final cancellation residual.  extra, if given, is a
  PeriodScalar multiplied into the period ratio (perturbation hook)."""
- if not 1 <= n <= 12:
-  raise ValueError("n must be between 1 and 12")
+ check_n(n, "n")
  mot = hodge.CaseMotives(case, n)
  spec, case, m = mot.spec, mot.case, mot.spec.m(n)
  table1 = lgamma.table1_row(mot)
@@ -321,7 +326,8 @@ def _sqfree(n):
 
 
 class QSqrt:
- """x + y*sqrt(b) with rational x, y and a fixed squarefree b."""
+ """x + y*sqrt(b) with rational x, y and a fixed squarefree b: an entry of
+ what rotation_check returns."""
 
  __slots__ = ("x", "y", "b")
 
@@ -329,23 +335,6 @@ class QSqrt:
   self.b = b
   self.x = x if isinstance(x, Fraction) else Fraction(x)
   self.y = y if isinstance(y, Fraction) else Fraction(y)
-
- def __add__(self, o):
-  return QSqrt(self.b, self.x + o.x, self.y + o.y)
-
- def __sub__(self, o):
-  return QSqrt(self.b, self.x - o.x, self.y - o.y)
-
- def __mul__(self, o):
-  return QSqrt(self.b, self.x * o.x + self.b * self.y * o.y,
-               self.x * o.y + self.y * o.x)
-
- def inv(self):
-  n = self.x * self.x - self.b * self.y * self.y
-  return QSqrt(self.b, self.x / n, -self.y / n)
-
- def is_zero(self):
-  return self.x == 0 and self.y == 0
 
  def __eq__(self, o):
   return self.b == o.b and self.x == o.x and self.y == o.y
@@ -362,15 +351,12 @@ def _matvec(m, v):
  return [sum(r[j] * v[j] for j in range(len(v))) for r in m]
 
 
-def _frac_mat(m):
- return [[Fraction(x) for x in row] for row in m]
-
-
 def _scalar(c):
  return [[c, 0, 0], [0, c, 0], [0, 0, c]]
 
 
 def _det3(m):
+ """Determinant of a 3x3 matrix by cofactors; the program's are integral."""
  return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
          - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
@@ -525,7 +511,6 @@ def rotation_check(v1, v2, sigma):
  if x == 0 and y == 0:
   raise AssertionError("rotation does not carry the spans over")
  desc = {"b": b, "scale": r, "alpha": _qsqrt_mat(b, p, q, d),
-         "change_of_basis": _qsqrt_mat(b, cp, cq, dc),
          "change_det": QSqrt(b, Fraction(x, dc ** 3), Fraction(y, dc ** 3))}
  return True, desc
 
@@ -538,8 +523,7 @@ def verify_all(n_max):
 
  Returns (exit_status, reports, lines); exit status 0 iff everything
  passes."""
- if not 1 <= n_max <= 12:
-  raise ValueError("n-max must be between 1 and 12")
+ check_n(n_max, "n-max")
  reports = []
  lines = []
  status = 0

@@ -155,16 +155,14 @@ def restrict_scalars(a):
 
 
 def deligne_data(a):
- """(dplus, dminus, pplus, pminus) for the half-period computation."""
+ """(dplus, dminus), the dimensions of the Betti eigenspaces of the real
+ Frobenius, for the half-period computation."""
  if a.over_e:
   raise ValueError("restrict scalars before taking real-Frobenius data")
  off = sum(m for (p, q), m in a.mult.items() if p > q)
  if abs(a.trace) != a.diagonal_mult():
   raise ValueError("Deligne_period violated")
- eps = (a.trace > 0) - (a.trace < 0)
- pplus = (a.weight - 1 - eps) // 2
- pminus = (a.weight - 1 + eps) // 2
- return off + a.fplus, off + a.fminus, pplus, pminus
+ return off + a.fplus, off + a.fminus
 
 
 def _linear_std(rank, over_e, psi):

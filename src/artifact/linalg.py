@@ -1,6 +1,6 @@
-"""Exact linear algebra: determinant, inverse and compound matrices of
-square matrices of ints or Fractions, by Gaussian elimination, and the
-identity, transpose and product of matrices over any ring."""
+"""Exact linear algebra: determinant and compound matrices of square
+matrices of ints or Fractions, by Gaussian elimination, and the identity,
+transpose and product of matrices over any ring."""
 
 from fractions import Fraction
 import functools
@@ -18,8 +18,7 @@ def transpose(m):
 
 def matmul(a, b):
  """Product of an l x m and an m x n matrix, m >= 1.  Entries are summed
- with + alone, so it needs no zero of the ring: it serves Fractions and
- QSqrt alike."""
+ with + alone, so it needs no zero of the ring."""
  cols = transpose(b)
  return [[functools.reduce(operator.add, map(operator.mul, row, col))
           for col in cols] for row in a]
@@ -42,24 +41,6 @@ def det(m):
    if f:
     m[r] = [x - f * y for x, y in zip(m[r], m[c])]
  return det
-
-
-def inv(m):
- """Inverse by Gauss-Jordan on [m | 1]; ValueError if m is singular."""
- n = len(m)
- a = [list(row) + e for row, e in zip(m, identity(n))]
- for c in range(n):
-  piv = next((r for r in range(c, n) if a[r][c]), None)
-  if piv is None:
-   raise ValueError("singular matrix")
-  a[c], a[piv] = a[piv], a[c]
-  scale = Fraction(1) / a[c][c]
-  a[c] = [x * scale for x in a[c]]
-  for r in range(n):
-   if r != c and a[r][c]:
-    f = a[r][c]
-    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
- return [row[n:] for row in a]
 
 
 def compound(m, k):

@@ -351,8 +351,9 @@ def _gram(basis):
 def dual_trace_form(g):
  """Constant c with (dual of tr-form on a_G) = c * (tr-form on dual Cartan).
 
- Computed by writing both Cartan bases as diagonals, taking Gram matrices
- of the trace form, inverting one, and reading off the ratio.
+ Computed by writing both Cartan bases as diagonals and taking the Gram
+ matrices G and D of the trace form: the dual form is c D exactly when
+ G D = (1/c) 1.
  """
  g = _descriptor(g)
  if g.product:
@@ -371,13 +372,11 @@ def dual_trace_form(g):
   dual_basis = _so_cartan(n - n % 2)
  else:
   raise UnsupportedGroup("unsupported family for dual_trace_form")
- # restriction of scalars doubles both Gram matrices block-diagonally, and
- # the inverse of a block-diagonal matrix is block-diagonal in the
- # inverses, so one block of each gives the same constant
- induced = linalg.inv(_gram(basis))
- dgram = _gram(dual_basis)
- pairs = [(a, b) for ra, rb in zip(induced, dgram) for a, b in zip(ra, rb)]
- ratios = {a / b for a, b in pairs if b}
- if len(ratios) != 1 or any(a for a, b in pairs if not b):
+ # restriction of scalars doubles both Gram matrices block-diagonally, so
+ # G D is the product of one block of each, doubled: the same constant
+ gd = linalg.matmul(_gram(basis), _gram(dual_basis))
+ lam = gd[0][0]
+ if not lam or gd != [[lam * x for x in row]
+                      for row in linalg.identity(len(gd))]:
   raise UnsupportedGroup("forms are not proportional")
- return ratios.pop()
+ return 1 / Fraction(lam)

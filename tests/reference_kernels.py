@@ -11,9 +11,12 @@ maximal compact subgroups and the four discriminant tables) that the
 degree table of rootsys replaced, the Deligne periods and determinant
 relations with their powers of 2*pi*i written out by hand, the Weyl orbit
 in Fraction arithmetic, the rotation lemma with its orthogonality,
-sigma-equivariance and change-of-basis checks as QSqrt matrix products, the
-cancellation residual of one case, and the doubled Hodge structures of the
-exponent table with their (f+, f-) counts added by hand, their
+sigma-equivariance and change-of-basis checks as matrix products over
+Q(sqrt b) (with the Gauss-Jordan inverse and the field operations of QSqrt
+that the program no longer needs), the trace-form constant read off an
+inverse Gram matrix, the cancellation residual of one case, and the
+doubled Hodge structures of the exponent table with their (f+, f-) counts
+added by hand, their
 Gamma-factors, and the leading coefficient as a pi-power scalar, and the
 case data that the motives now give: the centre r(n), the reduction level,
 the quadratic twist and the orthogonal shift as each family wrote them, the
@@ -27,16 +30,17 @@ import itertools
 import math
 import random
 
-from artifact import cases, linalg, periodring
+from artifact import cases, linalg, periodring, rootsys
 from artifact.exteralg import (ExteriorElement, _check_index, _merge,
                                contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet, _auto_sqrt_class,
                                  _column_order, _hnf, _residue)
 from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _alt, _det3,
-                               _dot, _frac_mat, _matvec, _merge_lin, _sqfree)
+                               _dot, _matvec, _merge_lin, _sqfree)
 from artifact.hodge import CaseMotives
-from artifact.rootsys import GroupDescriptor, GroupInvariants, _simple_roots
+from artifact.rootsys import (GroupDescriptor, GroupInvariants,
+                              UnsupportedGroup, _descriptor, _simple_roots)
 
 
 WrittenOutCaseData = collections.namedtuple(
@@ -622,6 +626,51 @@ def fraction_generic_orbit(system):
  return orbit
 
 
+def frac_mat(m):
+ return [[Fraction(x) for x in row] for row in m]
+
+
+def inv(m):
+ """Inverse by Gauss-Jordan on [m | 1]; ValueError if m is singular."""
+ n = len(m)
+ a = [list(row) + e for row, e in zip(m, linalg.identity(n))]
+ for c in range(n):
+  piv = next((r for r in range(c, n) if a[r][c]), None)
+  if piv is None:
+   raise ValueError("singular matrix")
+  a[c], a[piv] = a[piv], a[c]
+  scale = Fraction(1) / a[c][c]
+  a[c] = [x * scale for x in a[c]]
+  for r in range(n):
+   if r != c and a[r][c]:
+    f = a[r][c]
+    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+ return [row[n:] for row in a]
+
+
+class FieldQSqrt(QSqrt):
+ """A QSqrt with the field operations of Q(sqrt b)."""
+
+ __slots__ = ()
+
+ def __add__(self, o):
+  return FieldQSqrt(self.b, self.x + o.x, self.y + o.y)
+
+ def __sub__(self, o):
+  return FieldQSqrt(self.b, self.x - o.x, self.y - o.y)
+
+ def __mul__(self, o):
+  return FieldQSqrt(self.b, self.x * o.x + self.b * self.y * o.y,
+                    self.x * o.y + self.y * o.x)
+
+ def inv(self):
+  n = self.x * self.x - self.b * self.y * self.y
+  return FieldQSqrt(self.b, self.x / n, -self.y / n)
+
+ def is_zero(self):
+  return self.x == 0 and self.y == 0
+
+
 def _fraction_axis_vector(basis, binv, axis):
  coords = linalg.matmul([axis], binv)[0]
  den = math.lcm(*(c.denominator for c in coords))
@@ -637,9 +686,9 @@ def qsqrt_rotation_check(v1, v2, sigma):
  matrix products: alpha^T alpha = 1, alpha sigma = sigma alpha, and the
  change of basis V2 alpha^T V1^-1 as a product of lifted matrices."""
  matmul, transpose = linalg.matmul, linalg.transpose
- v1 = _frac_mat(v1)
- v2 = _frac_mat(v2)
- sigma = _frac_mat(sigma)
+ v1 = frac_mat(v1)
+ v2 = frac_mat(v2)
+ sigma = frac_mat(sigma)
  ident = linalg.identity(3)
  st = transpose(sigma)
  if matmul(st, sigma) != ident:
@@ -651,7 +700,7 @@ def qsqrt_rotation_check(v1, v2, sigma):
  for name, basis in (("v1", v1), ("v2", v2)):
   if _det3(basis) == 0:
    raise ValueError("%s is not a basis" % name)
-  binv = linalg.inv(basis)
+  binv = inv(basis)
   if any(c.denominator != 1
          for row in matmul(matmul(basis, st), binv) for c in row):
    raise ValueError("%s is not sigma-stable" % name)
@@ -680,7 +729,7 @@ def qsqrt_rotation_check(v1, v2, sigma):
  if r * r * b != b0:
   raise AssertionError("square-class split failed")
  fmat = matmul(transpose([u1, _matvec(sigma, u1), [Fraction(0)] * 3]),
-               linalg.inv(transpose([u2, _matvec(sigma, u2), axis])))
+               inv(transpose([u2, _matvec(sigma, u2), axis])))
  fu2 = _matvec(fmat, u2)
  fsu2 = _matvec(fmat, _matvec(sigma, u2))
  if _dot(fu2, fu2) != b0 * _dot(u2, u2) or \
@@ -688,11 +737,11 @@ def qsqrt_rotation_check(v1, v2, sigma):
   raise AssertionError("plane map is not conformal")
  n_axis = _dot(axis, axis)
  scale = 1 / (r * b)
- alpha = [[QSqrt(b, x * y / n_axis, scale * f) for y, f in zip(axis, frow)]
-          for x, frow in zip(axis, fmat)]
+ alpha = [[FieldQSqrt(b, x * y / n_axis, scale * f)
+           for y, f in zip(axis, frow)] for x, frow in zip(axis, fmat)]
 
  def lift(m):
-  return [[QSqrt(b, x) for x in row] for row in m]
+  return [[FieldQSqrt(b, x) for x in row] for row in m]
 
  sig = lift(sigma)
  if matmul(transpose(alpha), alpha) != lift(ident) or \
@@ -703,8 +752,38 @@ def qsqrt_rotation_check(v1, v2, sigma):
  det = _det3(change)
  if det.is_zero():
   raise AssertionError("rotation does not carry the spans over")
- return True, {"b": b, "scale": r, "alpha": alpha, "change_of_basis": change,
-               "change_det": det}
+ return True, {"b": b, "scale": r, "alpha": alpha, "change_det": det}
+
+
+def inverse_dual_trace_form(g):
+ """The trace-form duality constant as an inverse Gram matrix: c with
+ G^-1 = c D, for G and D the Gram matrices of the Cartan basis and of the
+ dual basis, read entry by entry.  The Cartan bases and their Gram
+ matrices come from rootsys, so that a test can plant other bases in
+ both."""
+ g = _descriptor(g)
+ if g.product:
+  vals = {inverse_dual_trace_form(f) for f in g.product}
+  if len(vals) != 1:
+   raise UnsupportedGroup("mixed duality constants in product")
+  return vals.pop()
+ if g.family == "GL":
+  basis = dual_basis = linalg.identity(g.n)
+ elif g.family == "SO":
+  n = g.n
+  if n < 2:
+   raise UnsupportedGroup("degenerate rank")
+  basis = rootsys._so_cartan(n)
+  dual_basis = rootsys._so_cartan(n - n % 2)
+ else:
+  raise UnsupportedGroup("unsupported family for dual_trace_form")
+ induced = inv(rootsys._gram(basis))
+ dgram = rootsys._gram(dual_basis)
+ pairs = [(a, b) for ra, rb in zip(induced, dgram) for a, b in zip(ra, rb)]
+ ratios = {a / b for a, b in pairs if b}
+ if len(ratios) != 1 or any(a for a, b in pairs if not b):
+  raise UnsupportedGroup("forms are not proportional")
+ return ratios.pop()
 
 
 # ---------------------------------------------------------------------------

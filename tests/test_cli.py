@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from artifact import periodring
+from artifact import cli, hodge, periodring
 from artifact.cli import main
 
 
@@ -170,6 +170,8 @@ class TestUsageErrors:
      (["check", "--case", "pgl-q", "--n", "13"], "between 1 and 12"),
      (["lfactor", "--case", "pgl-q", "--n", "0"], "n must be positive"),
      (["invariants", "--group", "foo"], "foo"),
+     (["invariants", "--group", "XY(3)/R"], "unsupported group: 'XY'"),
+     (["invariants", "--group", "SL(0)/R"], "bad rank parameter"),
      (["hodge", "--case", "pgl-q", "--n", "0", "--show", "M"],
       "n must be positive"),
      (["period", "--expr", "(mul a"], "unexpected end of expression"),
@@ -181,6 +183,8 @@ class TestUsageErrors:
      (["period", "--expr", "Q0", "--case", "pgl-q", "--n", "-2"],
       "n must be positive"),
      (["verify-all", "--n-max", "13"], "n-max"),
+     (["cohomology-model", "--delta", "2", "--q", "1", "--k", "0"],
+      "k must be positive"),
  ])
  def test_one_line_exit_2(self, capsys, argv, msg):
   code = main(argv)
@@ -222,3 +226,19 @@ class TestUsageErrors:
   monkeypatch.setattr(periodring, "case_relations", lambda mot: bad)
   with pytest.raises(periodring.InconsistentRelations):
    main(["period", "--expr", "Q0", "--case", "pgl-q"])
+
+ @pytest.mark.parametrize("argv", [
+     ["verify-all", "--n-max", "3"], ["check", "--case", "so-odd", "--n", "2"],
+     ["lfactor", "--case", "pgl-e", "--n", "1"],
+     ["hodge", "--case", "pgl-q", "--n", "2", "--show", "AdM"]])
+ def test_data_defect_not_a_usage_error(self, monkeypatch, capsys, argv):
+  # a ValueError that the computation raises on its own data, here the
+  # adjoint structures, propagates: it is no verdict on the arguments
+  def adjoint(mot, factor):
+   raise ValueError("no involution has trace 2 on a diagonal piece of "
+                    "rank 0")
+  monkeypatch.setattr(hodge.CaseMotives, "adjoint", adjoint)
+  with pytest.raises(ValueError, match="no involution") as exc:
+   main(argv)
+  assert not isinstance(exc.value, cli.UsageError)
+  assert capsys.readouterr().err == ""

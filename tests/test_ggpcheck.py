@@ -19,10 +19,10 @@ from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 from artifact.ggpcheck import (run_case, torsion_ledger,
                                VolumeLedger, LedgerUnderdetermined,
-                               rotation_check, verify_all, QSqrt,
-                               _matvec, _frac_mat)
+                               rotation_check, verify_all, QSqrt, _matvec)
 from artifact.linalg import identity, matmul, transpose
-from reference_kernels import (dense_solve, fraction_membership_class,
+from reference_kernels import (FieldQSqrt, dense_solve, frac_mat,
+                               fraction_membership_class, inv,
                                qsqrt_rotation_check, three_reduce_verdicts,
                                written_out_axioms, written_out_case_data)
 
@@ -300,7 +300,7 @@ def rational_rotation(t):
  a = (1 + 2 * p + q) / 3
  b = (1 - p + q) / 3
  c = (1 - p - 2 * q) / 3
- sig = _frac_mat(SIGMA)
+ sig = frac_mat(SIGMA)
  s2 = matmul(sig, sig)
  return [[a * (i == j) + b * sig[i][j] + c * s2[i][j] for j in range(3)]
          for i in range(3)]
@@ -310,6 +310,7 @@ class TestRotation:
  def test_identity_case(self):
   ok, desc = rotation_check(V1, V1, SIGMA)
   assert ok and desc["b"] == 1 and desc["scale"] == 1
+  assert set(desc) == {"b", "scale", "alpha", "change_det"}
 
  def test_round_trip_100(self):
   rng = random.Random(20260823)
@@ -317,7 +318,7 @@ class TestRotation:
    t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
    alpha0 = rational_rotation(t)
    assert matmul(transpose(alpha0), alpha0) == identity(3)
-   v2 = [_matvec(alpha0, row) for row in _frac_mat(V1)]
+   v2 = [_matvec(alpha0, row) for row in frac_mat(V1)]
    ok, desc = rotation_check(V1, v2, SIGMA)
    assert ok and desc["b"] == 1
    det = desc["change_det"]
@@ -330,7 +331,7 @@ class TestRotation:
   ok, desc = rotation_check(V1, v2, SIGMA)
   assert ok and desc["b"] == 3
   assert any(x.y != 0 for row in desc["alpha"] for x in row)
-  assert not desc["change_det"].is_zero()
+  assert desc["change_det"] != QSqrt(3)
 
  def test_axis_off_the_diagonal(self):
   # conjugating by a sign change moves the invariant axis of sigma to
@@ -346,7 +347,7 @@ class TestRotation:
   ok, desc = rotation_check(flip(V1), flip([[1, 1, -2], [0, 1, -1],
                                             [1, 1, 1]]), sig)
   assert ok and desc["b"] == 3
-  assert not desc["change_det"].is_zero()
+  assert desc["change_det"] != QSqrt(3)
 
  def test_square_ratio_runs_the_factorization(self):
   # the plane parts' squared lengths have ratio b0 = 1/4, a rational
@@ -389,7 +390,8 @@ class TestRotation:
    rotation_check(V1, V1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
  def test_qsqrt_arithmetic(self):
-  x = QSqrt(5, Fraction(1, 2), Fraction(3))
+  # the field operations of the references' QSqrt
+  x = FieldQSqrt(5, Fraction(1, 2), Fraction(3))
   assert (x * x.inv()) == QSqrt(5, 1, 0)
 
  def test_qsqrt_keeps_fraction_parts(self):
@@ -410,9 +412,9 @@ R345 = [[Fraction(3, 5), Fraction(-4, 5), 0],
 
 def _conjugated(r, sigma, bases):
  """(R sigma R^T, the bases with every row v replaced by R v)."""
- r = _frac_mat(r)
- sig = matmul(matmul(r, _frac_mat(sigma)), transpose(r))
- return sig, [[_matvec(r, row) for row in _frac_mat(b)] for b in bases]
+ r = frac_mat(r)
+ sig = matmul(matmul(r, frac_mat(sigma)), transpose(r))
+ return sig, [[_matvec(r, row) for row in frac_mat(b)] for b in bases]
 
 
 def seeded_rotation_lattices(count=24, seed=20261018):
@@ -425,7 +427,7 @@ def seeded_rotation_lattices(count=24, seed=20261018):
   t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
   alpha = rational_rotation(t)
   base = V2_SQRT3 if k % 2 else V1
-  v2 = [_matvec(alpha, row) for row in _frac_mat(base)]
+  v2 = [_matvec(alpha, row) for row in frac_mat(base)]
   if k % 3 == 2:
    sigma, (v1, v2) = _conjugated(R345, SIGMA, [V1, v2])
    out.append((v1, v2, sigma))
@@ -452,14 +454,15 @@ class TestIntegerRotation:
   assert len(self.LATTICES) >= 20
   classes = {qsqrt_rotation_check(*lat)[1]["b"] for lat in self.LATTICES}
   assert classes == {1, 3}
-  assert any(gc._cleared(_frac_mat(s))[1] > 1 for _, _, s in self.LATTICES)
+  assert any(gc._cleared(frac_mat(s))[1] > 1 for _, _, s in self.LATTICES)
 
  @pytest.mark.parametrize("k", range(len(LATTICES)))
  def test_desc_equals_reference(self, k):
   ok, desc = rotation_check(*self.LATTICES[k])
   ok_ref, ref = qsqrt_rotation_check(*self.LATTICES[k])
   assert ok is ok_ref is True
-  for key in ("b", "scale", "alpha", "change_of_basis", "change_det"):
+  assert set(desc) == set(ref)
+  for key in ("b", "scale", "alpha", "change_det"):
    assert desc[key] == ref[key], key
   assert repr(desc) == repr(ref)
 
@@ -469,7 +472,7 @@ class TestIntegerRotation:
   desc = rotation_check(v1, v2, sigma)[1]
   p, q, d = integer_parts(desc["alpha"])
   gc._rotation_identities(p, q, d, desc["b"],
-                          gc._cleared(_frac_mat(sigma))[0])
+                          gc._cleared(frac_mat(sigma))[0])
 
  @pytest.mark.parametrize("k", [0, 1, 2, 5])
  def test_doubled_sqrt_part_fails_orthogonality(self, k):
@@ -481,7 +484,7 @@ class TestIntegerRotation:
   q2 = [[2 * x for x in row] for row in q]
   with pytest.raises(AssertionError, match="not orthogonal"):
    gc._rotation_identities(p, q2, d, desc["b"],
-                           gc._cleared(_frac_mat(sigma))[0])
+                           gc._cleared(frac_mat(sigma))[0])
 
  @pytest.mark.parametrize("k", [0, 1, 2, 5])
  def test_broken_commutation_fails_equivariance(self, k):
@@ -492,16 +495,15 @@ class TestIntegerRotation:
   p[0][0] += 1
   with pytest.raises(AssertionError, match="commute with sigma"):
    gc._rotation_identities(p, q, d, desc["b"],
-                           gc._cleared(_frac_mat(sigma))[0])
+                           gc._cleared(frac_mat(sigma))[0])
 
- def test_no_fraction_matrix_path(self, monkeypatch):
-  # regression guard: the checks run on integer matrices, so neither a
-  # Fraction inverse nor QSqrt arithmetic is needed to reach the verdict
-  def banned(*args):
-   raise AssertionError("Fraction matrix path taken")
-
-  monkeypatch.setattr(linalg, "inv", banned)
-  monkeypatch.setattr(QSqrt, "__mul__", banned)
+ def test_no_fraction_matrix_path(self):
+  # regression guard: the checks run on integer matrices, so the program
+  # keeps neither a Fraction inverse nor QSqrt arithmetic; QSqrt only
+  # records the output
+  assert not hasattr(linalg, "inv")
+  assert not [op for op in ("__add__", "__sub__", "__mul__", "inv", "is_zero")
+              if hasattr(QSqrt, op)]
   for lat in self.LATTICES:
    assert rotation_check(*lat)[0] is True
 
@@ -517,7 +519,9 @@ class TestIntegerRotation:
    scalar = [[det * x for x in row] for row in identity(3)]
    assert matmul(gc._adj3(m), m) == matmul(m, gc._adj3(m)) == scalar
    x, y = gc._det3_sqrt(m, q, b)
-   assert gc._det3(gc._qsqrt_mat(b, m, q, 1)) == QSqrt(b, x, y)
+   field = [[FieldQSqrt(b, s, t) for s, t in zip(*rows)]
+            for rows in zip(m, q)]
+   assert gc._det3(field) == QSqrt(b, x, y)
 
 
 SINGULAR = [[1, 1, 1], [1, -1, 0], [2, 0, 1]]
@@ -582,8 +586,7 @@ def cayley(a, b, c):
  k = [[0, a, b], [-a, 0, c], [-b, -c, 0]]
  one = identity(3)
  return matmul([[x - y for x, y in zip(r, s)] for r, s in zip(one, k)],
-               linalg.inv([[x + y for x, y in zip(r, s)]
-                           for r, s in zip(one, k)]))
+               inv([[x + y for x, y in zip(r, s)] for r, s in zip(one, k)]))
 
 
 def _cross(u, v):
@@ -603,7 +606,7 @@ def test_drawn_rotations_equal_reference():
             skew=st.tuples(*[st.integers(-4, 4)] * 3))
  def check(t, base, skew):
   alpha = rational_rotation(t)
-  v2 = [_matvec(alpha, row) for row in _frac_mat(base)]
+  v2 = [_matvec(alpha, row) for row in frac_mat(base)]
   sigma, (v1, v2) = _conjugated(cayley(*skew), SIGMA, [V1, v2])
   # the facts that leave no raise for a lattice missing the axis or
   # lying on it: some row of a basis leaves the axis line (rank 3), and
@@ -667,13 +670,6 @@ class TestSparseSolve:
   for name, target in gc.TARGETS.items():
    got = list(led._solve(target).items())
    assert got == list(dense_solve(led, target).items()), name
-
- @pytest.mark.parametrize("removed", AXIOM_NAMES)
- def test_single_removal_matches_dense(self, removed):
-  led = VolumeLedger().without(removed)
-  for name, target in gc.TARGETS.items():
-   got = _solve_or_none(VolumeLedger._solve, led, target)
-   assert got == _solve_or_none(dense_solve, led, target), (removed, name)
 
  def test_explicit_zero_entries_read_as_absent(self):
   # the public constructor does not drop zero coefficients; a dependent

@@ -263,13 +263,11 @@ class TestDeligneData:
  def test_odd_weight_tensor(self):
   t = hg.tensor(hg.standard_motive("pgl-q", 2, "M"),
                 hg.standard_motive("pgl-q", 2, "N"))
-  assert hg.deligne_data(t) == (3, 3, 1, 1)
+  assert hg.deligne_data(t) == (3, 3)
 
  def test_diagonal_plus(self):
   h = hg.HodgeStructure(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}, trace=2)
-  dplus, dminus, pplus, pminus = hg.deligne_data(h)
-  assert (dplus, dminus) == (3, 1)
-  assert (pplus, pminus) == (0, 1)  # w/2 - 1 and w/2
+  assert hg.deligne_data(h) == (3, 1)
 
  def test_violation(self):
   h = hg.HodgeStructure(0, {(0, 0): 2}, trace=0)

@@ -240,8 +240,8 @@ class TestTwistRule:
   data = hodge.deligne_data
 
   def mutant(a):
-   dplus, dminus, pplus, pminus = data(a)
-   return dplus + 1, dminus + 1, pplus, pminus
+   dplus, dminus = data(a)
+   return dplus + 1, dminus + 1
   monkeypatch.setattr(hodge, "deligne_data", mutant)
   _every_report_fails()
 

@@ -16,7 +16,7 @@ from artifact.periodring import PeriodScalar
 
 from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS, WRITTEN_OUT_GROUPS,
                                fraction_generic_orbit, fraction_reflect,
-                               written_out_invariants)
+                               inverse_dual_trace_form, written_out_invariants)
 
 
 def a_roots(rank):
@@ -407,6 +407,11 @@ class TestMacdonald:
       "pi", rs.invariants("%s(%d)/C" % compact_exponents(g)[1]).delta_K)
 
 
+# the groups of the benchmark's trace-form controls
+TRACE_FORM_GROUPS = (["GL(%d)/%s" % (n, b) for n in range(1, 5) for b in "RC"]
+                     + ["SO(%d)" % n for n in range(2, 6)])
+
+
 class TestTraceForm:
  def test_gl_constant_one(self):
   for n in range(1, 5):
@@ -441,3 +446,34 @@ class TestTraceForm:
   monkeypatch.setattr(rs, "_gram", lambda b: grams[len(b[0]) == 4])
   with pytest.raises(rs.UnsupportedGroup, match="not proportional"):
    rs.dual_trace_form("SO(5)")
+
+ @pytest.mark.parametrize("g", ["SO(4)", "SO(5)", "SO(4)/C x SO(4)"])
+ def test_non_orthogonal_basis(self, monkeypatch, g):
+  # a Cartan basis with a non-scalar Gram matrix: G D is no multiple of 1,
+  # and G^-1 no multiple of D
+  split = rs._so_cartan
+
+  def skewed(n):
+   basis = split(n)
+   basis[1] = [x + y for x, y in zip(basis[0], basis[1])]
+   return basis
+  monkeypatch.setattr(rs, "_so_cartan", skewed)
+  for rule in (rs.dual_trace_form, inverse_dual_trace_form):
+   with pytest.raises(rs.UnsupportedGroup, match="not proportional"):
+    rule(g)
+
+ @pytest.mark.parametrize("g", TRACE_FORM_GROUPS + [
+     "SO(%d)/C x SO(%d)" % (n, n) for n in range(1, 7)] + [
+     "SO(%d)/C" % n for n in range(1, 7)] + [
+     "GL(2)/C x SO(4)/C", "GL(3)/R x GL(2)/C", "SO(3) x SO(4)/C"])
+ def test_equals_the_inverse_rule(self, g):
+  # G D = lambda 1 and G^-1 = D / lambda are one condition on invertible
+  # Gram matrices, so the constant and every refusal are the parent's
+  def outcome(rule):
+   try:
+    return rule(g)
+   except rs.UnsupportedGroup as e:
+    return str(e)
+  got = outcome(rs.dual_trace_form)
+  assert got == outcome(inverse_dual_trace_form)
+  assert type(got) in (Fraction, str)

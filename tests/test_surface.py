@@ -1,7 +1,7 @@
-"""Every public module-level function and class of the package is used by
-the program: referenced, outside its own definition, by code in src/artifact
-or by the benchmark (perfbench/*.py).  A cross-check that only tests call
-belongs in tests/.  An identifier counts as a reference wherever it occurs,
+"""Every module-level function and class of the package, public or
+private, is used by the program: referenced, outside its own definition, by
+code in src/artifact or by the benchmark (perfbench/*.py).  A cross-check
+or helper that only tests call belongs in tests/.  An identifier counts as a reference wherever it occurs,
 so the guard can miss a dead def that shares its name with something else,
 but never flags a used one: periodring.condensate, say, would pass on
 run_case's local and CaseReport's attribute of that name alone.
@@ -19,7 +19,7 @@ import artifact
 SRC = os.path.dirname(artifact.__file__)
 BENCH = os.path.join(SRC, os.pardir, os.pardir, "perfbench")
 
-# public names kept without a program caller, each with its reason
+# names kept without a program caller, each with its reason
 ALLOWED = set()
 
 
@@ -37,17 +37,16 @@ def _names(tree):
 
 
 def unreferenced(program, bench):
- """(module, name) of every public module-level def or class of the
- program modules ({module: source}) that nothing in the program or the
- bench sources ([source]) references outside its own definition."""
+ """(module, name) of every module-level def or class of the program
+ modules ({module: source}) that nothing in the program or the bench
+ sources ([source]) references outside its own definition."""
  uses = collections.Counter()  # top-level statements naming each identifier
  defs = []
  for mod, source in sorted(program.items()):
   for node in ast.parse(source).body:
    names = _names(node)
    uses.update(names)
-   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-      not node.name.startswith("_"):
+   if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
     defs.append((mod, node.name, node.name in names))
  for source in bench:
   uses.update(_names(ast.parse(source)))
@@ -67,7 +66,7 @@ PROGRAM = _sources(os.path.join(SRC, "*.py"))
 BENCH_SOURCES = list(_sources(os.path.join(BENCH, "*.py")).values())
 
 
-def test_every_public_name_has_a_program_caller():
+def test_every_name_has_a_program_caller():
  assert BENCH_SOURCES, "perfbench sources not found"
  assert set(unreferenced(PROGRAM, BENCH_SOURCES)) == ALLOWED
 
@@ -87,6 +86,21 @@ def test_guard_flags_a_test_only_function():
       unreferenced(called, BENCH_SOURCES)
  assert ("rootsys", "oracle_only") not in \
      unreferenced(planted, BENCH_SOURCES + ["rootsys.oracle_only(1)\n"])
+
+
+
+def test_guard_flags_a_test_only_private_helper():
+ # a private helper that only tests call, as the Fraction matrix helper of
+ # the rotation lemma was once the references' alone
+ planted = dict(PROGRAM)
+ planted["ggpcheck"] += ("\n\ndef _frac_mat(m):\n"
+                         " return [[Fraction(x) for x in row] for row in m]\n")
+ assert ("ggpcheck", "_frac_mat") in unreferenced(planted, BENCH_SOURCES)
+ called = dict(planted)
+ called["ggpcheck"] = called["ggpcheck"].replace(
+     "def rotation_check(v1, v2, sigma):",
+     "def rotation_check(v1, v2, sigma):\n v1 = _frac_mat(v1)", 1)
+ assert ("ggpcheck", "_frac_mat") not in unreferenced(called, BENCH_SOURCES)
 
 
 # ---------------------------------------------------------------------------
