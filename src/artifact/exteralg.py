@@ -26,6 +26,9 @@ class MetricSpaceQ:
    if linalg.det([row[:k] for row in self.gram[:k]]) <= 0:
     raise ValueError("gram matrix must be positive definite")
   self._compound = {}
+  # {index tuple: row} over every degree built so far; the rows are the
+  # lists of the per-degree tables, shared, not copied
+  self._rows = {}
 
  def compound_gram(self, k):
   """The k-th compound Gram matrix: by Cauchy-Binet, the inner product of
@@ -34,14 +37,16 @@ class MetricSpaceQ:
   table = self._compound.get(k)
   if table is None:
    table = self._compound[k] = linalg.compound(self.gram, k)
+   self._rows.update(table)
   return table
 
  def compound_row(self, idx):
-  """Row idx of the compound Gram matrix of degree len(idx)."""
-  row = self.compound_gram(len(idx)).get(idx)
+  """Row idx of the compound Gram matrix of degree len(idx); a miss
+  checks idx and builds its degree."""
+  row = self._rows.get(idx)
   if row is None:
-   raise ValueError("index tuple %r is not a strictly increasing subset "
-                    "of range(%d)" % (idx, self.dim))
+   _check_index(idx, self.dim)
+   row = self.compound_gram(len(idx))[idx]
   return row
 
  def __eq__(self, other):
@@ -49,9 +54,13 @@ class MetricSpaceQ:
       self.gram == other.gram
 
 
-def _check_index(idx):
- if list(idx) != sorted(set(idx)):
-  raise ValueError("index tuples must be strictly increasing")
+@functools.lru_cache(maxsize=4096)
+def _check_index(idx, dim):
+ """idx, if it is a strictly increasing subset of range(dim); a rejected
+ tuple raises on every call, as exceptions are not cached."""
+ if list(idx) != sorted(set(idx)) or any(not 0 <= i < dim for i in idx):
+  raise ValueError("index tuple %r is not a strictly increasing subset "
+                   "of range(%d)" % (idx, dim))
  return idx
 
 
@@ -63,7 +72,7 @@ class ExteriorElement:
   self.coeffs = {}
   if coeffs:
    for idx, c in coeffs.items():
-    idx = _check_index(tuple(idx))
+    idx = _check_index(tuple(idx), ambient.dim)
     c = c.numerator if c.denominator == 1 else Fraction(c)
     if c:
      self.coeffs[idx] = c
@@ -87,7 +96,7 @@ class ExteriorElement:
                          {k: v * c for k, v in self.coeffs.items()})
 
  def _same(self, other):
-  if self.ambient != other.ambient:
+  if self.ambient is not other.ambient and self.ambient != other.ambient:
    raise ValueError("ambient space mismatch")
 
  def is_zero(self):
@@ -155,13 +164,16 @@ def eval_pairing(a, b):
 
 def induced_inner(a, b):
  """Inner product on the exterior algebra induced by the gram matrix; the
- Gram minors are read from the ambient space's cached compound Gram
- matrix (Cauchy-Binet)."""
+ Gram minors are read from the ambient space's flat row map of its
+ compound Gram matrices (Cauchy-Binet)."""
  a._same(b)
+ space = a.ambient
+ rows = space._rows
+ bc = b.coeffs
  total = 0
  for ka, ca in a.coeffs.items():
-  for kb, minor in a.ambient.compound_row(ka):
-   cb = b.coeffs.get(kb)
+  for kb, minor in rows.get(ka) or space.compound_row(ka):
+   cb = bc.get(kb)
    if cb:
     total += ca * cb * minor
  return total
@@ -254,7 +266,7 @@ class TemperedCohomologyModel:
   """Right action of an exterior element on a module element."""
   out = {}
   for (g, s), c in f.items():
-   _check_index(s)
+   _check_index(s, self.delta)
    for kx, cx in x.coeffs.items():
     m = _merge(s, kx)
     if m:
@@ -266,6 +278,7 @@ class TemperedCohomologyModel:
   """Extend the long-Weyl map multiplicatively to the exterior algebra."""
   out = {}
   for s, c in x.coeffs.items():
+   _check_index(s, self.delta)
    for t, minor in self.w_compound[len(s)][s].items():
     out[t] = out.get(t, 0) + c * minor
   return ExteriorElement(self.space, out)
@@ -274,8 +287,11 @@ class TemperedCohomologyModel:
   """Top-degree pairing with the w twist folded into the second slot.  The
   e_top coefficient of e_s1 ^ w(e_s2) is one minor: det(w[t, s2]) for the
   complement t of s1, times the sign that sorts s1 + t."""
+  for _, s2 in f2:
+   _check_index(s2, self.delta)
   total = 0
   for (g1, s1), c1 in f1.items():
+   _check_index(s1, self.delta)
    t = tuple(i for i in range(self.delta) if i not in s1)
    sign = _merge(s1, t)[0]
    for (g2, s2), c2 in f2.items():
@@ -285,12 +301,18 @@ class TemperedCohomologyModel:
 
  def module_inner(self, f1, f2):
   """Metric with orthonormal generators and the induced exterior metric,
-  read from the cached compound Gram matrix (Cauchy-Binet)."""
-  for _, s2 in f2:   # validate the keys that no row of f1 reaches
-   self.space.compound_row(s2)
+  read from the space's flat row map (Cauchy-Binet).  Every key of f1 is
+  checked by its own row lookup, so f2 is checked only when it is another
+  element."""
+  space = self.space
+  rows = space._rows
+  if f2 is not f1:
+   for _, s2 in f2:   # the keys that no row of f1 reaches
+    if s2 not in rows:
+     space.compound_row(s2)
   total = 0
   for (g, s1), c1 in f1.items():
-   for s2, minor in self.space.compound_row(s1):
+   for s2, minor in rows.get(s1) or space.compound_row(s1):
     c2 = f2.get((g, s2))
     if c2:
      total += c1 * c2 * minor

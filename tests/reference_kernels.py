@@ -306,7 +306,7 @@ def fraction_act(model, f, x):
  """Right action of an exterior element on a module element."""
  out = {}
  for (g, s), c in f.items():
-  _check_index(s)
+  _check_index(s, model.delta)
   c = Fraction(c)
   for kx, cx in x.coeffs.items():
    m = _merge(s, kx)

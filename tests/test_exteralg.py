@@ -9,6 +9,7 @@ import random
 import pytest
 
 from artifact import exteralg as ex
+from artifact import linalg
 from reference_kernels import (fraction_adjointness_check, fraction_act,
                                fraction_induced_inner, fraction_isometry_check,
                                fraction_module_inner, fraction_rand_elem,
@@ -93,6 +94,16 @@ def _per_pair_inner(a, b):
  return total
 
 
+BAD_INDEX = "not a strictly increasing subset"
+
+
+def _per_pair_module_inner(space, f1, f2):
+ """Reference: orthonormal generators, one Gram minor per pair of keys."""
+ return sum((_per_pair_inner(E(space, s1, c1), E(space, s2, c2))
+             for (g1, s1), c1 in f1.items()
+             for (g2, s2), c2 in f2.items() if g1 == g2), Fraction(0))
+
+
 GRAM3 = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
 GRAM4 = [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 5, 2], [1, 0, 2, 6]]
 
@@ -140,21 +151,140 @@ class TestInducedMetric:
       for s, c in ex._rand_elem(m.space, deg, rng).coeffs.items():
        if rng.random() < 0.5:
         f[(g, s)] = c
-   want = sum((_per_pair_inner(E(m.space, s1, c1), E(m.space, s2, c2))
-               for (g1, s1), c1 in f1.items()
-               for (g2, s2), c2 in f2.items() if g1 == g2), Fraction(0))
-   assert m.module_inner(f1, f2) == want
+   assert m.module_inner(f1, f2) == _per_pair_module_inner(m.space, f1, f2)
 
  def test_bad_index_tuples_rejected(self):
-  m = ex.TemperedCohomologyModel(3, 1, 1)
+  # in either slot, the same element in both, and on a fresh model, so the
+  # bad tuple's degree is not built yet
   good = {(0, (0, 1)): Fraction(1)}
-  for bad in ((1, 0), (0, 0), (0, 3)):
-   with pytest.raises(ValueError):
-    m.module_inner({(0, bad): Fraction(1)}, good)
-   with pytest.raises(ValueError):
-    m.module_inner(good, {(0, bad): Fraction(1)})
-  with pytest.raises(ValueError):
-   m.act({(0, (1, 0)): Fraction(1)}, E(m.space, (2,)))
+  for bad in ((1, 0), (0, 0), (0, 3), (5,), (0, 1, 2, 3)):
+   f = {(0, bad): Fraction(1)}
+   for args in ((f, f), (f, good), (good, f)):
+    m = ex.TemperedCohomologyModel(3, 1, 1)
+    assert not m.space._compound
+    with pytest.raises(ValueError, match=BAD_INDEX):
+     m.module_inner(*args)
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    m.act(f, E(m.space, (2,)))
+
+
+class TestIndexChecks:
+ """Each index tuple is checked once, against the dimension too, and a bad
+ one raises the ValueError of compound_row in every kernel."""
+
+ def test_index_outside_the_dimension_rejected(self):
+  sp = ex.MetricSpaceQ(3)
+  for bad in ((7,), (3,), (-1,), (0, 3), (-1, 2)):
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    ex.ExteriorElement.basis(sp, bad)
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    sp.compound_row(bad)
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  with pytest.raises(ValueError, match=BAD_INDEX):
+   m.act({(0, (3,)): 1}, E(m.space, ()))
+  assert m.act({(0, ()): 1}, E(m.space, (2,))) == {(0, (2,)): 1}
+
+ def test_pairing_rejects_bad_tuples_in_either_slot(self):
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  good = {(0, (0,)): 1}
+  for bad in ((1, 0), (2, 1), (0, 0), (3,), (0, 3)):
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    m.pairing({(0, bad): 1}, {(0, (2,)): 1})
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    m.pairing(good, {(0, bad): 1})
+  assert m.pairing({(0, (0, 1)): 1}, {(0, (2,)): 1}) == 1
+
+ def test_apply_w_rejects_bad_tuples(self):
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  with pytest.raises(ValueError, match=BAD_INDEX):
+   m.apply_w(E(ex.MetricSpaceQ(8), (7,)))
+  x = E(m.space, (1, 2))
+  x.coeffs = {(2, 1): 1}
+  with pytest.raises(ValueError, match=BAD_INDEX):
+   m.apply_w(x)
+
+ def test_rejected_tuple_raises_on_every_check(self):
+  for _ in range(2):
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    ex._check_index((1, 0), 3)
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    ex._check_index((0, 1), 1)
+   assert ex._check_index((0, 1), 3) == (0, 1)
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  for _ in range(2):
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    m.module_inner({(0, (2, 1)): 1}, {(0, (1, 2)): 1})
+
+ def test_same_compares_the_gram_matrix_of_another_space(self):
+  sp = ex.MetricSpaceQ(3, GRAM3)
+  for other in (ex.MetricSpaceQ(3), ex.MetricSpaceQ(4)):
+   with pytest.raises(ValueError, match="ambient space mismatch"):
+    E(sp, (0,))._same(E(other, (0,)))
+  twin = ex.MetricSpaceQ(3, GRAM3)
+  assert twin is not sp
+  E(sp, (0,))._same(E(twin, (0,)))
+  assert ex.induced_inner(E(sp, (0, 1)), E(twin, (0, 1))) == 5
+
+ def test_compound_built_once_per_degree(self, monkeypatch):
+  m = ex.TemperedCohomologyModel(4, 3, 2)
+  built = []
+  compound = linalg.compound
+
+  def counting(mat, k):
+   built.append((id(mat), k))
+   return compound(mat, k)
+
+  monkeypatch.setattr(linalg, "compound", counting)
+  assert ex.isometry_check(m, trials=1000) is True
+  assert sorted(built) == [(id(m.space.gram), k) for k in range(5)]
+
+
+def test_flat_rows_match_per_pair_minors():
+ """On a fresh space, whatever the order in which the degrees are first
+ touched, induced_inner and module_inner equal one Gram minor per pair:
+ no row is served before its degree is built."""
+ hyp = pytest.importorskip("hypothesis")
+ st = hyp.strategies
+
+ @st.composite
+ def draws(draw):
+  dim = draw(st.integers(1, 4))
+  a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim,
+                             max_size=dim), min_size=dim, max_size=dim))
+  gram = [[sum(row[i] * row[j] for row in a) + (i == j)
+           for j in range(dim)] for i in range(dim)]
+  keys = [s for deg in range(dim + 1)
+          for s in itertools.combinations(range(dim), deg)]
+  coeff = st.integers(-9, 9).filter(bool)
+  elems = [draw(st.dictionaries(st.sampled_from(keys), coeff))
+           for _ in range(2)]
+  mods = [draw(st.dictionaries(st.tuples(st.integers(0, 1),
+                                         st.sampled_from(keys)), coeff))
+          for _ in range(2)]
+  order = draw(st.permutations(range(dim + 1)))
+  return gram, elems, mods, order
+
+ @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+ @hyp.given(draws())
+ def check(drawn):
+  gram, (a, b), (f1, f2), order = drawn
+  sp = ex.MetricSpaceQ(len(gram), gram)
+  m = ex.TemperedCohomologyModel(len(gram), 1, 2, gram=gram)
+  y = ex.ExteriorElement(sp, b)
+  for deg in order:
+   part = {s: c for s, c in a.items() if len(s) == deg}
+   x = ex.ExteriorElement(sp, part or {tuple(range(deg)): 1})
+   assert ex.induced_inner(x, y) == _per_pair_inner(x, y)
+   f = {(g, s): c for (g, s), c in f1.items() if len(s) == deg} or \
+       {(1, tuple(range(deg))): 1}
+   assert m.module_inner(f, f) == _per_pair_module_inner(m.space, f, f)
+  x = ex.ExteriorElement(sp, a)
+  assert ex.induced_inner(x, y) == _per_pair_inner(x, y)
+  assert ex.induced_inner(y, x) == _per_pair_inner(y, x)
+  for g, h in ((f1, f1), (f1, f2), (f2, f1)):
+   assert m.module_inner(g, h) == _per_pair_module_inner(m.space, g, h)
+
+ check()
 
 
 class TestAdjointness:

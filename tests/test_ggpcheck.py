@@ -56,6 +56,15 @@ class TestRunCase:
   with pytest.raises(ValueError):
    run_case("pgl-q", 13)
 
+ def test_every_family_passes_beyond_the_cap(self, monkeypatch):
+  # the cap n <= 12 bounds the CLI, not the identities: with check_n
+  # lifted, every family still verifies for n = 13..32
+  monkeypatch.setattr(gc, "check_n", lambda n, name: None)
+  failed = [(case, n, rep.failing()) for case in CASES
+            for n in range(13, 33)
+            for rep in [run_case(case, n)] if not rep.passed()]
+  assert failed == []
+
  def test_report_dict_schema(self):
   d = run_case("so-odd", 2).as_dict()
   assert set(d) == {"case", "n", "table1", "condensate", "gamma1",
