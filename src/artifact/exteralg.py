@@ -264,6 +264,8 @@ class TemperedCohomologyModel:
 
  def act(self, f, x):
   """Right action of an exterior element on a module element."""
+  if x.ambient is not self.space and x.ambient != self.space:
+   raise ValueError("ambient space mismatch")
   out = {}
   for (g, s), c in f.items():
    _check_index(s, self.delta)
@@ -276,6 +278,8 @@ class TemperedCohomologyModel:
 
  def apply_w(self, x):
   """Extend the long-Weyl map multiplicatively to the exterior algebra."""
+  if x.ambient is not self.space and x.ambient != self.space:
+   raise ValueError("ambient space mismatch")
   out = {}
   for s, c in x.coeffs.items():
    _check_index(s, self.delta)

@@ -12,7 +12,7 @@ from . import lgamma
 from . import linalg
 from . import periodring
 from . import rootsys
-from .periodring import PeriodScalar, _hnf, _residue
+from .periodring import PeriodScalar
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,10 @@ class LedgerUnderdetermined(ValueError):
  pass
 
 
+# the scaling classes, finest first, each with the denominators it allows
+_CLASSES = (("Q*", 1), ("sqrtQ*", 2))
+
+
 def _alt(prefix, top, sign=1):
  return {"%s%d" % (prefix, i): Fraction(sign * (-1) ** i)
          for i in range(top + 1)}
@@ -103,12 +107,8 @@ def _merge_lin(*parts):
  return {k: v for k, v in out.items() if v}
 
 
-def _scale_sub(acc, p, f, form):
- """acc = p * acc - f * form in place over Z, dropping the entries that
- cancel."""
- if p != 1:
-  for k in acc:
-   acc[k] *= p
+def _scale_sub(acc, f, form):
+ """acc = acc - f * form in place over Z, dropping entries that cancel."""
  for k, v in form.items():
   w = acc.get(k, 0) - f * v
   if w:
@@ -193,93 +193,61 @@ class VolumeLedger:
  def without(self, *names):
   return VolumeLedger([a for a in self.axioms if a[0] not in names])
 
- def _membership_class(self, target):
-  """Smallest scaling class: integer axiom combination (rational class),
-  half-integer (square-root class), or none.
+ def _combination(self, target):
+  """(class, coefficients) of the target: Q* with integer coefficients,
+  else sqrtQ* with half-integer ones, else LedgerUnderdetermined.
 
-  The axioms and the target are scaled by one common denominator den into
-  integer rows over the ledger's symbols (every symbol of TARGETS is one),
-  each entry x read as x.numerator * (den / x.denominator).  Reducing
-  scale * den * target against the Hermite rows of the axioms leaves a
-  residue r with integers k_a such that
-    scale * den * target = r + sum(k_a * den * axiom_a),
-  so the class is Q* when r = 0 at scale 1 and sqrtQ* when r = 0 at 2."""
+  One sparse echelon over Z in axiom order (Cohen, GTM 138, sec. 2.4) on
+  rows scaled by one common denominator den.  A row v keeps an integer
+  combination combo with v - sum(combo_a * den * axiom_a) fixed.  Against a
+  pivot, a row R with combination C whose entry p divides v's entry f, v
+  and combo lose (f // p) R and (f // p) C; otherwise an axiom's row runs
+  Euclid on (R, v), which keeps the lattice, and the remainder becomes the
+  pivot.  An axiom left nonzero is a new pivot; a dependent one reaches 0.
+  The row -scale * den * target, combo empty, takes exact quotients only:
+  it reaches 0 iff scale * target is in the lattice, and then
+  target = sum(combo_a / scale * axiom_a)."""
   forms = [form for _, form, _ in self.axioms]
   den = math.lcm(*(x.denominator for form in forms + [target]
                    for x in form.values()))
-  column = {s: j for j, s in enumerate(self.symbols)}
 
   def ints(form, scale):
-   row = [0] * len(column)
-   for s, x in form.items():
-    if x:
-     row[column[s]] = x.numerator * (den // x.denominator) * scale
-   return row
+   return {s: x.numerator * (den // x.denominator) * scale
+           for s, x in form.items() if x}
 
-  ech = _hnf([ints(form, 1) for form in forms], len(column))
-  for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
-   if not any(_residue(ints(target, scale), ech)):
-    return label
-  return None
+  pivots = []  # [pivot symbol, integer row R, integer combination C]
 
- def _solve(self, target):
-  """One rational coefficient vector with sum(c_a * axiom_a) = target.
+  def reduce(v, combo, euclid):
+   for piv in pivots:
+    sym = piv[0]
+    while v.get(sym):
+     row, rcombo = piv[1], piv[2]
+     q, r = divmod(v[sym], row[sym])
+     if r and not euclid:
+      return v, combo
+     if q:
+      _scale_sub(v, q, row)
+      _scale_sub(combo, q, rcombo)
+     if r:
+      piv[1], piv[2], v, combo = v, combo, row, rcombo
+   return v, combo
 
-  Fraction-free sparse elimination over Z (Cohen, GTM 138, sec. 2.2;
-  Bareiss 1968) over the axiom forms in axiom order.  A form is scaled by
-  the lcm D of its denominators to an integer row v, with an integer
-  combination combo of axioms, empty at first; throughout
-    D * target = v + sum(combo_a * axiom_a).
-  Against a pivot, an integer row R with entry p at its symbol and an
-  integer combination C with R = sum(C_a * axiom_a), where v has f: cut p
-  and f by their gcd, then v = p v - f R, combo = p combo + f C and
-  D = p D.  An axiom j left with v != 0 is independent of the earlier ones
-  and becomes a pivot, R = v and C = D e_j - combo, both divided by the gcd
-  of their entries.  The pivots are the greedy basis of the axiom span, so
-  the target's coefficients on it are unique; once its v is 0 they are
-  combo / D."""
-  pivots = []  # (pivot symbol, integer row R, integer combination C)
-
-  def eliminate(form):
-   d = math.lcm(*(x.denominator for x in form.values()))
-   v = {s: x.numerator * (d // x.denominator) for s, x in form.items() if x}
-   combo = {}
-   for sym, row, rcombo in pivots:
-    f = v.get(sym)
-    if f:
-     p = row[sym]
-     g = math.gcd(p, f)
-     p, f = p // g, f // g
-     _scale_sub(v, p, f, row)
-     _scale_sub(combo, p, -f, rcombo)
-     d *= p
-   return v, combo, d
-
-  for j, (_, form, _) in enumerate(self.axioms):
-   row, combo, d = eliminate(form)
-   if row:
-    combo = {a: -c for a, c in combo.items()}
-    combo[j] = d
-    g = math.gcd(*row.values(), *combo.values())
-    pivots.append((next(iter(row)), {s: v // g for s, v in row.items()},
-                   {a: c // g for a, c in combo.items()}))
-  rem, combo, d = eliminate(target)
-  if rem:
-   raise LedgerUnderdetermined("underdetermined")
-  return {self.axioms[a][0]: Fraction(c, d)
-          for a, c in sorted(combo.items())}
+  for j, form in enumerate(forms):
+   v, combo = reduce(ints(form, 1), {j: 1}, True)
+   if v:
+    pivots.append([next(iter(v)), v, combo])
+  for label, scale in _CLASSES:
+   v, combo = reduce(ints(target, -scale), {}, False)
+   if not v:
+    return label, {self.axioms[a][0]: Fraction(c, scale)
+                   for a, c in sorted(combo.items())}
+  raise LedgerUnderdetermined("underdetermined")
 
  def derive(self, name):
   """Derive the named target; records and returns the derivation."""
   if name not in TARGETS:
    raise ValueError("unknown target %r" % (name,))
-  target = TARGETS[name]
-  klass = self._membership_class(target)
-  # outside the lattice the target has no combination of the class's
-  # kind, whether or not it lies in the rational span
-  if klass is None:
-   raise LedgerUnderdetermined("underdetermined")
-  coeffs = self._solve(target)
+  klass, coeffs = self._combination(TARGETS[name])
   kinds = {n: k for n, _, k in self.axioms}
   record = {"target": name,
             "coefficients": coeffs,
@@ -289,13 +257,17 @@ class VolumeLedger:
   return record
 
  def replay(self, record):
-  """Recombine the logged axioms and check the target is reproduced."""
+  """Recombine the logged axioms and check the target is reproduced, by
+  coefficients whose denominators divide the record's scale: 1 for Q*, 2
+  for sqrtQ*.  This certifies that the target lies in the record's class,
+  an upper bound; it does not show that no finer class holds."""
+  scale = dict(_CLASSES).get(record["class"])
+  if scale is None or any(scale % c.denominator
+                          for c in record["coefficients"].values()):
+   return False
   forms = {n: form for n, form, _ in self.axioms}
-  total = {}
-  for name, c in record["coefficients"].items():
-   for s, v in forms[name].items():
-    total[s] = total.get(s, Fraction(0)) + c * v
-  total = {k: v for k, v in total.items() if v}
+  total = _merge_lin(*({s: c * v for s, v in forms[a].items()}
+                       for a, c in record["coefficients"].items()))
   return total == TARGETS[record["target"]]
 
 

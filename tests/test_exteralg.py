@@ -196,12 +196,29 @@ class TestIndexChecks:
 
  def test_apply_w_rejects_bad_tuples(self):
   m = ex.TemperedCohomologyModel(3, 1, 1)
-  with pytest.raises(ValueError, match=BAD_INDEX):
-   m.apply_w(E(ex.MetricSpaceQ(8), (7,)))
-  x = E(m.space, (1, 2))
-  x.coeffs = {(2, 1): 1}
-  with pytest.raises(ValueError, match=BAD_INDEX):
-   m.apply_w(x)
+  for bad in ((7,), (2, 1)):
+   x = E(m.space, (1, 2))
+   x.coeffs = {bad: 1}
+   with pytest.raises(ValueError, match=BAD_INDEX):
+    m.apply_w(x)
+
+ def test_model_rejects_an_element_of_another_space(self):
+  # an element of another space, of another dimension or of the same
+  # dimension with another Gram matrix, is not re-homed into the model's
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  for other in (ex.MetricSpaceQ(8), ex.MetricSpaceQ(3, GRAM3)):
+   x = E(other, (2,))
+   with pytest.raises(ValueError, match="ambient space mismatch"):
+    m.act({(0, ()): 1}, x)
+   with pytest.raises(ValueError, match="ambient space mismatch"):
+    m.apply_w(x)
+  with pytest.raises(ValueError, match="ambient space mismatch"):
+   m.act({(0, ()): 1}, E(ex.MetricSpaceQ(8), (7,)))
+  # an equal space that is another object is the model's space
+  twin = ex.MetricSpaceQ(3)
+  assert twin is not m.space
+  assert m.act({(0, ()): 1}, E(twin, (2,))) == {(0, (2,)): 1}
+  assert m.apply_w(E(twin, (2,))) == E(m.space, (2,))
 
  def test_rejected_tuple_raises_on_every_check(self):
   for _ in range(2):

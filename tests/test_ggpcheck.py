@@ -4,6 +4,7 @@ quadratic-field rotation lemma."""
 import ast
 import collections
 from fractions import Fraction
+import functools
 import inspect
 import math
 import random
@@ -666,19 +667,30 @@ FAULTS = (PeriodScalar.gen("pi", Fraction(1, 2)), PeriodScalar.gen("twopii"),
           PeriodScalar.gen("twopii", -1))
 
 
-def _solve_or_none(fn, ledger, target):
+def _dense_or_none(ledger, target):
+ """The dense_solve items, or None."""
  try:
-  return list(fn(ledger, target).items())
+  return list(dense_solve(ledger, target).items())
  except LedgerUnderdetermined:
   return None
+
+
+def _combination_or_none(ledger, target):
+ """(class, coefficient items) of the ledger's one elimination, or None."""
+ try:
+  klass, coeffs = ledger._combination(target)
+ except LedgerUnderdetermined:
+  return None
+ return klass, list(coeffs.items())
 
 
 class TestSparseSolve:
  def test_default_ledger_matches_dense(self):
   led = VolumeLedger()
   for name, target in gc.TARGETS.items():
-   got = list(led._solve(target).items())
-   assert got == list(dense_solve(led, target).items()), name
+   _, coeffs = led._combination(target)
+   assert list(coeffs.items()) == list(dense_solve(led, target).items()), \
+       name
 
  def test_explicit_zero_entries_read_as_absent(self):
   # the public constructor does not drop zero coefficients; a dependent
@@ -686,12 +698,22 @@ class TestSparseSolve:
   led = zero_entry_ledger()
   for name, target in gc.TARGETS.items():
    target = dict(target, zz=Fraction(0))
-   assert _solve_or_none(VolumeLedger._solve, led, target) == \
-       _solve_or_none(dense_solve, led, target) is not None, name
+   assert _combination_or_none(led, target)[1] == \
+       _dense_or_none(led, target), name
 
  def test_underdetermined_target(self):
-  with pytest.raises(LedgerUnderdetermined):
-   VolumeLedger().without("rt2")._solve(gc.TARGETS["buggerme"])
+  with pytest.raises(LedgerUnderdetermined, match="underdetermined"):
+   VolumeLedger().without("rt2")._combination(gc.TARGETS["buggerme"])
+
+ def test_class_and_coefficients_agree(self):
+  # 2 hP3 and 3 hP3 span hP3 over Z: the class is Q*, and the integer
+  # combination 3 hP3 - 2 hP3 witnesses it, where the rational solve on
+  # the first axiom alone gave the coefficient 1/2
+  led = VolumeLedger([("a0", {"hP3": Fraction(2)}, "axiom"),
+                      ("a1", {"hP3": Fraction(3)}, "axiom")])
+  assert led._combination({"hP3": Fraction(1)}) == \
+      ("Q*", {"a0": Fraction(-1), "a1": Fraction(1)})
+  assert dense_solve(led, {"hP3": Fraction(1)}) == {"a0": Fraction(1, 2)}
 
 
 def reference_ledgers():
@@ -706,20 +728,27 @@ def reference_ledgers():
 REFERENCE_LEDGERS = reference_ledgers()
 
 
+@functools.lru_cache(maxsize=None)
+def dense_reference(k):
+ """{target name: dense_solve items or None} on the k-th reference ledger,
+ computed once for the tests that read it."""
+ led = REFERENCE_LEDGERS[k][1]
+ return {name: _dense_or_none(led, target)
+         for name, target in gc.TARGETS.items()}
+
+
 def _assert_equals_reference(led, target, want):
- """_solve equals want, the dense_solve items, Fraction for Fraction, or
- both raise; _membership_class equals its Fraction-built reference."""
- got = _solve_or_none(VolumeLedger._solve, led, target)
- assert got == want
- assert got is None or all(type(c) is Fraction for _, c in got)
- klass = led._membership_class(target)
- assert klass == fraction_membership_class(led, target)
- return got, klass
+ """_combination equals (the Fraction-built class, want), want the
+ dense_solve items, Fraction for Fraction, or both raise."""
+ got = _combination_or_none(led, target)
+ assert got == (None if want is None else
+                (fraction_membership_class(led, target), want))
+ assert got is None or all(type(c) is Fraction for _, c in got[1])
 
 
 class TestIntegerLedger:
- """The ledger's kernels run over Z; the dense Fraction Gauss-Jordan and
- the Fraction-built class are the references."""
+ """The ledger's one elimination runs over Z; the dense Fraction
+ Gauss-Jordan and the Fraction-built class are the references."""
 
  @pytest.mark.parametrize("k", range(len(REFERENCE_LEDGERS)),
                           ids=[label for label, _ in REFERENCE_LEDGERS])
@@ -729,16 +758,16 @@ class TestIntegerLedger:
    # zz is in no axiom but those of the zero-entry ledger; dense_solve
    # reads the target on the ledger's symbols, where its zero is absent,
    # so one dense solve serves both targets
-   want = _solve_or_none(dense_solve, led, target)
+   want = dense_reference(k)[name]
    for t in (target, dict(target, zz=Fraction(0))):
     _assert_equals_reference(led, t, want)
 
  def test_ledger_set_covers_every_outcome(self):
   seen = collections.Counter()
-  for _, led in REFERENCE_LEDGERS:
-   for target in gc.TARGETS.values():
-    got = _solve_or_none(VolumeLedger._solve, led, target)
-    seen[got is not None, led._membership_class(target)] += 1
+  for k, (_, led) in enumerate(REFERENCE_LEDGERS):
+   for name, target in gc.TARGETS.items():
+    got = _combination_or_none(led, target)
+    seen[dense_reference(k)[name] is not None, got and got[0]] += 1
   assert set(seen) == {(True, "Q*"), (True, "sqrtQ*"), (False, None)}
   assert len(REFERENCE_LEDGERS) == 40
 
@@ -746,8 +775,8 @@ class TestIntegerLedger:
   # regression guard: between reading the axioms and returning the record
   # only integers are combined, so Fraction's operators are never called
   led = VolumeLedger()
-  want = {name: (list(dense_solve(led, target).items()),
-                 fraction_membership_class(led, target))
+  want = {name: (fraction_membership_class(led, target),
+                 list(dense_solve(led, target).items()))
           for name, target in gc.TARGETS.items()}
 
   def banned(*args):
@@ -757,30 +786,61 @@ class TestIntegerLedger:
    for form in ("__%s__", "__r%s__"):
     monkeypatch.setattr(Fraction, form % op, banned)
   monkeypatch.setattr(Fraction, "__neg__", banned)
-  got = {name: (list(led._solve(target).items()),
-                led._membership_class(target))
+  got = {name: _combination_or_none(led, target)
          for name, target in gc.TARGETS.items()}
   records = [led.derive(name) for name in gc.TARGETS]
   monkeypatch.undo()
   assert got == want
   assert all(led.replay(rec) for rec in records)
 
- def test_unsolvable_class_skips_the_solve(self, monkeypatch):
-  # a target outside the lattice raises before the solve runs
-  def banned(*args):
-   raise AssertionError("solve reached")
+ def test_derive_runs_one_elimination(self, monkeypatch):
+  # derive reads its class and its coefficients off one _combination call
+  calls = []
+  combination = VolumeLedger._combination
 
-  led = VolumeLedger().without("rt2")
-  monkeypatch.setattr(VolumeLedger, "_solve", banned)
+  def counted(self, target):
+   calls.append(target)
+   return combination(self, target)
+
+  monkeypatch.setattr(VolumeLedger, "_combination", counted)
+  torsion_ledger()
+  assert len(calls) == 3
   with pytest.raises(LedgerUnderdetermined, match="underdetermined"):
-   led.derive("buggerme")
+   VolumeLedger().without("rt2").derive("buggerme")
+  assert len(calls) == 4
+
+
+class TestReplayClass:
+ def test_replay_rejects_a_finer_class(self):
+  # oinkA's coefficients are +-1/2: they witness sqrtQ*, not Q*
+  led = torsion_ledger()
+  rec = led.derivations["oinkA"]
+  assert led.replay(rec)
+  assert led.replay(dict(rec, **{"class": "sqrtQ*"}))
+  assert not led.replay(dict(rec, **{"class": "Q*"}))
+  assert not led.replay(dict(rec, **{"class": None}))
+
+ def test_replay_accepts_a_coarser_class(self):
+  # an integer combination lies in sqrtQ* as well: replay certifies an
+  # upper bound on the class, not that it is the smallest
+  led = torsion_ledger()
+  rec = led.derivations["oink1"]
+  assert rec["class"] == "Q*"
+  assert led.replay(dict(rec, **{"class": "sqrtQ*"}))
+
+ def test_replay_still_checks_the_target(self):
+  led = torsion_ledger()
+  rec = led.derivations["oink1"]
+  name, c = next(iter(rec["coefficients"].items()))
+  coeffs = dict(rec["coefficients"], **{name: c + 1})
+  assert not led.replay(dict(rec, coefficients=coeffs))
 
 
 # symbols of the targets: every ledger has a column for each
 DRAWN_SYMBOLS = ["hP3", "hP4", "sP4", "bP1", "cE", "cF"]
 
 
-def _combination(coeffs, forms):
+def _combine(coeffs, forms):
  """sum(c * form), keeping the entries that cancel as explicit zeros."""
  out = {}
  for c, form in zip(coeffs, forms):
@@ -789,16 +849,26 @@ def _combination(coeffs, forms):
  return out
 
 
-def test_drawn_ledgers_equal_reference():
+def _independent(forms):
+ """Whether the forms are linearly independent: their Gram matrix over
+ DRAWN_SYMBOLS is invertible."""
+ return linalg.det([[sum(a.get(s, 0) * b.get(s, 0) for s in DRAWN_SYMBOLS)
+                     for b in forms] for a in forms]) != 0
+
+
+def test_drawn_ledgers_equal_reference(monkeypatch):
  """Sparse rational axiom systems, some axioms dependent on earlier ones,
  some entries explicit zeros; the target is drawn inside the span or
- anywhere.  Both kernels equal their references."""
+ anywhere.  The class is the reference class, every combination replays
+ with denominators that witness its class, and on independent axioms the
+ coefficients are dense_solve's."""
  hyp = pytest.importorskip("hypothesis")
  st = hyp.strategies
  values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
  free_forms = st.dictionaries(st.sampled_from(DRAWN_SYMBOLS), values,
                               max_size=4)
  seen = collections.Counter()
+ independent = []   # the sizes of the independent axiom systems compared
 
  @hyp.settings(max_examples=300, deadline=None, derandomize=True)
  @hyp.given(data=st.data())
@@ -808,22 +878,36 @@ def test_drawn_ledgers_equal_reference():
    if forms and data.draw(st.booleans()):
     coeffs = data.draw(st.lists(values, min_size=len(forms),
                                 max_size=len(forms)))
-    forms.append(_combination(coeffs, forms))
+    forms.append(_combine(coeffs, forms))
    else:
     forms.append(data.draw(free_forms))
   if data.draw(st.booleans()):
    coeffs = data.draw(st.lists(values, min_size=len(forms),
                                max_size=len(forms)))
-   target = _combination(coeffs, forms)
+   target = _combine(coeffs, forms)
   else:
    target = data.draw(free_forms)
+  # replay reads the target by name, without its explicit zeros
+  monkeypatch.setitem(gc.TARGETS, "drawn",
+                      {s: v for s, v in target.items() if v})
   led = VolumeLedger([("a%d" % j, form, "axiom")
                       for j, form in enumerate(forms)])
-  got, klass = _assert_equals_reference(
-      led, target, _solve_or_none(dense_solve, led, target))
-  seen[got is not None, klass] += 1
+  want = _dense_or_none(led, target)
+  klass = fraction_membership_class(led, target)
+  got = _combination_or_none(led, target)
+  assert (got and got[0]) == klass
+  if got is not None:
+   scale = dict(gc._CLASSES)[klass]
+   assert all(scale % c.denominator == 0 for _, c in got[1])
+   assert led.replay({"target": "drawn", "coefficients": dict(got[1]),
+                      "class": klass})
+   if _independent(forms):
+    assert got[1] == want
+    independent.append(len(forms))
+  seen[want is not None, klass] += 1
 
  check()
+ assert max(independent) > 1
  assert set(seen) == {(True, "Q*"), (True, "sqrtQ*"), (True, None),
                       (False, None)}
 

@@ -4,9 +4,12 @@ values for every case family, and against the hand-built (f+, f-)
 versions of the doubled structures."""
 
 from fractions import Fraction
+import functools
+import math
 
 import pytest
 
+from artifact import cases
 from artifact import lgamma as lg
 from artifact import hodge as hg
 from artifact import rootsys as rs
@@ -185,3 +188,109 @@ class TestWrittenOut:
    for s0 in range(-4, 5):
     assert PeriodScalar.gen("pi", lg.pi_power(disc, s0)) == \
         written_out_leading_coeff(disc, s0)
+
+
+# ---------------------------------------------------------------------------
+# table1 for every n: each column is a cubic in n on each parity class
+
+COLUMNS = ("compact_volume_ratio", "discriminant_ratio", "rho_at_center",
+           "adjoint_at_zero", "ratio")
+N_PIN = 64   # the cubics through n = 1..8 must predict every n up to here
+
+
+def _cubic(points):
+ """Coefficients (c0, c1, c2, c3), lowest first, of the cubic through four
+ points (x, y): Newton's divided differences, expanded."""
+ xs = [x for x, _ in points]
+ dd = [Fraction(y) for _, y in points]
+ for j in range(1, 4):
+  for i in range(3, j - 1, -1):
+   dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+ poly = [dd[3]]
+ for i in (2, 1, 0):   # poly = poly * (x - xs[i]) + dd[i]
+  poly = [a - xs[i] * b for a, b in zip([0] + poly, poly + [0])]
+  poly[0] += dd[i]
+ return tuple(poly)
+
+
+def quasi_cubic(f):
+ """(even cubic, odd cubic) through f(n) at n = 1..8, split by the parity
+ of n, or None unless they predict f(n) at every n <= N_PIN."""
+ cubics = tuple(_cubic([(n, f(n)) for n in range(2 - p, 9, 2)])
+                for p in (0, 1))
+ for n in range(1, N_PIN + 1):
+  if sum(c * n ** k for k, c in enumerate(cubics[n % 2])) != f(n):
+   return None
+ return cubics
+
+
+@functools.lru_cache(maxsize=None)
+def computed_columns(case, n):
+ return {r["name"]: r["computed_exp"]
+         for r in lg.table1_row(hg.CaseMotives(case, n))}
+
+
+def target_columns(spec, n):
+ """The closed forms of spec.targets, with the ratio column that table1_row
+ derives from them."""
+ t = spec.targets(n)
+ t["ratio"] = t["rho_at_center"] - t["adjoint_at_zero"]
+ return t
+
+
+def certificate(spec):
+ """{column: whether the computed column and the closed form have the same
+ pinned cubics}.  A column is a quasi-polynomial of degree <= 3 and period
+ 2 in n, on both sides (the pieces of M (x) N and of the adjoints run
+ affinely in n with multiplicities at most linear, pi_power is linear in
+ them, and Gamma_R's floor(k/2) gives the period), so equal cubics mean
+ the column passes for every n."""
+ out = {}
+ for col in COLUMNS:
+  computed = quasi_cubic(lambda n: computed_columns(spec.name, n)[col])
+  target = quasi_cubic(lambda n: target_columns(spec, n)[col])
+  out[col] = computed is not None and computed == target
+ return out
+
+
+class TestTable1EveryN:
+ """Stanley, Enumerative Combinatorics I, sec. 4.4 (quasi-polynomials)."""
+
+ def test_cubic_interpolation(self):
+  f = lambda x: Fraction(3, 2) * x ** 3 - 2 * x + 7
+  assert _cubic([(x, f(x)) for x in (1, 3, 4, 9)]) == (7, -2, 0,
+                                                        Fraction(3, 2))
+  assert quasi_cubic(lambda n: n ** 3 + n % 2) == ((0, 0, 0, 1),
+                                                   (1, 0, 0, 1))
+  assert quasi_cubic(lambda n: n ** 4) is None
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_every_column_holds_for_every_n(self, case):
+  spec = cases.SPECS[case]
+  for n in range(1, 13):
+   assert target_columns(spec, n) == {
+       r["name"]: r["expected_exp"]
+       for r in lg.table1_row(hg.CaseMotives(case, n))}
+  assert certificate(spec) == dict.fromkeys(COLUMNS, True)
+
+ def test_target_off_the_cubic_beyond_twelve_fails(self, monkeypatch):
+  # a target that agrees with the table for n <= 12 and not beyond: every
+  # checked n passes, and the certificate rejects the column
+  spec = cases.SPECS["pgl-q"]
+  targets = spec.targets
+
+  def perturbed(n):
+   t = targets(n)
+   t["rho_at_center"] += Fraction(1, 7) * math.prod(n - k
+                                                    for k in range(1, 13))
+   return t
+
+  monkeypatch.setattr(spec, "targets", perturbed)
+  for n in range(1, 13):
+   assert all(r["pass"] for r in lg.table1_row(hg.CaseMotives("pgl-q", n)))
+  passed = {r["name"]: r["pass"]
+            for r in lg.table1_row(hg.CaseMotives("pgl-q", 13))}
+  assert passed["rho_at_center"] is False
+  got = certificate(spec)
+  assert got == dict(dict.fromkeys(COLUMNS, True), rho_at_center=False,
+                     ratio=False)

@@ -7,7 +7,8 @@ but never flags a used one: periodring.condensate, say, would pass on
 run_case's local and CaseReport's attribute of that name alone.
 
 Also the layering of the modules: which sibling modules each may import,
-and that the import graph has no cycle."""
+that the import graph has no cycle, and that no module reads a sibling's
+private names."""
 
 import ast
 import collections
@@ -173,3 +174,80 @@ def test_layer_detectors():
   planted = dict(PROGRAM)
   planted[mod] += "\nfrom . import %s\n" % back
   assert cycles(planted) == loop, (mod, back)
+
+
+# ---------------------------------------------------------------------------
+# private names stay in their module
+
+def _private(name):
+ return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(program):
+ """(module, "sibling._name") for every private name that a module of the
+ program ({module: source}) imports from a sibling (from .x import _y) or
+ reads off one (x._y, artifact.x._y)."""
+ out = set()
+ for mod, source in program.items():
+  tree = ast.parse(source)
+  bound = {}  # local name -> the sibling module it is bound to
+  for node in ast.walk(tree):
+   if isinstance(node, ast.ImportFrom):
+    parts = (node.module or "").split(".")
+    if node.level == 1 and parts[0]:
+     sib = parts[0]
+    elif parts[0] == "artifact" and len(parts) > 1:
+     sib = parts[1]
+    else:   # from . import x, from artifact import x
+     sib = None
+     bound.update((a.asname or a.name, a.name) for a in node.names
+                  if a.name in program)
+    out.update((mod, "%s.%s" % (sib, a.name)) for a in node.names
+               if sib in program and sib != mod and _private(a.name))
+   elif isinstance(node, ast.Import):
+    bound.update((a.asname, a.name.split(".")[1]) for a in node.names
+                 if a.asname and a.name.startswith("artifact."))
+  for node in ast.walk(tree):
+   if isinstance(node, ast.Attribute) and _private(node.attr):
+    v = node.value
+    if isinstance(v, ast.Name):
+     sib = bound.get(v.id)
+    elif isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name) \
+        and v.value.id == "artifact":
+     sib = v.attr
+    else:
+     sib = None
+    if sib in program and sib != mod:
+     out.add((mod, "%s.%s" % (sib, node.attr)))
+ return out
+
+
+def test_no_private_cross_module_read():
+ assert private_reads(PROGRAM) == set()
+
+
+def test_private_read_guard_fires():
+ # the ledger once imported the period ring's echelon kernels
+ planted = dict(PROGRAM)
+ planted["ggpcheck"] = planted["ggpcheck"].replace(
+     "from .periodring import PeriodScalar\n",
+     "from .periodring import PeriodScalar, _hnf, _residue\n", 1)
+ assert private_reads(planted) == {("ggpcheck", "periodring._hnf"),
+                                   ("ggpcheck", "periodring._residue")}
+ for source, read in (("from artifact.linalg import _x\n", "linalg._x"),
+                      ("def f():\n return periodring._hnf\n",
+                       "periodring._hnf"),
+                      ("from . import hodge as h\nh._y\n", "hodge._y"),
+                      ("import artifact.rootsys as r\nr._z\n",
+                       "rootsys._z"),
+                      ("import artifact.lgamma\nartifact.lgamma._w\n",
+                       "lgamma._w")):
+  planted = dict(PROGRAM)
+  planted["cli"] += "\n" + source
+  assert private_reads(planted) == {("cli", read)}, source
+ # a module's own private names, dunders and a private attribute of an
+ # object are not a sibling's private names
+ planted = dict(PROGRAM)
+ planted["cli"] += ("\nfrom . import periodring\nperiodring.__name__\n"
+                    "ggpcheck.VolumeLedger()._combination\n_helper = 1\n")
+ assert private_reads(planted) == set()
