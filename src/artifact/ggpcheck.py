@@ -57,9 +57,10 @@ def check_n(n, name):
 
 
 def run_case(case, n, extra=None):
- """Full verdict for one case/n: exponent table, the two auxiliary scalar
- reductions, and the final cancellation residual.  extra, if given, is a
- PeriodScalar multiplied into the period ratio (perturbation hook)."""
+ """Full verdict for one case/n: exponent table, and gamma1, gamma2 and the
+ cancellation residual, all read off one reduction of the period ratio.
+ extra, if given, is a PeriodScalar multiplied into the period ratio
+ (perturbation hook)."""
  check_n(n, "n")
  mot = hodge.CaseMotives(case, n)
  spec, case, m = mot.spec, mot.case, mot.spec.m(n)
@@ -105,16 +106,6 @@ def _merge_lin(*parts):
   for k, v in part.items():
    out[k] = out[k] + v if k in out else v
  return {k: v for k, v in out.items() if v}
-
-
-def _scale_sub(acc, f, form):
- """acc = acc - f * form in place over Z, dropping entries that cancel."""
- for k, v in form.items():
-  w = acc.get(k, 0) - f * v
-  if w:
-   acc[k] = w
-  else:
-   del acc[k]
 
 
 def default_axioms():
@@ -186,59 +177,34 @@ class VolumeLedger:
   names = [name for name, _, _ in self.axioms]
   if len(set(names)) < len(names):
    raise ValueError("repeated axiom name %r" % max(names, key=names.count))
-  self.symbols = sorted({s for _, form, _ in self.axioms for s in form} |
-                        {s for form in TARGETS.values() for s in form})
   self.derivations = {}
 
  def without(self, *names):
   return VolumeLedger([a for a in self.axioms if a[0] not in names])
 
  def _combination(self, target):
-  """(class, coefficients) of the target: Q* with integer coefficients,
-  else sqrtQ* with half-integer ones, else LedgerUnderdetermined.
-
-  One sparse echelon over Z in axiom order (Cohen, GTM 138, sec. 2.4) on
-  rows scaled by one common denominator den.  A row v keeps an integer
-  combination combo with v - sum(combo_a * den * axiom_a) fixed.  Against a
-  pivot, a row R with combination C whose entry p divides v's entry f, v
-  and combo lose (f // p) R and (f // p) C; otherwise an axiom's row runs
-  Euclid on (R, v), which keeps the lattice, and the remainder becomes the
-  pivot.  An axiom left nonzero is a new pivot; a dependent one reaches 0.
-  The row -scale * den * target, combo empty, takes exact quotients only:
-  it reaches 0 iff scale * target is in the lattice, and then
-  target = sum(combo_a / scale * axiom_a)."""
+  """(class, coefficients) of the target: the first of _CLASSES whose
+  scale times the target is an integer combination of the axioms, with
+  the coefficients of that combination divided by the scale; else
+  LedgerUnderdetermined."""
   forms = [form for _, form, _ in self.axioms]
   den = math.lcm(*(x.denominator for form in forms + [target]
                    for x in form.values()))
+  index = {}
+  for form in forms + [target]:
+   for s in form:
+    index.setdefault(s, len(index))
 
   def ints(form, scale):
-   return {s: x.numerator * (den // x.denominator) * scale
-           for s, x in form.items() if x}
+   return {index[s]: x.numerator * (den // x.denominator) * scale
+           for s, x in form.items()}
 
-  pivots = []  # [pivot symbol, integer row R, integer combination C]
-
-  def reduce(v, combo, euclid):
-   for piv in pivots:
-    sym = piv[0]
-    while v.get(sym):
-     row, rcombo = piv[1], piv[2]
-     q, r = divmod(v[sym], row[sym])
-     if r and not euclid:
-      return v, combo
-     if q:
-      _scale_sub(v, q, row)
-      _scale_sub(combo, q, rcombo)
-     if r:
-      piv[1], piv[2], v, combo = v, combo, row, rcombo
-   return v, combo
-
+  lattice = linalg.Lattice()
   for j, form in enumerate(forms):
-   v, combo = reduce(ints(form, 1), {j: 1}, True)
-   if v:
-    pivots.append([next(iter(v)), v, combo])
+   lattice.add(ints(form, 1), j)
   for label, scale in _CLASSES:
-   v, combo = reduce(ints(target, -scale), {}, False)
-   if not v:
+   rest, combo = lattice.residue(ints(target, scale))
+   if not rest:
     return label, {self.axioms[a][0]: Fraction(c, scale)
                    for a, c in sorted(combo.items())}
   raise LedgerUnderdetermined("underdetermined")
@@ -260,14 +226,17 @@ class VolumeLedger:
   """Recombine the logged axioms and check the target is reproduced, by
   coefficients whose denominators divide the record's scale: 1 for Q*, 2
   for sqrtQ*.  This certifies that the target lies in the record's class,
-  an upper bound; it does not show that no finer class holds."""
+  an upper bound; it does not show that no finer class holds.  A record
+  that names an axiom or a target the ledger lacks does not replay."""
   scale = dict(_CLASSES).get(record["class"])
-  if scale is None or any(scale % c.denominator
-                          for c in record["coefficients"].values()):
-   return False
   forms = {n: form for n, form, _ in self.axioms}
+  coeffs = record["coefficients"]
+  if scale is None or record["target"] not in TARGETS or \
+     any(scale % c.denominator for c in coeffs.values()) or \
+     not forms.keys() >= coeffs.keys():
+   return False
   total = _merge_lin(*({s: c * v for s, v in forms[a].items()}
-                       for a, c in record["coefficients"].items()))
+                       for a, c in coeffs.items()))
   return total == TARGETS[record["target"]]
 
 

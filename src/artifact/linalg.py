@@ -1,6 +1,7 @@
 """Exact linear algebra: determinant and compound matrices of square
-matrices of ints or Fractions, by Gaussian elimination, and the identity,
-transpose and product of matrices over any ring."""
+matrices of ints or Fractions, by Gaussian elimination, the identity,
+transpose and product of matrices over any ring, and the echelon of an
+integer row lattice with its residues."""
 
 from fractions import Fraction
 import functools
@@ -56,3 +57,59 @@ def compound(m, k):
    if minor:   # an integral minor is stored as an int
     out[r].append((c, minor.numerator if minor.denominator == 1 else minor))
  return out
+
+
+def _axpy(acc, f, form):
+ """acc += f * form in place over Z, dropping entries that cancel."""
+ for k, v in form.items():
+  w = acc.get(k, 0) + f * v
+  if w:
+   acc[k] = w
+  else:
+   del acc[k]
+
+
+class Lattice:
+ """Z-span of sparse integer rows {column: int}, kept in echelon form
+ (Cohen, GTM 138, sec. 2.4): one basis row per pivot column, zero left of
+ its positive pivot, each with its integer combination {label: int} of
+ the added rows."""
+
+ def __init__(self):
+  self.basis = {}  # pivot column -> (row, combination)
+
+ def add(self, row, label):
+  """Add a row: reduce it at each pivot in increasing column order, by
+  Euclid on the two rows where the pivot does not divide its entry, the
+  remainder becoming the pivot; a row left nonzero is a new pivot."""
+  v = {k: a for k, a in row.items() if a}
+  combo = {label: 1}
+  while v:
+   c = min(v)
+   if c not in self.basis:
+    if v[c] < 0:
+     v = {k: -a for k, a in v.items()}
+     combo = {k: -a for k, a in combo.items()}
+    self.basis[c] = (v, combo)
+    return
+   piv, pcombo = self.basis[c]
+   q, r = divmod(v[c], piv[c])
+   if q:
+    _axpy(v, -q, piv)
+    _axpy(combo, -q, pcombo)
+   if r:  # 0 < r < pivot: the remainder is the new pivot
+    self.basis[c] = (v, combo)
+    v, combo = piv, pcombo
+
+ def residue(self, t):
+  """(r, combination): r is t floor-reduced at each pivot in increasing
+  column order, so 0 <= r[c] < pivot there, and t - r is the combination
+  of the added rows.  t is in the lattice exactly when r is empty."""
+  r, combo = {k: a for k, a in t.items() if a}, {}
+  for c in sorted(self.basis):
+   piv, pcombo = self.basis[c]
+   q = r.get(c, 0) // piv[c]
+   if q:
+    _axpy(r, -q, piv)
+    _axpy(combo, q, pcombo)
+  return r, combo

@@ -22,6 +22,7 @@ is written never matters.
 from fractions import Fraction
 
 from . import hodge
+from . import linalg
 
 
 class PeriodScalar:
@@ -150,57 +151,14 @@ def _column_order(gens):
 
 def _to_int_vector(x, index, scale=1):
  """Exponents of x at doubled scale (exponent 1/2 -> 1), times scale, as
- a dense vector over the indexed columns."""
- v = [0] * len(index)
+ a sparse row {column: int} over the indexed columns."""
+ v = {}
  for g, e in x.exps.items():
   d = e.denominator
   if d > 2:
    raise ValueError("exponent denominator beyond 2 not supported: %r" % (x,))
   v[index[g]] = e.numerator * (2 // d) * scale
  return v
-
-
-def _hnf(rows, ncols):
- """Row-style Hermite form of the integer row span.  Returns the echelon
- rows as (pivot column, positive pivot, nonzero entries (column, entry))."""
- work = [r[:] for r in rows if any(r)]
- basis = []
- for c in range(ncols):
-  hit = [r for r in work if r[c]]
-  rest = [r for r in work if not r[c]]
-  if not hit:
-   continue
-  while len(hit) > 1:
-   hit.sort(key=lambda r: abs(r[c]))
-   piv = hit[0]
-   nxt = []
-   for r in hit[1:]:
-    q = r[c] // piv[c]
-    for k in range(ncols):
-     r[k] -= q * piv[k]
-    if r[c]:
-     nxt.append(r)
-    elif any(r):
-     rest.append(r)
-   hit = [piv] + nxt
-  piv = hit[0]
-  if piv[c] < 0:
-   piv = [-x for x in piv]
-  basis.append((c, piv[c], [(k, a) for k, a in enumerate(piv) if a]))
-  work = rest
- return basis
-
-
-def _residue(t, basis):
- """Reduce the integer vector t in place against echelon rows of _hnf,
- floor-dividing at each pivot, and return it: t is in the row span
- exactly when its residue is 0."""
- for c, p, row in basis:
-  q = t[c] // p
-  if q:
-   for k, a in row:
-    t[k] -= q * a
- return t
 
 
 class InconsistentRelations(ValueError):
@@ -228,24 +186,23 @@ def reduce(x, rels, mod="Q"):
   gens.update(r.exps)
  cols = _column_order(gens)
  index = {g: k for k, g in enumerate(cols)}
- lattice = [_to_int_vector(r, index, 1 if lev == "Q" else 2)
-            for r, lev in rels.relations]
+ lattice = linalg.Lattice()
+ for k, (r, lev) in enumerate(rels.relations):
+  lattice.add(_to_int_vector(r, index, 1 if lev == "Q" else 2), k)
  for k, g in enumerate(cols):
   unit = 4 if _auto_sqrt_class(g) else 2 if g in rels.rational_gens else 0
   if unit:
-   v = [0] * len(cols)
-   v[k] = unit
-   lattice.append(v)
- basis = _hnf(lattice, len(cols))
- for c, _p, row in basis:
+   lattice.add({k: unit}, g)
+ for c in sorted(lattice.basis):
   if cols[c] in ("pi", "twopii"):
+   row = lattice.basis[c][0]
    raise InconsistentRelations(
     "relation set forces a rational relation among pi powers: " +
-    "*".join("%s^%s" % (cols[k], Fraction(a, 2)) for k, a in row))
+    "*".join("%s^%s" % (cols[k], Fraction(row[k], 2)) for k in sorted(row)))
  scale = 1 if mod == "Q" else 2
- t = _residue(_to_int_vector(x, index, scale), basis)
+ t, _combo = lattice.residue(_to_int_vector(x, index, scale))
  return PeriodScalar({cols[k]: Fraction(a, 2 * scale)
-                      for k, a in enumerate(t) if a})
+                      for k, a in sorted(t.items())})
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,28 @@
 """Straightforward dense versions of the exact kernels, kept as references
-for the equivalence tests: a reduction that rebuilds the whole relation
-lattice on every call with a per-column integer vector, the three-reduction
-case verdict, the dense Fraction Gauss-Jordan ledger solve, the ledger's
-scaling class with its integer rows built through Fraction, the long
-Weyl map and twisted pairing of the exterior model built by wedging
-degree-1 images, the exterior-model checks in Fraction arithmetic:
-random elements with their raw n/d coefficients and every sum seeded with
-Fraction(0), and the hand-written group data (dimensions, ranks, the
-maximal compact subgroups and the four discriminant tables) that the
-degree table of rootsys replaced, the Deligne periods and determinant
-relations with their powers of 2*pi*i written out by hand, the Weyl orbit
-in Fraction arithmetic, the rotation lemma with its orthogonality,
-sigma-equivariance and change-of-basis checks as matrix products over
-Q(sqrt b) (with the Gauss-Jordan inverse and the field operations of QSqrt
-that the program no longer needs), the trace-form constant read off an
-inverse Gram matrix, the cancellation residual of one case, and the
-doubled Hodge structures of the exponent table with their (f+, f-) counts
-added by hand, their
-Gamma-factors, and the leading coefficient as a pi-power scalar, and the
-case data that the motives now give: the centre r(n), the reduction level,
-the quadratic twist and the orthogonal shift as each family wrote them, the
-case groups (G, H) as descriptor strings, and the volume ledger's axioms
-with their degrees written out."""
+for the equivalence tests: the Hermite form of an integer row lattice,
+column by column over dense rows, and its residue, a reduction that
+rebuilds the whole relation lattice on every call with a per-column integer
+vector, the three-reduction case verdict, the dense Fraction Gauss-Jordan
+ledger solve, the ledger's scaling class with its integer rows built
+through Fraction, the long Weyl map and twisted pairing of the exterior
+model built by wedging degree-1 images, the exterior-model checks in
+Fraction arithmetic: random elements with their raw n/d coefficients and
+every sum seeded with Fraction(0), and the hand-written group data
+(dimensions, ranks, the maximal compact subgroups and the four discriminant
+tables) that the degree table of rootsys replaced, the Deligne periods and
+determinant relations with their powers of 2*pi*i written out by hand, the
+Weyl orbit in Fraction arithmetic, the rotation lemma with its
+orthogonality, sigma-equivariance and change-of-basis checks as matrix
+products over Q(sqrt b) (with the Gauss-Jordan inverse and the field
+operations of QSqrt that the program no longer needs), the trace-form
+constant read off an inverse Gram matrix, the cancellation residual of one
+case, and the doubled Hodge structures of the exponent table with their
+(f+, f-) counts added by hand, their Gamma-factors, and the leading
+coefficient as a pi-power scalar, and the case data that the motives now
+give: the centre r(n), the reduction level, the quadratic twist and the
+orthogonal shift as each family wrote them, the case groups (G, H) as
+descriptor strings, and the volume ledger's axioms with their degrees
+written out."""
 
 import collections
 from fractions import Fraction
@@ -35,9 +36,9 @@ from artifact.exteralg import (ExteriorElement, _check_index, _merge,
                                contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet, _auto_sqrt_class,
-                                 _column_order, _hnf, _residue)
-from artifact.ggpcheck import (LedgerUnderdetermined, QSqrt, _alt, _det3,
-                               _dot, _matvec, _merge_lin, _sqfree)
+                                 _column_order)
+from artifact.ggpcheck import (TARGETS, LedgerUnderdetermined, QSqrt, _alt,
+                               _det3, _dot, _matvec, _merge_lin, _sqfree)
 from artifact.hodge import CaseMotives
 from artifact.rootsys import (GroupDescriptor, GroupInvariants,
                               UnsupportedGroup, _descriptor, _simple_roots)
@@ -82,6 +83,50 @@ def dense_int_vector(x, cols, scale=2):
  return v
 
 
+def dense_hnf(rows, ncols):
+ """Row-style Hermite form of the integer row span, column by column.
+ Returns the echelon rows as (pivot column, positive pivot, nonzero
+ entries (column, entry))."""
+ work = [r[:] for r in rows if any(r)]
+ basis = []
+ for c in range(ncols):
+  hit = [r for r in work if r[c]]
+  rest = [r for r in work if not r[c]]
+  if not hit:
+   continue
+  while len(hit) > 1:
+   hit.sort(key=lambda r: abs(r[c]))
+   piv = hit[0]
+   nxt = []
+   for r in hit[1:]:
+    q = r[c] // piv[c]
+    for k in range(ncols):
+     r[k] -= q * piv[k]
+    if r[c]:
+     nxt.append(r)
+    elif any(r):
+     rest.append(r)
+   hit = [piv] + nxt
+  piv = hit[0]
+  if piv[c] < 0:
+   piv = [-x for x in piv]
+  basis.append((c, piv[c], [(k, a) for k, a in enumerate(piv) if a]))
+  work = rest
+ return basis
+
+
+def dense_residue(t, basis):
+ """Reduce the integer vector t in place against echelon rows of
+ dense_hnf, floor-dividing at each pivot, and return it: t is in the row
+ span exactly when its residue is 0."""
+ for c, p, row in basis:
+  q = t[c] // p
+  if q:
+   for k, a in row:
+    t[k] -= q * a
+ return t
+
+
 def dense_reduce(x, rels, mod="Q"):
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
@@ -114,7 +159,7 @@ def dense_reduce(x, rels, mod="Q"):
    v[idx[g]] = 2 * base if mod == "Q" else base
    lattice.append(v)
  basis = []
- for c, _p, entries in _hnf(lattice, n):
+ for c, _p, entries in dense_hnf(lattice, n):
   row = [0] * n
   for k, a in entries:
    row[k] = a
@@ -162,15 +207,22 @@ def condensate_residual(case, n, sign=1):
                           written_out_case_data(case, n).mod)
 
 
+def ledger_symbols(ledger):
+ """The sorted symbols of the ledger's axioms and of every target."""
+ return sorted({s for _, form, _ in ledger.axioms for s in form} |
+               {s for form in TARGETS.values() for s in form})
+
+
 def dense_solve(ledger, target):
  """Coefficients from Gauss-Jordan on the dense symbols x axioms matrix."""
+ symbols = ledger_symbols(ledger)
  ncols = len(ledger.axioms)
- nrows = len(ledger.symbols)
+ nrows = len(symbols)
  mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
  for j, (_, form, _) in enumerate(ledger.axioms):
-  for i, s in enumerate(ledger.symbols):
+  for i, s in enumerate(symbols):
    mat[i][j] = form.get(s, Fraction(0))
- for i, s in enumerate(ledger.symbols):
+ for i, s in enumerate(symbols):
   mat[i][ncols] = target.get(s, Fraction(0))
  pivots = []
  r = 0
@@ -199,19 +251,19 @@ def dense_solve(ledger, target):
 
 def fraction_membership_class(ledger, target):
  """The ledger's scaling class with its dense integer rows built through
- Fraction: every entry as int(x * den * scale) over ledger.symbols, den the
- lcm of Fraction(x).denominator over the axioms and the target."""
+ Fraction: every entry as int(x * den * scale) over the ledger's symbols,
+ den the lcm of Fraction(x).denominator over the axioms and the target."""
+ symbols = ledger_symbols(ledger)
  forms = [form for _, form, _ in ledger.axioms]
  den = math.lcm(*(Fraction(x).denominator for form in forms + [target]
                   for x in form.values()))
 
  def ints(form, scale):
-  return [int(form[s] * den * scale) if s in form else 0
-          for s in ledger.symbols]
+  return [int(form[s] * den * scale) if s in form else 0 for s in symbols]
 
- ech = _hnf([ints(form, 1) for form in forms], len(ledger.symbols))
+ ech = dense_hnf([ints(form, 1) for form in forms], len(symbols))
  for label, scale in (("Q*", 1), ("sqrtQ*", 2)):
-  if not any(_residue(ints(target, scale), ech)):
+  if not any(dense_residue(ints(target, scale), ech)):
    return label
  return None
 

@@ -835,6 +835,15 @@ class TestReplayClass:
   coeffs = dict(rec["coefficients"], **{name: c + 1})
   assert not led.replay(dict(rec, coefficients=coeffs))
 
+ def test_replay_rejects_unknown_names(self):
+  # a record that names an axiom or a target the ledger lacks replays to
+  # False, like any other record that does not reproduce its target
+  rec = VolumeLedger().derive("buggerme")
+  assert "rt2" in rec["coefficients"]
+  assert VolumeLedger().replay(rec)
+  assert not VolumeLedger().without("rt2").replay(rec)
+  assert not VolumeLedger().replay(dict(rec, target="nope"))
+
 
 # symbols of the targets: every ledger has a column for each
 DRAWN_SYMBOLS = ["hP3", "hP4", "sP4", "bP1", "cE", "cF"]

@@ -151,12 +151,15 @@ class TestProduct:
    assert all(type(x) is FieldQSqrt and x.b == 3 for row in got for x in row)
 
 
-HAND_ROLLED = ("_matmul", "_transpose", "_block_diag")
+# linalg.Lattice is the one integer echelon: no module keeps a second
+HAND_ROLLED = ("_matmul", "_transpose", "_block_diag", "_hnf", "_residue",
+               "_scale_sub")
 
 
 def hand_rolled_kernels(source):
- """Lines that define a private matrix product, transpose or block
- diagonal, or build an identity entry as int(i == j) with i, j names."""
+ """Lines that define a private matrix product, transpose, block diagonal,
+ integer echelon, residue or row subtraction, or build an identity entry
+ as int(i == j) with i, j names."""
  hits = set()
  for node in ast.walk(ast.parse(source)):
   if isinstance(node, ast.FunctionDef) and node.name in HAND_ROLLED:
@@ -178,8 +181,11 @@ class TestOneKernel:
          'def _matmul(a, b):\n pass\n'
          'def _transpose(m):\n pass\n'
          'def _block_diag(m):\n pass\n'
-         'x = QSqrt(b, int(r == c))\n')
-  assert hand_rolled_kernels(src) == [1, 3, 5, 7, 9]
+         'x = QSqrt(b, int(r == c))\n'
+         'def _hnf(rows, n):\n pass\n'
+         'def _residue(t, basis):\n pass\n'
+         'def _scale_sub(acc, f, form):\n pass\n')
+  assert hand_rolled_kernels(src) == [1, 3, 5, 7, 9, 10, 12, 14]
   assert hand_rolled_kernels('sign = int(kind == "C")\n'
                              'def matmul(a, b):\n pass\n') == []
 

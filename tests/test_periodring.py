@@ -5,19 +5,20 @@ oracle."""
 from fractions import Fraction
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from artifact import cases, ggpcheck, hodge, periodring
+from artifact import cases, ggpcheck, hodge, linalg, periodring
 from artifact.cases import CASES
 from artifact.hodge import CaseMotives
 from artifact.periodring import (PeriodScalar, RelationSet,
                                  InconsistentRelations, reduce,
                                  case_relations, vol_L,
                                  deligne_c, period_ratio,
-                                 parse_expr, _hnf)
+                                 parse_expr)
 import oracle_periods as orc
-from reference_kernels import (condensate_residual, dense_reduce,
+from reference_kernels import (condensate_residual, dense_hnf,
+                               dense_reduce, dense_residue,
                                written_out_case_data,
                                written_out_case_relations,
                                written_out_deligne_c)
@@ -431,6 +432,15 @@ def _residue(basis, t):
  return t
 
 
+def _combine(combo, rows, n):
+ """sum(c * rows[j]) over the combination {j: c}, a dense row of length
+ n."""
+ out = [0] * n
+ for j, c in combo.items():
+  out = [a + c * b for a, b in zip(out, rows[j])]
+ return out
+
+
 _rows = st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
              max_size=5),
@@ -441,10 +451,13 @@ _rows = st.integers(1, 5).flatmap(lambda n: st.tuples(
 class TestHnfProperties:
  @settings(max_examples=300, deadline=None, derandomize=True)
  @given(_rows)
+ # adding 2 against the pivot 3 is a Euclid step of quotient 0; the pivot
+ # ends at 1, with the combination 3 - 2
+ @example(([[3], [2]], [5], [0] * 5))
  def test_residue_constant_on_cosets(self, data):
   rows, t, coeffs = data
   n = len(t)
-  basis = _hnf(rows, n)
+  basis = dense_hnf(rows, n)
   shifted = list(t)
   for c, row in zip(coeffs, rows):
    shifted = [a + c * b for a, b in zip(shifted, row)]
@@ -456,5 +469,17 @@ class TestHnfProperties:
   res = _residue(basis, t)
   for c, p, _entries in basis:
    assert p > 0 and 0 <= res[c] < p
-  # the residue that reduce and the ledger read is the same
-  assert periodring._residue(list(t), basis) == res
+  assert dense_residue(list(t), basis) == res
+  # the sparse lattice that reduce and the ledger read has the same
+  # residue, and every basis row and t - r is its combination of the
+  # added rows
+  lattice = linalg.Lattice()
+  for j, row in enumerate(rows):
+   lattice.add(dict(enumerate(row)), j)
+  r, combo = lattice.residue(dict(enumerate(t)))
+  assert [r.get(k, 0) for k in range(n)] == res
+  assert [(c, lattice.basis[c][0][c]) for c in sorted(lattice.basis)] == \
+      [(c, p) for c, p, _e in basis]
+  for row, rcombo in list(lattice.basis.values()) + \
+      [({k: a - r.get(k, 0) for k, a in enumerate(t)}, combo)]:
+   assert [row.get(k, 0) for k in range(n)] == _combine(rcombo, rows, n)
