@@ -74,7 +74,7 @@ def run_case(case, n, extra=None):
  # twopii is the last column and never a pivot, so reduction commutes
  # with powers of it: one residue gives all three verdicts
  reduced = periodring.reduce(cond, rels, mod)
- m_found = reduced.exps.get("twopii", Fraction(0))
+ m_found = reduced.exps.get("twopii", 0)
  gamma1 = {"exponent": -m_found, "pass": m_found == m}
  rest = reduced * PeriodScalar.gen("twopii", -m_found)
  gamma2 = {"residual": repr(rest), "pass": rest.is_one()}

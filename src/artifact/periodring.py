@@ -1,7 +1,8 @@
 """Exact arithmetic with period scalars modulo rational square classes.
 
 A scalar is a finite product of formal generators raised to rational
-exponents.  Distinguished generators:
+exponents: an integral exponent is an int, any other a Fraction.
+Distinguished generators:
 
   pi           the real number pi
   twopii       the scalar 2*pi*i
@@ -26,27 +27,22 @@ from . import linalg
 
 
 class PeriodScalar:
- """Formal product of generators with Fraction exponents."""
+ """Formal product of generators: an integral exponent is an int, any
+ other a Fraction of denominator > 1, and i, of order 4, has its exponent
+ in [0, 4)."""
 
  def __init__(self, exps=None):
   self.exps = {}
   if exps:
    for g, e in exps.items():
-    if type(e) is not Fraction:
+    if type(e) is not int:
      e = Fraction(e)
+     if e.denominator == 1:
+      e = e.numerator
+    if g == "i":
+     e %= 4
     if e:
      self.exps[g] = e
-  self._normalize()
-
- def _normalize(self):
-  # i has order 4
-  e = self.exps.get("i")
-  if e is not None:
-   e = e - 4 * (e / 4).__floor__()
-   if e:
-    self.exps["i"] = e
-   else:
-    del self.exps["i"]
 
  @staticmethod
  def one():
@@ -54,7 +50,7 @@ class PeriodScalar:
 
  @staticmethod
  def gen(name, exp=1):
-  return PeriodScalar({name: Fraction(exp)})
+  return PeriodScalar({name: exp})
 
  def __mul__(self, other):
   out = dict(self.exps)
@@ -63,11 +59,7 @@ class PeriodScalar:
    out[g] = e if mine is None else mine + e
   return PeriodScalar(out)
 
- def __truediv__(self, other):
-  return self * other ** -1
-
  def __pow__(self, k):
-  k = Fraction(k)
   return PeriodScalar({g: e * k for g, e in self.exps.items()})
 
  def conj(self):
@@ -75,17 +67,17 @@ class PeriodScalar:
   out = {}
   for g, e in self.exps.items():
    if g.endswith(".s"):
-    out[g[:-2] + ".sb"] = out.get(g[:-2] + ".sb", Fraction(0)) + e
+    out[g[:-2] + ".sb"] = out.get(g[:-2] + ".sb", 0) + e
    elif g.endswith(".sb"):
-    out[g[:-3] + ".s"] = out.get(g[:-3] + ".s", Fraction(0)) + e
+    out[g[:-3] + ".s"] = out.get(g[:-3] + ".s", 0) + e
    elif g == "i":
-    out["i"] = out.get("i", Fraction(0)) - e
+    out["i"] = out.get("i", 0) - e
    else:
-    out[g] = out.get(g, Fraction(0)) + e
+    out[g] = out.get(g, 0) + e
   # each twopii carries one i
   t = self.exps.get("twopii")
   if t:
-   out["i"] = out.get("i", Fraction(0)) + 2 * t
+   out["i"] = out.get("i", 0) + 2 * t
   return PeriodScalar(out)
 
  def is_one(self):
@@ -195,10 +187,16 @@ def reduce(x, rels, mod="Q"):
    lattice.add({k: unit}, g)
  for c in sorted(lattice.basis):
   if cols[c] in ("pi", "twopii"):
-   row = lattice.basis[c][0]
+   # quote the Hermite row, its twopii entry floor-reduced against the
+   # twopii pivot, so that the order of the relations does not show
+   row = dict(lattice.basis[c][0])
+   t = index.get("twopii")
+   if t != c and t in lattice.basis:
+    row[t] = row.get(t, 0) % lattice.basis[t][0][t]
    raise InconsistentRelations(
     "relation set forces a rational relation among pi powers: " +
-    "*".join("%s^%s" % (cols[k], Fraction(row[k], 2)) for k in sorted(row)))
+    "*".join("%s^%s" % (cols[k], Fraction(row[k], 2))
+             for k in sorted(row) if row[k]))
  scale = 1 if mod == "Q" else 2
  t, _combo = lattice.residue(_to_int_vector(x, index, scale))
  return PeriodScalar({cols[k]: Fraction(a, 2 * scale)
@@ -222,8 +220,7 @@ def reduce(x, rels, mod="Q"):
 
 def _det_relation(det, x):
  """det^2 (2 pi i)^(w rank) for the determinant period det of motive x."""
- return PeriodScalar.gen(det, 2) * PeriodScalar.gen("twopii",
-                                                    x.weight * x.rank())
+ return PeriodScalar({det: 2, "twopii": x.weight * x.rank()})
 
 
 def _ratio_relations(prefix, x):
@@ -231,39 +228,38 @@ def _ratio_relations(prefix, x):
  whose standard motive x has weight w: prefix_p prefix_(w-p) i^(2w) for
  each pair p < w - p and the real middle ratio over Q, or over E the same
  between the two embeddings .sb and .s for every p."""
- g, w = PeriodScalar.gen, x.weight
+ w = x.weight
  if x.over_e:
-  return [(g("%s%d.sb" % (prefix, p)) * g("%s%d.s" % (prefix, w - p)) *
-           g("i", 2 * w), "Q") for p in range(w + 1)]
- rels = [(g("%s%d" % (prefix, p)) * g("%s%d" % (prefix, w - p)) *
-          g("i", 2 * w), "Q") for p in range(w + 1) if p < w - p]
+  return [(PeriodScalar({"%s%d.sb" % (prefix, p): 1,
+                         "%s%d.s" % (prefix, w - p): 1, "i": 2 * w}), "Q")
+          for p in range(w + 1)]
+ rels = [(PeriodScalar({"%s%d" % (prefix, p): 1,
+                        "%s%d" % (prefix, w - p): 1, "i": 2 * w}), "Q")
+         for p in range(w + 1) if p < w - p]
  if w % 2 == 0:
-  rels.append((g("%s%d" % (prefix, w // 2)), "Q"))  # real middle eigenvector
+  # real middle eigenvector
+  rels.append((PeriodScalar.gen("%s%d" % (prefix, w // 2)), "Q"))
  return rels
 
 
 def _split_relations(m, nn):
- g = PeriodScalar.gen
  rels = _ratio_relations("Q", m) + _ratio_relations("R", nn)
  rels.append((_det_relation("dM", m), "Q"))
  rels.append((_det_relation("dMpsi", m), "Q"))  # psi keeps weight and rank
  rels.append((_det_relation("dN", nn), "Q"))
  # the two Betti minors of the odd-weight factor X against delta(X)
  odd, ratio, x = ("M", "Q", m) if m.weight % 2 else ("N", "R", nn)
- y = g("c%sp" % odd) * g("c%sm" % odd) * g("d" + odd, -1)
- for p in range(x.rank() // 2):
-  y = y * g("%s%d" % (ratio, p))
- rels.append((y, "Q"))
+ y = {"c%sp" % odd: 1, "c%sm" % odd: 1, "d" + odd: -1}
+ y.update(("%s%d" % (ratio, p), 1) for p in range(x.rank() // 2))
+ rels.append((PeriodScalar(y), "Q"))
  return RelationSet(rels)
 
 
 def _quadratic_relations(m, nn):
  rels = _ratio_relations("Q", m) + _ratio_relations("R", nn)
  for det, prefix, x in (("detA", "Q", m), ("detB", "R", nn)):
-  y = _det_relation(det, x)
-  for p in range(x.rank()):
-   y = y * PeriodScalar.gen("%s%d.s" % (prefix, p), -1)
-  rels.append((y, "Q"))
+  rels.append((_det_relation(det, x) * PeriodScalar(
+      {"%s%d.s" % (prefix, p): -1 for p in range(x.rank())}), "Q"))
  return RelationSet(rels)
 
 
@@ -296,10 +292,8 @@ def case_relations(mot):
 def _orthogonal_ratios(prefix, top):
  """prod_{p < top} prefix_p^-(2 top - 2p): the real period ratios of an
  orthogonal factor."""
- out = PeriodScalar.one()
- for p in range(top):
-  out = out * PeriodScalar.gen("%s%d" % (prefix, p), -(2 * top - 2 * p))
- return out
+ return PeriodScalar({"%s%d" % (prefix, p): 2 * p - 2 * top
+                      for p in range(top)})
 
 
 def vol_L(mot, which):
@@ -307,21 +301,17 @@ def vol_L(mot, which):
  case motives mot, as a period scalar."""
  if which not in ("M", "N"):
   raise ValueError("which must be 'M' or 'N'")
- spec, n, g = mot.spec, mot.n, PeriodScalar.gen
+ spec, n = mot.spec, mot.n
  k = _orthogonal_k(spec, n)
  if k is not None:
   if which == "N":
-   return g("sqrtD", n * n) * _orthogonal_ratios("R", n)
-  return g("sqrtD", (n - k) * n * (n - 1)) * \
-      _orthogonal_ratios("Q", k) * g("Delta.s", k) * g("Xi.s", k)
- nm = "Q%d" if which == "M" else "R%d"
- out = PeriodScalar.one()
- for p in range(n if which == "M" else n + 1):
-  if spec.over_e:
-   out = out * g(nm % p + ".s", p) * g(nm % p + ".sb", p)
-  else:
-   out = out * g(nm % p, p)
- return out
+   return PeriodScalar.gen("sqrtD", n * n) * _orthogonal_ratios("R", n)
+  return _orthogonal_ratios("Q", k) * PeriodScalar(
+      {"sqrtD": (n - k) * n * (n - 1), "Delta.s": k, "Xi.s": k})
+ prefix, top = ("Q", n) if which == "M" else ("R", n + 1)
+ embeddings = (".s", ".sb") if spec.over_e else ("",)
+ return PeriodScalar({"%s%d%s" % (prefix, p, s): p
+                      for p in range(top) for s in embeddings})
 
 
 def deligne_c(mot, sign=1, psi=False):
@@ -336,38 +326,35 @@ def deligne_c(mot, sign=1, psi=False):
   raise ValueError("sign must be +1 or -1")
  if psi and mot.twisted_m is None:
   raise ValueError("quadratic twist only applies to pgl-q")
- g = PeriodScalar.gen
  pm = 0 if sign > 0 else 1  # d^+ or d^- of deligne_data
  x = hodge.tensor(mot.twisted_m, mot.std["N"]) if psi else mot.tensor
  if x.over_e:
   x = hodge.restrict_scalars(x)
  d = hodge.deligne_data(x)[pm]
- out = g("twopii", mot.r * d)
+ exps = {"twopii": mot.r * d}
  if spec.over_e:
-  out = out * (g("i") * g("sqrtD")) ** Fraction(-d, 2)
+  exps["i"] = exps["sqrtD"] = Fraction(-d, 2)
  k = _orthogonal_k(spec, n)
  if k is not None:
-  out = out * _orthogonal_ratios("Q", k) * _orthogonal_ratios("R", n)
-  return out * g("Xi.s", -n) * g("detA", 2 * n) * g("detB", 2 * k + 2)
+  exps.update({"Xi.s": -n, "detA": 2 * n, "detB": 2 * k + 2})
+  return PeriodScalar(exps) * _orthogonal_ratios("Q", k) * \
+      _orthogonal_ratios("R", n)
  if spec.over_e:
-  for p in range(n):
-   out = out * g("Q%d.s" % p, p - n)
-  for q in range(n + 1):
-   out = out * g("R%d.s" % q, q - n)
-  return out * g("detA", n + 1) * g("detB", n)
+  exps.update(("Q%d.s" % p, p - n) for p in range(n))
+  exps.update(("R%d.s" % q, q - n) for q in range(n + 1))
+  exps.update({"detA": n + 1, "detB": n})
+  return PeriodScalar(exps)
  lo, hi = n // 2, (n + 1) // 2
- out = out * g("dMpsi" if psi else "dM", hi) * g("dN", lo)
- for p in range(lo):
-  out = out * g("Q%d" % p, p - (n - 1) // 2)
- for q in range(hi):
-  out = out * g("R%d" % q, q - lo)
+ exps.update(("Q%d" % p, p - (n - 1) // 2) for p in range(lo))
+ exps.update(("R%d" % q, q - lo) for q in range(hi))
+ exps.update({"dMpsi" if psi else "dM": hi, "dN": lo})
  m = mot.twisted_m if psi else mot.std["M"]
  odd = "M" if m.weight % 2 else "N"
  betti = sign * (-1) ** mot.r * (-1 if psi else 1)
- out = out * g("c%s%s" % (odd, "p" if betti > 0 else "m"))
+ exps["c%s%s" % (odd, "p" if betti > 0 else "m")] = 1
  if psi and odd == "M":
-  out = out * g("i", -hodge.deligne_data(m)[pm])
- return out
+  exps["i"] = -hodge.deligne_data(m)[pm]
+ return PeriodScalar(exps)
 
 
 def period_ratio(mot, sign=1):

@@ -1,8 +1,10 @@
 """Straightforward dense versions of the exact kernels, kept as references
-for the equivalence tests: the Hermite form of an integer row lattice,
-column by column over dense rows, and its residue, a reduction that
-rebuilds the whole relation lattice on every call with a per-column integer
-vector, the three-reduction case verdict, the dense Fraction Gauss-Jordan
+for the equivalence tests: the period scalar with Fraction exponents only,
+the Hermite form of an integer row lattice, column by column over dense
+rows, and its residue, a reduction that rebuilds the whole relation lattice
+on every call with a per-column integer vector (and names the forced
+relation of an inconsistent set by its Hermite row), the three-reduction
+case verdict, the dense Fraction Gauss-Jordan
 ledger solve, the ledger's scaling class with its integer rows built
 through Fraction, the long Weyl map and twisted pairing of the exterior
 model built by wedging degree-1 images, the exterior-model checks in
@@ -71,6 +73,91 @@ WRITTEN_OUT_GROUPS = {
     "so-odd": lambda n: ("SO(%d)/C x SO(%d)/C" % (2 * n + 1, 2 * n + 2),
                          "SO(%d)/C" % (2 * n + 1)),
 }
+
+
+# periodring.PeriodScalar with every exponent a Fraction, integral or not:
+# the reference for the scalar algebra on int exponents
+
+class FractionScalar:
+ """Formal product of generators with Fraction exponents."""
+
+ def __init__(self, exps=None):
+  self.exps = {}
+  if exps:
+   for g, e in exps.items():
+    if type(e) is not Fraction:
+     e = Fraction(e)
+    if e:
+     self.exps[g] = e
+  self._normalize()
+
+ def _normalize(self):
+  # i has order 4
+  e = self.exps.get("i")
+  if e is not None:
+   e = e - 4 * (e / 4).__floor__()
+   if e:
+    self.exps["i"] = e
+   else:
+    del self.exps["i"]
+
+ @staticmethod
+ def one():
+  return FractionScalar()
+
+ @staticmethod
+ def gen(name, exp=1):
+  return FractionScalar({name: Fraction(exp)})
+
+ def __mul__(self, other):
+  out = dict(self.exps)
+  for g, e in other.exps.items():
+   mine = out.get(g)
+   out[g] = e if mine is None else mine + e
+  return FractionScalar(out)
+
+ def __truediv__(self, other):
+  return self * other ** -1
+
+ def __pow__(self, k):
+  k = Fraction(k)
+  return FractionScalar({g: e * k for g, e in self.exps.items()})
+
+ def conj(self):
+  """Complex conjugate.  conj(2pi i) = i^2 * 2pi i, embeddings swap."""
+  out = {}
+  for g, e in self.exps.items():
+   if g.endswith(".s"):
+    out[g[:-2] + ".sb"] = out.get(g[:-2] + ".sb", Fraction(0)) + e
+   elif g.endswith(".sb"):
+    out[g[:-3] + ".s"] = out.get(g[:-3] + ".s", Fraction(0)) + e
+   elif g == "i":
+    out["i"] = out.get("i", Fraction(0)) - e
+   else:
+    out[g] = out.get(g, Fraction(0)) + e
+  # each twopii carries one i
+  t = self.exps.get("twopii")
+  if t:
+   out["i"] = out.get("i", Fraction(0)) + 2 * t
+  return FractionScalar(out)
+
+ def is_one(self):
+  return not self.exps
+
+ def __eq__(self, other):
+  return isinstance(other, FractionScalar) and self.exps == other.exps
+
+ def __hash__(self):
+  return hash(frozenset(self.exps.items()))
+
+ def __repr__(self):
+  if not self.exps:
+   return "1"
+  parts = []
+  for g in sorted(self.exps):
+   e = self.exps[g]
+   parts.append(g if e == 1 else "%s^%s" % (g, e))
+  return "*".join(parts)
 
 
 def dense_int_vector(x, cols, scale=2):
@@ -164,9 +251,20 @@ def dense_reduce(x, rels, mod="Q"):
   for k, a in entries:
    row[k] = a
   basis.append((c, row))
- for c, row in basis:
-  if cols[c] in ("pi", "twopii"):
-   raise InconsistentRelations("pi relation")
+ pinned = [(c, row) for c, row in basis if cols[c] in ("pi", "twopii")]
+ if pinned:
+  # the forced relation as its Hermite row: the first pi/twopii row with
+  # its twopii entry floor-reduced against the twopii pivot; at sqrtQ the
+  # lattice is at half the doubled scale
+  row = pinned[0][1]
+  for c, piv in pinned[1:]:
+   q = row[c] // piv[c]
+   row = [a - q * b for a, b in zip(row, piv)]
+  unit = 2 if mod == "Q" else 1
+  raise InconsistentRelations(
+      "relation set forces a rational relation among pi powers: " +
+      "*".join("%s^%s" % (cols[k], Fraction(a, unit))
+               for k, a in enumerate(row) if a))
  t = dense_int_vector(x, cols)
  for c, row in basis:
   q = t[c] // row[c]

@@ -3,9 +3,10 @@ cancellation identities, cross-checked against the numeric period-matrix
 oracle."""
 
 from fractions import Fraction
+import json
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from artifact import cases, ggpcheck, hodge, linalg, periodring
@@ -16,8 +17,9 @@ from artifact.periodring import (PeriodScalar, RelationSet,
                                  case_relations, vol_L,
                                  deligne_c, period_ratio,
                                  parse_expr)
+from make_period_data import PATH as PERIOD_DATA, period_data
 import oracle_periods as orc
-from reference_kernels import (condensate_residual, dense_hnf,
+from reference_kernels import (FractionScalar, condensate_residual, dense_hnf,
                                dense_reduce, dense_residue,
                                written_out_case_data,
                                written_out_case_relations,
@@ -31,7 +33,7 @@ half = Fraction(1, 2)
 class TestScalarAlgebra:
  def test_mul_inv(self):
   x = g("Q0.s", 2) * g("pi", half)
-  assert (x / x).is_one()
+  assert (x * x ** -1).is_one()
 
  def test_conj_swaps_embeddings(self):
   assert g("Q0.s").conj() == g("Q0.sb")
@@ -56,6 +58,90 @@ class TestScalarAlgebra:
  def test_automorphism(self):
   x, y = g("Q0.s") * g("i"), g("R1.sb", 2)
   assert (x * y).conj() == x.conj() * y.conj()
+
+
+def _assert_exponent_rule(x):
+ """Integral exponents are ints, the others Fractions of denominator > 1,
+ and the exponent of i lies in [0, 4)."""
+ for name, e in x.exps.items():
+  assert type(e) is int or (type(e) is Fraction and e.denominator > 1), \
+      (name, e)
+ assert 0 <= x.exps.get("i", 0) < 4
+
+
+# both embeddings of Q0 so that conjugation merges exponents, i wrapping
+# mod 4, and half-integral and third-integral exponents
+_ALGEBRA_GENS = ("i", "pi", "twopii", "sqrtD", "Q0", "Q0.s", "Q0.sb", "R1.s")
+_exponents = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3))))
+_exponent_maps = st.dictionaries(st.sampled_from(_ALGEBRA_GENS), _exponents,
+                                 max_size=6)
+
+
+class TestFractionReference:
+ """The scalar algebra on int exponents agrees with the Fraction-only
+ scalar in every operation and printed form."""
+
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_exponent_maps, _exponent_maps, st.integers(-3, 3),
+        st.integers(-7, 7))
+ @example({"i": 7, "Q0.s": Fraction(1, 2)}, {"i": Fraction(-3, 2),
+                                            "Q0.sb": Fraction(3, 2)}, -2, 3)
+ def test_agrees_with_fraction_scalar(self, a, b, k, h):
+  x, y, fx, fy = PeriodScalar(a), PeriodScalar(b), \
+      FractionScalar(a), FractionScalar(b)
+  half_k = Fraction(h, 2)
+  pairs = [(x, fx), (y, fy), (x * y, fx * fy), (x ** k, fx ** k),
+           (x ** half_k, fx ** half_k), (x.conj(), fx.conj()),
+           (x * y ** -1, fx / fy), (x.conj() * y ** half_k,
+                                    fx.conj() * fy ** half_k)]
+  for z, fz in pairs:
+   _assert_exponent_rule(z)
+   assert z.exps == fz.exps
+   assert repr(z) == repr(fz)
+   assert hash(z) == hash(fz)
+   assert z.is_one() == fz.is_one()
+  for (z, fz), (w, fw) in zip(pairs, pairs[1:] + pairs[:1]):
+   assert (z == w) == (fz == fw)
+  assert x * y * y ** -1 == x
+  assert (x ** k * x ** -k).is_one()
+
+
+# drawn relation sets over pi, twopii and four eliminable generators
+_message_gens = ("Q0", "Q1.s", "i", "sqrtD", "pi", "twopii")
+_relation = st.tuples(
+    st.dictionaries(st.sampled_from(_message_gens),
+                    st.builds(Fraction, st.integers(-4, 4),
+                              st.sampled_from((1, 2))),
+                    min_size=1, max_size=3),
+    st.sampled_from(("Q", "sqrtQ")))
+_relation_orders = st.lists(_relation, min_size=1, max_size=4).flatmap(
+    lambda rels: st.tuples(st.just(rels), st.permutations(rels)))
+
+
+class TestInconsistentMessage:
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_relation_orders)
+ # eliminated in this order the pi row kept twopii^3, and the message read
+ # pi^1*twopii^3; the Hermite row is pi^1
+ @example(([({"i": 2, "pi": -1}, "Q"), ({"twopii": 3}, "Q")],
+           [({"twopii": 3}, "Q"), ({"i": 2, "pi": -1}, "Q")]))
+ def test_message_is_the_hermite_row(self, orders):
+  sets = [RelationSet([(PeriodScalar(e), lev) for e, lev in rels])
+          for rels in orders]
+  try:
+   dense_reduce(g("Q0"), sets[0], "Q")
+  except InconsistentRelations as exc:
+   want = str(exc)
+  else:
+   assume(False)
+  # whatever the order of the relations and the level of the reduction
+  for rels in sets:
+   for mod in ("Q", "sqrtQ"):
+    with pytest.raises(InconsistentRelations) as info:
+     reduce(g("Q0"), rels, mod)
+    assert str(info.value) == want
 
 
 class TestReduce:
@@ -121,6 +207,38 @@ class TestReduce:
   # Q0 R0 is the square of the relation, so Q0 is R0^-1 modulo sqrt(Q*)
   rels = RelationSet([(g("Q0", half) * g("R0", half), "Q")])
   assert reduce(g("Q0"), rels, "sqrtQ") == g("R0", -1)
+
+
+with open(PERIOD_DATA) as _fh:
+ PERIOD_DATA_ENTRIES = json.load(_fh)
+
+
+class TestPeriodData:
+ """The unreduced period data, which the golden CLI file sees only after
+ reduction, where a change inside the relation lattice would not show."""
+
+ @pytest.mark.parametrize("entry", PERIOD_DATA_ENTRIES,
+                          ids=lambda e: "%s-%d" % (e["case"], e["n"]))
+ def test_matches_pinned_data(self, entry):
+  assert period_data(entry["case"], entry["n"]) == entry
+
+ def test_covers_every_case(self):
+  assert [(e["case"], e["n"]) for e in PERIOD_DATA_ENTRIES] == \
+      [(case, n) for case in CASES for n in range(1, 13)]
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_exponent_rule(self, case):
+  for n in range(1, 13):
+   mot = CaseMotives(case, n)
+   psis = (False,) if mot.twisted_m is None else (False, True)
+   for sign in (1, -1):
+    _assert_exponent_rule(period_ratio(mot, sign))
+    for psi in psis:
+     _assert_exponent_rule(deligne_c(mot, sign, psi))
+   for which in ("M", "N"):
+    _assert_exponent_rule(vol_L(mot, which))
+   for x, _level in case_relations(mot).relations:
+    _assert_exponent_rule(x)
 
 
 class TestVolumes:
