@@ -108,25 +108,20 @@ def tate_twist(a, j):
 
 
 def _square_part(a, anti):
- """Lambda^2 (anti=True) or Sym^2 of a, with exact Frobenius bookkeeping."""
+ """Lambda^2 (anti=True) or Sym^2 of a.  The real Frobenius F has trace
+ (tr(F)^2 -+ tr(F^2)) / 2 there, and F^2 = 1 gives tr(F^2) = rank."""
  sign = -1 if anti else 1
  keys = sorted(a.mult)
  out = {}
- trace = 0
  for i, k1 in enumerate(keys):
   m1 = a.mult[k1]
   key = (2 * k1[0], 2 * k1[1])
   out[key] = out.get(key, 0) + m1 * (m1 + sign) // 2
-  if k1[0] == k1[1] and not a.over_e:
-   # tr(F on Sym^2 or Lambda^2) = (tr(F)^2 +- tr(F^2)) / 2, and F^2 = 1
-   trace += (a.trace * a.trace + sign * m1) // 2
   for k2 in keys[i + 1:]:
-   m2 = a.mult[k2]
    key = (k1[0] + k2[0], k1[1] + k2[1])
-   out[key] = out.get(key, 0) + m1 * m2
-   if key[0] == key[1] and k2 == (k1[1], k1[0]):
-    trace += sign * m1
- return HodgeStructure(2 * a.weight, out, None if a.over_e else trace)
+   out[key] = out.get(key, 0) + m1 * a.mult[k2]
+ return HodgeStructure(2 * a.weight, out, None if a.over_e else
+                       (a.trace * a.trace + sign * a.rank()) // 2)
 
 
 def adjoint(a, pairing):

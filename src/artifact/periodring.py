@@ -1,23 +1,25 @@
 """Exact arithmetic with period scalars modulo rational square classes.
 
 A scalar is a finite product of formal generators raised to rational
-exponents: an integral exponent is an int, any other a Fraction.
-Distinguished generators:
+exponents: an integral exponent is an int, any other a Fraction.  The
+generator classes, by the kind that _kind reads off a name and reduce
+orders its columns by:
 
-  pi           the real number pi
-  twopii       the scalar 2*pi*i
-  i            sqrt(-1)
-  sqrtD        sqrt(D) for the fixed positive rational D (so sqrt(-D) = i*sqrtD)
-  sqrtdisc.<x> square root of a named nonzero rational
-  <name>       a free indeterminate, fixed by conjugation (reserved for
-               quantities known to be real or of rational square class)
-  <name>.s / <name>.sb
-               the two complex embeddings of an indeterminate; conjugation
-               swaps them.
+  0  <name>        a free indeterminate, fixed by conjugation (reserved
+                   for quantities known to be real or of rational square
+                   class), or <name>.s / <name>.sb, the two complex
+                   embeddings of one, which conjugation swaps
+  1  sqrtD         sqrt(D) for the fixed positive rational D (so
+                   sqrt(-D) = i*sqrtD), fixed by conjugation
+     sqrtdisc.<x>  square root of a named nonzero rational, fixed too
+  2  i             sqrt(-1), which conjugation inverts
+  3  pi            the real number pi
+  4  twopii        the scalar 2*pi*i, which conjugation multiplies by i^2
 
-Triviality modulo Q* or sqrt(Q*) is decided by integer lattice reduction
-against a declared relation set, so the orientation in which each relation
-is written never matters.
+Kinds 1 and 2 are of rational square class.  Triviality modulo Q* or
+sqrt(Q*) is decided by integer lattice reduction against a declared
+relation set, so the orientation in which each relation is written never
+matters.
 """
 
 from fractions import Fraction
@@ -63,18 +65,12 @@ class PeriodScalar:
   return PeriodScalar({g: e * k for g, e in self.exps.items()})
 
  def conj(self):
-  """Complex conjugate.  conj(2pi i) = i^2 * 2pi i, embeddings swap."""
-  out = {}
-  for g, e in self.exps.items():
-   if g.endswith(".s"):
-    out[g[:-2] + ".sb"] = out.get(g[:-2] + ".sb", 0) + e
-   elif g.endswith(".sb"):
-    out[g[:-3] + ".s"] = out.get(g[:-3] + ".s", 0) + e
-   elif g == "i":
-    out["i"] = out.get("i", 0) - e
-   else:
-    out[g] = out.get(g, 0) + e
-  # each twopii carries one i
+  """Complex conjugate: a renaming of the generators that swaps the
+  embeddings .s and .sb and inverts i, times i^2 for each 2 pi i, since
+  conj(2 pi i) = i^2 * 2 pi i."""
+  out = {g[:-2] + ".sb" if g.endswith(".s") else
+         g[:-3] + ".s" if g.endswith(".sb") else g: -e if g == "i" else e
+         for g, e in self.exps.items()}
   t = self.exps.get("twopii")
   if t:
    out["i"] = out.get("i", 0) + 2 * t
@@ -99,11 +95,6 @@ class PeriodScalar:
   return "*".join(parts)
 
 
-# generators that are automatically of rational square class
-def _auto_sqrt_class(g):
- return g == "i" or g == "sqrtD" or g.startswith("sqrtdisc.")
-
-
 class RelationSet:
  """Declared multiplicative relations among period generators.
 
@@ -113,32 +104,20 @@ class RelationSet:
  """
 
  def __init__(self, relations=(), rational_gens=()):
-  self.relations = []
-  seen = set()
-  for x, level in relations:
+  # each relation and its conjugate, in order, an equal repeat dropped
+  self.relations = list(dict.fromkeys(
+      (y, level) for x, level in relations for y in (x, x.conj())))
+  for _y, level in self.relations:
    if level not in ("Q", "sqrtQ"):
     raise ValueError("unknown relation level: %r" % (level,))
-   for y in (x, x.conj()):
-    key = (frozenset(y.exps.items()), level)
-    if key not in seen:
-     seen.add(key)
-     self.relations.append((y, level))
   self.rational_gens = tuple(rational_gens)
 
 
-def _column_order(gens):
- """Eliminable generators first, pi and twopii pinned last."""
- def rank(g):
-  if g == "pi":
-   return (3, g)
-  if g == "twopii":
-   return (4, g)
-  if g == "i":
-   return (2, g)
-  if g == "sqrtD" or g.startswith("sqrtdisc."):
-   return (1, g)
-  return (0, g)
- return sorted(gens, key=rank)
+def _kind(g):
+ """The class 0..4 of a generator, as in the module docstring."""
+ if g == "sqrtD" or g.startswith("sqrtdisc."):
+  return 1
+ return {"i": 2, "pi": 3, "twopii": 4}.get(g, 0)
 
 
 def _to_int_vector(x, index, scale=1):
@@ -165,7 +144,8 @@ def reduce(x, rels, mod="Q"):
  multiplicative relation between powers of pi and 2*pi*i themselves.
 
  The set has one lattice: the scalars trivial modulo Q*, at doubled
- scale, over the generators of x and of the set and i, in _column_order.
+ scale, over the generators of x and of the set and i, sorted by _kind
+ and then by name, so that pi and twopii come last.
  A relation modulo Q* spans itself and one modulo sqrt(Q*) its square; a
  generator of rational square class spans its square and a rational one
  itself.  y is trivial modulo sqrt(Q*) exactly when y^2 is modulo Q*, so
@@ -176,17 +156,18 @@ def reduce(x, rels, mod="Q"):
  gens = {"i", *x.exps, *rels.rational_gens}
  for r, _lev in rels.relations:
   gens.update(r.exps)
- cols = _column_order(gens)
+ kinds = sorted((_kind(g), g) for g in gens)
+ cols = [g for _, g in kinds]
  index = {g: k for k, g in enumerate(cols)}
  lattice = linalg.Lattice()
  for k, (r, lev) in enumerate(rels.relations):
   lattice.add(_to_int_vector(r, index, 1 if lev == "Q" else 2), k)
- for k, g in enumerate(cols):
-  unit = 4 if _auto_sqrt_class(g) else 2 if g in rels.rational_gens else 0
+ for k, (kind, g) in enumerate(kinds):
+  unit = 4 if kind in (1, 2) else 2 if g in rels.rational_gens else 0
   if unit:
    lattice.add({k: unit}, g)
  for c in sorted(lattice.basis):
-  if cols[c] in ("pi", "twopii"):
+  if kinds[c][0] > 2:
    # quote the Hermite row, its twopii entry floor-reduced against the
    # twopii pivot, so that the order of the relations does not show
    row = dict(lattice.basis[c][0])

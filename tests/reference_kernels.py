@@ -2,11 +2,12 @@
 for the equivalence tests: the period scalar with Fraction exponents only,
 the Hermite form of an integer row lattice, column by column over dense
 rows, and its residue, a reduction that rebuilds the whole relation lattice
-on every call with a per-column integer vector (and names the forced
-relation of an inconsistent set by its Hermite row), the three-reduction
-case verdict, the dense Fraction Gauss-Jordan
-ledger solve, the ledger's scaling class with its integer rows built
-through Fraction, the long Weyl map and twisted pairing of the exterior
+on every call with a per-column integer vector, in its own column order
+and with its own rule for the generators of rational square class (and
+names the forced relation of an inconsistent set by its Hermite row), the
+three-reduction case verdict, the dense Fraction Gauss-Jordan ledger
+solve, the ledger's scaling class with its integer rows built through
+Fraction, the long Weyl map and twisted pairing of the exterior
 model built by wedging degree-1 images, the exterior-model checks in
 Fraction arithmetic: random elements with their raw n/d coefficients and
 every sum seeded with Fraction(0), and the hand-written group data
@@ -37,8 +38,7 @@ from artifact import cases, linalg, periodring, rootsys
 from artifact.exteralg import (ExteriorElement, _check_index, _merge,
                                contract, eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
-                                 RelationSet, _auto_sqrt_class,
-                                 _column_order)
+                                 RelationSet)
 from artifact.ggpcheck import (TARGETS, LedgerUnderdetermined, QSqrt, _alt,
                                _det3, _dot, _matvec, _merge_lin, _sqfree)
 from artifact.hodge import CaseMotives
@@ -214,7 +214,31 @@ def dense_residue(t, basis):
  return t
 
 
+# generators that are automatically of rational square class
+def _auto_sqrt_class(g):
+ return g == "i" or g == "sqrtD" or g.startswith("sqrtdisc.")
+
+
+def _column_order(gens):
+ """Eliminable generators first, pi and twopii pinned last."""
+ def rank(g):
+  if g == "pi":
+   return (3, g)
+  if g == "twopii":
+   return (4, g)
+  if g == "i":
+   return (2, g)
+  if g == "sqrtD" or g.startswith("sqrtdisc."):
+   return (1, g)
+  return (0, g)
+ return sorted(gens, key=rank)
+
+
 def dense_reduce(x, rels, mod="Q"):
+ """reduce on dense rows: the lattice of the scalars trivial modulo Q* at
+ doubled scale for either modulus (a sqrt(Q*)-level relation and a
+ generator of rational square class give their squares), against which
+ x is reduced at Q and x^2 at sqrt(Q*)."""
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
  gens = set(x.exps)
@@ -227,14 +251,8 @@ def dense_reduce(x, rels, mod="Q"):
  n = len(cols)
  lattice = []
  for r, lev in rels.relations:
-  v = dense_int_vector(r, cols)
-  if mod == "Q":
-   mult = 2 if lev == "Q" else 4
-  else:
-   mult = 1 if lev == "Q" else 2
-  if mult == 1 and any(a % 2 for a in v):
-   raise ValueError("half-integral relation exponents are not supported")
-  lattice.append([a * mult // 2 for a in v])
+  mult = 1 if lev == "Q" else 2
+  lattice.append([a * mult for a in dense_int_vector(r, cols)])
  for g in cols:
   base = None
   if _auto_sqrt_class(g):
@@ -243,7 +261,7 @@ def dense_reduce(x, rels, mod="Q"):
    base = 1
   if base is not None:
    v = [0] * n
-   v[idx[g]] = 2 * base if mod == "Q" else base
+   v[idx[g]] = 2 * base
    lattice.append(v)
  basis = []
  for c, _p, entries in dense_hnf(lattice, n):
@@ -254,24 +272,24 @@ def dense_reduce(x, rels, mod="Q"):
  pinned = [(c, row) for c, row in basis if cols[c] in ("pi", "twopii")]
  if pinned:
   # the forced relation as its Hermite row: the first pi/twopii row with
-  # its twopii entry floor-reduced against the twopii pivot; at sqrtQ the
-  # lattice is at half the doubled scale
+  # its twopii entry floor-reduced against the twopii pivot
   row = pinned[0][1]
   for c, piv in pinned[1:]:
    q = row[c] // piv[c]
    row = [a - q * b for a, b in zip(row, piv)]
-  unit = 2 if mod == "Q" else 1
   raise InconsistentRelations(
       "relation set forces a rational relation among pi powers: " +
-      "*".join("%s^%s" % (cols[k], Fraction(a, unit))
+      "*".join("%s^%s" % (cols[k], Fraction(a, 2))
                for k, a in enumerate(row) if a))
- t = dense_int_vector(x, cols)
+ scale = 1 if mod == "Q" else 2
+ t = [a * scale for a in dense_int_vector(x, cols)]
  for c, row in basis:
   q = t[c] // row[c]
   if q:
    for k in range(n):
     t[k] -= q * row[k]
- return PeriodScalar({cols[k]: Fraction(t[k], 2) for k in range(n) if t[k]})
+ return PeriodScalar({cols[k]: Fraction(t[k], 2 * scale) for k in range(n)
+                      if t[k]})
 
 
 def three_reduce_verdicts(case, n, extra=None):

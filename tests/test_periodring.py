@@ -487,7 +487,44 @@ def _random_scalar(rng, gens):
  return PeriodScalar(exps)
 
 
+# drawn relation sets with half-integral exponents: free names, both
+# embeddings of one, every special generator, and rational generators; x
+# also over names that the set does not mention
+_SET_GENS = ("Q0", "R0", "Q1.s", "Q1.sb", "sqrtD", "sqrtdisc.3", "i", "pi",
+             "twopii")
+_half_exponents = st.builds(Fraction, st.integers(-4, 4),
+                            st.sampled_from((1, 2)))
+_relation_sets = st.tuples(
+    st.lists(st.tuples(st.dictionaries(st.sampled_from(_SET_GENS),
+                                       _half_exponents, min_size=1,
+                                       max_size=3),
+                       st.sampled_from(("Q", "sqrtQ"))), max_size=4),
+    st.lists(st.sampled_from(("Q0", "R0", "Q1.s")), max_size=2),
+    st.dictionaries(st.sampled_from(_SET_GENS + ("free", "sqrtdisc.7")),
+                    _half_exponents, max_size=5),
+    st.sampled_from(("Q", "sqrtQ")))
+
+
 class TestSparseReduce:
+ @settings(max_examples=400, deadline=None, derandomize=True)
+ @given(_relation_sets)
+ # a half-integral relation at level Q: Q0 R0 is its square, so Q0 is
+ # R0^-1 modulo sqrt(Q*); the dense reference once rejected the set there
+ @example(([({"Q0": half, "R0": half}, "Q")], [], {"Q0": 1}, "sqrtQ"))
+ def test_drawn_sets_match_dense_reference(self, data):
+  relations, rational, x, mod = data
+  rels = RelationSet([(PeriodScalar(e), lev) for e, lev in relations],
+                     rational_gens=rational)
+  x = PeriodScalar(x)
+  try:
+   want = dense_reduce(x, rels, mod)
+  except InconsistentRelations as exc:
+   with pytest.raises(InconsistentRelations) as info:
+    reduce(x, rels, mod)
+   assert str(info.value) == str(exc)
+  else:
+   assert reduce(x, rels, mod) == want
+
  @pytest.mark.parametrize("case", CASES)
  def test_matches_dense_reference(self, case):
   rng = random.Random(CASES.index(case))

@@ -8,7 +8,8 @@ run_case's local and CaseReport's attribute of that name alone.
 
 Also the layering of the modules: which sibling modules each may import,
 that the import graph has no cycle, and that no module reads a sibling's
-private names."""
+private names; and the private program names that the test references
+read, each listed with its reason."""
 
 import ast
 import collections
@@ -251,3 +252,65 @@ def test_private_read_guard_fires():
  planted["cli"] += ("\nfrom . import periodring\nperiodring.__name__\n"
                     "ggpcheck.VolumeLedger()._combination\n_helper = 1\n")
  assert private_reads(planted) == set()
+
+
+# ---------------------------------------------------------------------------
+# what the test references borrow from the program
+
+REFERENCES = os.path.join(os.path.dirname(__file__), "reference_kernels.py")
+
+# every private program name that tests/reference_kernels.py reads, with
+# the reason it borrows the program's version instead of writing its own
+REFERENCE_PRIVATE = {
+    "exteralg._check_index": "fraction_act rejects a bad index tuple as "
+                             "act does",
+    "exteralg._merge": "fraction_act takes the wedge sign of two index "
+                       "tuples from the program, whose act and wedge "
+                       "read it too",
+    "ggpcheck._alt": "written_out_axioms builds its alternating sums with "
+                     "the program's helper",
+    "ggpcheck._merge_lin": "written_out_axioms adds linear forms with the "
+                           "program's helper",
+    "ggpcheck._det3": "qsqrt_rotation_check takes 3x3 determinants over "
+                      "Q(sqrt b)",
+    "ggpcheck._dot": "qsqrt_rotation_check takes dot products over "
+                     "Q(sqrt b)",
+    "ggpcheck._matvec": "qsqrt_rotation_check applies sigma over Q(sqrt b)",
+    "ggpcheck._sqfree": "qsqrt_rotation_check names b by its square-free "
+                        "part",
+    "rootsys._descriptor": "inverse_dual_trace_form reads a group as the "
+                           "program parses it",
+    "rootsys._gram": "inverse_dual_trace_form reads the Gram matrices "
+                     "that a test can plant",
+    "rootsys._so_cartan": "inverse_dual_trace_form reads the Cartan bases "
+                          "that a test can plant",
+    "rootsys._simple_roots": "fraction_generic_orbit reflects in the "
+                             "program's simple roots",
+}
+
+
+def reference_private_reads(source):
+ """Private program names ("module._name") that a test reference source
+ imports or reads off a module of the program."""
+ return {read for mod, read in
+         private_reads(dict(PROGRAM, reference_kernels=source))
+         if mod == "reference_kernels"}
+
+
+def test_reference_private_reads_are_listed():
+ with open(REFERENCES) as fh:
+  reads = reference_private_reads(fh.read())
+ assert reads == set(REFERENCE_PRIVATE)
+ # the dense reduction states its own column order and square classes
+ assert not any(read.startswith("periodring.") for read in reads)
+
+
+def test_reference_guard_fires():
+ with open(REFERENCES) as fh:
+  source = fh.read()
+ for planted, read in (
+     ("from artifact.periodring import _kind\n", "periodring._kind"),
+     ("def f():\n return periodring._to_int_vector\n",
+      "periodring._to_int_vector")):
+  assert reference_private_reads(source + planted) == \
+      set(REFERENCE_PRIVATE) | {read}
