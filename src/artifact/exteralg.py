@@ -179,10 +179,25 @@ def induced_inner(a, b):
  return total
 
 
+def _below(bits, n, k):
+ """A uniform draw from range(n), k = n.bit_length(): k bits from bits,
+ redrawn while they are >= n.  This is the rejection procedure of
+ randint, so on bits = rng.getrandbits, _below(bits, b - a + 1, k) + a
+ reads the stream exactly as rng.randint(a, b) does."""
+ r = bits(k)
+ while r >= n:
+  r = bits(k)
+ return r
+
+
 def _rand_elem(ambient, degree, rng):
  """Coefficients n/d, n in [-9, 9] and d in [1, 5], times the lcm of the d:
- every checked identity is homogeneous, so the verdicts are those of n/d."""
- draws = [(idx, rng.randint(-9, 9), rng.randint(1, 5))
+ every checked identity is homogeneous, so the verdicts are those of n/d.
+ Per basis index in combinations order, n = _below(bits, 19, 5) - 9 and
+ then d = _below(bits, 5, 3) + 1 on bits = rng.getrandbits: the draws of
+ rng.randint(-9, 9) and rng.randint(1, 5)."""
+ bits = rng.getrandbits
+ draws = [(idx, _below(bits, 19, 5) - 9, _below(bits, 5, 3) + 1)
           for idx in itertools.combinations(range(ambient.dim), degree)]
  lcm = math.lcm(*(d for _, _, d in draws))
  return ExteriorElement(ambient, {idx: n * (lcm // d) for idx, n, d in draws})
@@ -269,6 +284,11 @@ class TemperedCohomologyModel:
   out = {}
   for (g, s), c in f.items():
    _check_index(s, self.delta)
+   if not s:   # degree 0: e_() ^ e_kx = e_kx, no merge to look up
+    for kx, cx in x.coeffs.items():
+     key = (g, kx)
+     out[key] = out.get(key, 0) + c * cx
+    continue
    for kx, cx in x.coeffs.items():
     m = _merge(s, kx)
     if m:
@@ -389,7 +409,13 @@ def isometry_check(model, trials=50, seed=20260823):
 
  Both sides of that identity read the same induced metric, so the metric
  is first checked on its own against Cauchy-Binet, with witness vectors
- drawn from a separate generator."""
+ drawn from a separate generator.
+
+ The draws, from random.Random(seed): trials times a degree
+ rng.randrange(delta + 1) and a _rand_elem of it; then, for each nonzero
+ nu, three omegas, each with one coefficient per generator in order,
+ _below(rng.getrandbits, 11, 4) - 5 (the draw of rng.randint(-5, 5)),
+ its zero coefficients dropped."""
  if not _cauchy_binet_witness(model.space, random.Random(seed + 1)):
   return False
  rng = random.Random(seed)
@@ -399,18 +425,22 @@ def isometry_check(model, trials=50, seed=20260823):
  for _ in range(trials):
   deg = rng.randrange(model.delta + 1)
   cases.append(_rand_elem(model.space, deg, rng))
+ bits = rng.getrandbits
+ act, inner = model.act, model.module_inner
+ gens = [(g, ()) for g in range(model.k)]
  for nu in cases:
   if nu.is_zero():
    continue
   n_nu = induced_inner(nu, nu)
   for _ in range(3):
-   om = {(g, ()): rng.randint(-5, 5) for g in range(model.k)}
-   om = {k: v for k, v in om.items() if v}
+   om = {}
+   for key in gens:
+    c = _below(bits, 11, 4) - 5
+    if c:
+     om[key] = c
    if not om:
     continue
-   n_om = model.module_inner(om, om)
-   prod = model.act(om, nu)
-   n_prod = model.module_inner(prod, prod)
-   if n_prod != n_om * n_nu:
+   prod = act(om, nu)
+   if inner(prod, prod) != inner(om, om) * n_nu:
     return False
  return True

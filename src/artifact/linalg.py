@@ -1,7 +1,7 @@
 """Exact linear algebra: determinant and compound matrices of square
 matrices of ints or Fractions, by Gaussian elimination, the identity,
 transpose and product of matrices over any ring, and the echelon of an
-integer row lattice with its residues."""
+integer row lattice with its residues and its sublattice of even rows."""
 
 from fractions import Fraction
 import functools
@@ -113,3 +113,34 @@ class Lattice:
     _axpy(r, -q, piv)
     _axpy(combo, q, pcombo)
   return r, combo
+
+ def even(self):
+  """The sublattice of the even rows, L meet 2Z^n, as a Lattice: 2L and,
+  for each set of basis rows whose parities cancel (a kernel basis of the
+  basis mod 2, by elimination over GF(2) on bit masks), the sum of those
+  rows; every even row of L is such a sum plus a row of 2L.  The added
+  rows are labelled ("2L", j) and ("kernel", rows as a bit mask).  self
+  when every basis row is already even."""
+  if not any(a & 1 for row, _ in self.basis.values() for a in row.values()):
+   return self
+  rows = [row for row, _ in self.basis.values()]
+  out = Lattice()
+  pivots = {}  # lowest set bit -> (parity mask, set of rows as a bit mask)
+  for j, row in enumerate(rows):
+   out.add({k: 2 * a for k, a in row.items()}, ("2L", j))
+   m, t = sum(1 << k for k, a in row.items() if a & 1), 1 << j
+   while m:
+    low = m & -m
+    if low not in pivots:
+     pivots[low] = (m, t)
+     break
+    pm, pt = pivots[low]
+    m ^= pm
+    t ^= pt
+   else:   # the rows of t sum to an even row
+    v = {}
+    for i, r in enumerate(rows):
+     if t >> i & 1:
+      _axpy(v, 1, r)
+    out.add(v, ("kernel", t))
+  return out

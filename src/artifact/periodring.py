@@ -149,7 +149,11 @@ def reduce(x, rels, mod="Q"):
  A relation modulo Q* spans itself and one modulo sqrt(Q*) its square; a
  generator of rational square class spans its square and a rational one
  itself.  y is trivial modulo sqrt(Q*) exactly when y^2 is modulo Q*, so
- at sqrtQ the residue of x^2 is halved.
+ at sqrtQ the residue of x^2 is halved; x^2 is reduced modulo the even
+ rows of the lattice alone, as the representatives y of x, those with
+ y^2 = x^2 modulo Q* and of exponent denominator at most 2, have y^2 in
+ x^2 plus those rows.  So the residue is again such a y, and reducing it
+ gives it back.
  """
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
@@ -178,7 +182,9 @@ def reduce(x, rels, mod="Q"):
     "relation set forces a rational relation among pi powers: " +
     "*".join("%s^%s" % (cols[k], Fraction(row[k], 2))
              for k in sorted(row) if row[k]))
- scale = 1 if mod == "Q" else 2
+ scale = 1
+ if mod == "sqrtQ":
+  scale, lattice = 2, lattice.even()
  t, _combo = lattice.residue(_to_int_vector(x, index, scale))
  return PeriodScalar({cols[k]: Fraction(a, 2 * scale)
                       for k, a in sorted(t.items())})

@@ -4,7 +4,8 @@ the Hermite form of an integer row lattice, column by column over dense
 rows, and its residue, a reduction that rebuilds the whole relation lattice
 on every call with a per-column integer vector, in its own column order
 and with its own rule for the generators of rational square class (and
-names the forced relation of an inconsistent set by its Hermite row), the
+names the forced relation of an inconsistent set by its Hermite row, and
+at sqrt(Q*) meets the lattice with 2Z^n by a block Hermite form), the
 three-reduction case verdict, the dense Fraction Gauss-Jordan ledger
 solve, the ledger's scaling class with its integer rows built through
 Fraction, the long Weyl map and twisted pairing of the exterior
@@ -35,8 +36,8 @@ import math
 import random
 
 from artifact import cases, linalg, periodring, rootsys
-from artifact.exteralg import (ExteriorElement, _check_index, _merge,
-                               contract, eval_pairing, wedge)
+from artifact.exteralg import (ExteriorElement, _check_index, contract,
+                               eval_pairing, wedge)
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet)
 from artifact.ggpcheck import (TARGETS, LedgerUnderdetermined, QSqrt, _alt,
@@ -234,11 +235,30 @@ def _column_order(gens):
  return sorted(gens, key=rank)
 
 
+def dense_even_part(rows, n):
+ """Echelon rows (pivot column, dense row) of the intersection of the row
+ span L of rows with 2Z^n, by the block Hermite form of [row | row] over
+ the rows and [2 e_k | 0] over the columns: a combination whose left half
+ vanishes has a right half in L that is also in 2Z^n, and the rows of the
+ form with pivots in the right half are a basis of those halves."""
+ block = [list(r) + list(r) for r in rows]
+ block += [[2 * (j == k) for j in range(n)] + [0] * n for k in range(n)]
+ out = []
+ for c, _p, entries in dense_hnf(block, 2 * n):
+  if c >= n:
+   row = [0] * n
+   for k, a in entries:
+    row[k - n] = a
+   out.append((c - n, row))
+ return out
+
+
 def dense_reduce(x, rels, mod="Q"):
  """reduce on dense rows: the lattice of the scalars trivial modulo Q* at
  doubled scale for either modulus (a sqrt(Q*)-level relation and a
  generator of rational square class give their squares), against which
- x is reduced at Q and x^2 at sqrt(Q*)."""
+ x is reduced at Q, and x^2 at sqrt(Q*) against the lattice's meet with
+ 2Z^n, so that the halved residue keeps denominators at most 2."""
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
  gens = set(x.exps)
@@ -282,6 +302,8 @@ def dense_reduce(x, rels, mod="Q"):
       "*".join("%s^%s" % (cols[k], Fraction(a, 2))
                for k, a in enumerate(row) if a))
  scale = 1 if mod == "Q" else 2
+ if mod == "sqrtQ":
+  basis = dense_even_part(lattice, n)
  t = [a * scale for a in dense_int_vector(x, cols)]
  for c, row in basis:
   q = t[c] // row[c]
@@ -471,16 +493,19 @@ def fraction_induced_inner(a, b):
 
 
 def fraction_act(model, f, x):
- """Right action of an exterior element on a module element."""
+ """Right action of an exterior element on a module element.  The sign of
+ e_s ^ e_kx is its own: s and kx are each increasing, so sorting s + kx
+ takes one transposition per pair i in s, j in kx with i > j."""
  out = {}
  for (g, s), c in f.items():
   _check_index(s, model.delta)
   c = Fraction(c)
   for kx, cx in x.coeffs.items():
-   m = _merge(s, kx)
-   if m:
-    key = (g, m[1])
-    out[key] = out.get(key, Fraction(0)) + m[0] * c * cx
+   if set(s) & set(kx):
+    continue
+   inversions = sum(1 for i in s for j in kx if i > j)
+   key = (g, tuple(sorted(s + kx)))
+   out[key] = out.get(key, Fraction(0)) + (-1) ** inversions * c * cx
  return {k: v for k, v in out.items() if v}
 
 

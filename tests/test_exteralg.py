@@ -10,6 +10,7 @@ import pytest
 
 from artifact import exteralg as ex
 from artifact import linalg
+import reference_kernels
 from reference_kernels import (fraction_adjointness_check, fraction_act,
                                fraction_induced_inner, fraction_isometry_check,
                                fraction_module_inner, fraction_rand_elem,
@@ -317,6 +318,30 @@ class TestAdjointness:
   assert ex.adjointness_check(ex.MetricSpaceQ(3, gram), trials=50)
 
 
+def _lossy_wedge(a, b):
+ """wedge that overwrites a key instead of adding to it."""
+ a._same(b)
+ out = {}
+ for ka, ca in a.coeffs.items():
+  for kb, cb in b.coeffs.items():
+   m = ex._merge(ka, kb)
+   if m:
+    s, key = m
+    out[key] = s * ca * cb
+ return ex.ExteriorElement(a.ambient, out)
+
+
+class TestAdjointnessSeesAccumulation:
+ """Basis triples never put two products on one key, so only the random
+ trials see a wedge that forgets to add them."""
+
+ @pytest.mark.parametrize("dim", [3, 4])
+ def test_lossy_wedge_fails_the_trials(self, dim, monkeypatch):
+  monkeypatch.setattr(ex, "wedge", _lossy_wedge)
+  assert ex.adjointness_check(ex.MetricSpaceQ(dim), trials=0) is True
+  assert ex.adjointness_check(ex.MetricSpaceQ(dim), trials=20) is False
+
+
 class TestModel:
  def test_dims_table(self):
   assert ex.model_dims(3, 3, 1) == [(3, 1), (4, 3), (5, 3), (6, 1)]
@@ -562,6 +587,38 @@ class TestFractionReference:
     assert ex.isometry_check(m, trials=1000, seed=seed) is True
     assert fraction_isometry_check(m, trials=1000, seed=seed) is True
 
+ @pytest.mark.parametrize("seed", [3, 29, 20260823])
+ @pytest.mark.parametrize("delta,q,k", [(2, 1, 2), (3, 2, 1), (4, 1, 3)])
+ def test_same_trials_as_the_reference(self, seed, delta, q, k,
+                                       monkeypatch):
+  # both checks act with the same omegas on the same nus, the integer nu
+  # a positive integer multiple of the reference's n/d draw
+  m = ex.TemperedCohomologyModel(delta, q, k,
+                                 gram=[row[:delta] for row in GRAM4[:delta]])
+  seen, ref_seen = [], []
+  act = m.act
+  def record(f, x):
+   seen.append((f, x))
+   return act(f, x)
+  m.act = record
+  def ref_record(model, f, x):
+   ref_seen.append((f, x))
+   return fraction_act(model, f, x)
+  monkeypatch.setattr(reference_kernels, "fraction_act", ref_record)
+  assert ex.isometry_check(m, trials=40, seed=seed) is True
+  assert reference_kernels.fraction_isometry_check(m, trials=40,
+                                                   seed=seed) is True
+  assert len(seen) == len(ref_seen) > 3 * 40
+  for (om, nu), (ref_om, ref_nu) in zip(seen, ref_seen):
+   assert om == ref_om
+   assert all(type(c) is int for c in om.values())
+   assert nu.coeffs.keys() == ref_nu.coeffs.keys()
+   ratios = {Fraction(c) / ref_nu.coeffs[key]
+             for key, c in nu.coeffs.items()}
+   assert len(ratios) == 1
+   lam, = ratios
+   assert lam.denominator == 1 and lam > 0
+
  @pytest.mark.parametrize("gram", [GRAM3_NONDIAG, GRAM3_RATIONAL])
  def test_gram(self, gram):
   sp = ex.MetricSpaceQ(3, gram)
@@ -574,7 +631,8 @@ class TestFractionReference:
  @pytest.mark.parametrize("gram", [GRAM3_NONDIAG, GRAM3_RATIONAL])
  def test_kernel_values_scale_with_the_draw(self, gram):
   # the integer draw is lam * the reference draw, so the norms scale by
-  # lam^2 and the action by lam
+  # lam^2 and the action by lam; the factors of positive degree compare
+  # the wedge sign of act with the reference's own
   m = ex.TemperedCohomologyModel(3, 1, 2, gram=gram)
   rng, ref_rng = random.Random(53), random.Random(53)
   for _ in range(30):
@@ -584,11 +642,12 @@ class TestFractionReference:
    ref = fraction_rand_elem(m.space, deg, ref_rng)
    lam = next((Fraction(c) / ref.coeffs[k] for k, c in x.coeffs.items()), 1)
    assert ex.induced_inner(x, x) == lam ** 2 * fraction_induced_inner(ref, ref)
-   om = {(0, ()): 3, (1, ()): -2}
-   prod, ref_prod = m.act(om, x), fraction_act(m, om, ref)
-   assert prod == {key: lam * c for key, c in ref_prod.items()}
-   assert m.module_inner(prod, prod) == \
-       lam ** 2 * fraction_module_inner(m, ref_prod, ref_prod)
+   for om in ({(0, ()): 3, (1, ()): -2},
+              {(0, (1,)): 3, (1, (2,)): -2, (1, (0, 2)): 5}):
+    prod, ref_prod = m.act(om, x), fraction_act(m, om, ref)
+    assert prod == {key: lam * c for key, c in ref_prod.items()}
+    assert m.module_inner(prod, prod) == \
+        lam ** 2 * fraction_module_inner(m, ref_prod, ref_prod)
 
  @pytest.mark.parametrize("delta,q,k", [(3, 1, 1), (4, 2, 1), (4, 3, 2)])
  def test_broken_induced_metric_fails_on_both_paths(self, delta, q, k):

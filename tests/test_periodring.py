@@ -19,8 +19,9 @@ from artifact.periodring import (PeriodScalar, RelationSet,
                                  parse_expr)
 from make_period_data import PATH as PERIOD_DATA, period_data
 import oracle_periods as orc
-from reference_kernels import (FractionScalar, condensate_residual, dense_hnf,
-                               dense_reduce, dense_residue,
+from reference_kernels import (FractionScalar, condensate_residual,
+                               dense_even_part, dense_hnf, dense_reduce,
+                               dense_residue,
                                written_out_case_data,
                                written_out_case_relations,
                                written_out_deligne_c)
@@ -573,6 +574,39 @@ class TestSparseReduce:
    reduce(g("Q0"), RelationSet(), "R")
 
 
+class TestSqrtLevelResidue:
+ """At sqrt(Q*) the residue is a representative again: its exponents have
+ denominator at most 2, it reduces to itself, and it differs from x by a
+ scalar trivial modulo sqrt(Q*)."""
+
+ def _check(self, x, rels):
+  y = reduce(x, rels, "sqrtQ")
+  assert all(Fraction(e).denominator <= 2 for e in y.exps.values()), y
+  assert reduce(y, rels, "sqrtQ") == y
+  assert reduce(x * y ** -1, rels, "sqrtQ").is_one()
+  return y
+
+ def test_odd_relation_row(self):
+  # the doubled row (3, 1) is odd: Q0 once reduced to Q0^1/4*R0^-1/4,
+  # whose own reduction then raised
+  rels = RelationSet([(g("Q0", Fraction(3, 2)) * g("R0", half), "Q")])
+  assert self._check(g("Q0"), rels) == g("Q0")
+
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_relation_sets)
+ @example(([({"Q0": Fraction(3, 2), "R0": half}, "Q")], [], {"Q0": 1},
+           "sqrtQ"))
+ def test_drawn_sets(self, data):
+  relations, rational, x, _mod = data
+  rels = RelationSet([(PeriodScalar(e), lev) for e, lev in relations],
+                     rational_gens=rational)
+  try:
+   reduce(PeriodScalar(), rels, "sqrtQ")
+  except InconsistentRelations:
+   assume(False)
+  self._check(PeriodScalar(x), rels)
+
+
 def _residue(basis, t):
  """Residue of t against the echelon rows, each expanded to a dense row."""
  t = list(t)
@@ -638,3 +672,35 @@ class TestHnfProperties:
   for row, rcombo in list(lattice.basis.values()) + \
       [({k: a - r.get(k, 0) for k, a in enumerate(t)}, combo)]:
    assert [row.get(k, 0) for k in range(n)] == _combine(rcombo, rows, n)
+
+
+class TestEvenPart:
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_rows)
+ @example(([[3, 1]], [4, 0], [0] * 5))
+ def test_matches_block_hermite_reference(self, data):
+  rows, t, coeffs = data
+  n = len(t)
+  lattice = linalg.Lattice()
+  for j, row in enumerate(rows):
+   lattice.add(dict(enumerate(row)), j)
+  even = lattice.even()
+  if all(a % 2 == 0 for row in rows for a in row):
+   assert even is lattice
+  want = dense_even_part(rows, n)
+  assert [(c, even.basis[c][0][c]) for c in sorted(even.basis)] == \
+      [(c, row[c]) for c, row in want]
+  for row, _combo in even.basis.values():
+   assert all(a % 2 == 0 for a in row.values())
+  r, _combo = even.residue(dict(enumerate(t)))
+  ref = list(t)
+  for c, row in want:
+   q = ref[c] // row[c]
+   ref = [a - q * b for a, b in zip(ref, row)]
+  assert [r.get(k, 0) for k in range(n)] == ref
+  # every even combination of the rows lies in it, and an odd one does not
+  comb = [0] * n
+  for c, row in zip(coeffs, rows):
+   comb = [a + c * b for a, b in zip(comb, row)]
+  r, _combo = even.residue(dict(enumerate(comb)))
+  assert (not r) == all(a % 2 == 0 for a in comb)

@@ -8,13 +8,16 @@ run_case's local and CaseReport's attribute of that name alone.
 
 Also the layering of the modules: which sibling modules each may import,
 that the import graph has no cycle, and that no module reads a sibling's
-private names; and the private program names that the test references
-read, each listed with its reason."""
+private names; that no module reads a private name of the random module or
+of a random.Random, so every draw goes through its public methods; and the
+private program names that the test references read, each listed with its
+reason."""
 
 import ast
 import collections
 import glob
 import os
+import random
 
 import artifact
 
@@ -255,6 +258,70 @@ def test_private_read_guard_fires():
 
 
 # ---------------------------------------------------------------------------
+# the random module is read through its public names only
+
+RANDOM_MODULE_PRIVATE = {n for n in dir(random) if _private(n)}
+RANDOM_METHOD_PRIVATE = {n for n in dir(random.Random) if _private(n)}
+
+
+def random_private_reads(program):
+ """(module, name) for every private name of the random module that a
+ module of the program ({module: source}) imports (from random import _x)
+ or reads off a name bound to the module (random._x, r._x after import
+ random as r), and every private attribute of random.Random that it reads
+ off any object, by attribute or by getattr with a literal name."""
+ out = set()
+ for mod, source in program.items():
+  tree = ast.parse(source)
+  bound = set()
+  for node in ast.walk(tree):
+   if isinstance(node, ast.Import):
+    bound.update(a.asname or a.name for a in node.names
+                 if a.name == "random")
+   elif isinstance(node, ast.ImportFrom) and node.module == "random" and \
+       not node.level:
+    out.update((mod, a.name) for a in node.names if _private(a.name))
+  for node in ast.walk(tree):
+   if isinstance(node, ast.Attribute) and _private(node.attr):
+    if node.attr in RANDOM_METHOD_PRIVATE or \
+       (isinstance(node.value, ast.Name) and node.value.id in bound):
+     out.add((mod, node.attr))
+   elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+       node.func.id == "getattr" and len(node.args) >= 2 and \
+       isinstance(node.args[1], ast.Constant) and \
+       node.args[1].value in RANDOM_METHOD_PRIVATE:
+    out.add((mod, node.args[1].value))
+ return out
+
+
+def test_no_private_random_read():
+ assert random_private_reads(PROGRAM) == set()
+
+
+def test_random_guard_fires():
+ assert {"_randbelow", "_inst"} <= RANDOM_METHOD_PRIVATE | \
+     RANDOM_MODULE_PRIVATE
+ for source, read in (("rng = random.Random(1)\nrng._randbelow(19)\n",
+                       "_randbelow"),
+                      ("random._inst.random()\n", "_inst"),
+                      ("import random as r\nr._urandom(4)\n", "_urandom"),
+                      ("from random import _inst\n", "_inst"),
+                      ("def f(rng):\n return rng._randbelow_with_getrandbits"
+                       "\n", "_randbelow_with_getrandbits"),
+                      ("getattr(random.Random(2), '_randbelow')(5)\n",
+                       "_randbelow")):
+  planted = dict(PROGRAM)
+  planted["exteralg"] += "\n" + source
+  assert random_private_reads(planted) == {("exteralg", read)}, source
+ # public draws, a program object's own private names and a name of
+ # another module are not the random module's private names
+ planted = dict(PROGRAM)
+ planted["exteralg"] += ("\nrandom.Random(3).getrandbits(5)\n"
+                         "MetricSpaceQ(2)._rows\nmath._inst\n")
+ assert random_private_reads(planted) == set()
+
+
+# ---------------------------------------------------------------------------
 # what the test references borrow from the program
 
 REFERENCES = os.path.join(os.path.dirname(__file__), "reference_kernels.py")
@@ -264,9 +331,6 @@ REFERENCES = os.path.join(os.path.dirname(__file__), "reference_kernels.py")
 REFERENCE_PRIVATE = {
     "exteralg._check_index": "fraction_act rejects a bad index tuple as "
                              "act does",
-    "exteralg._merge": "fraction_act takes the wedge sign of two index "
-                       "tuples from the program, whose act and wedge "
-                       "read it too",
     "ggpcheck._alt": "written_out_axioms builds its alternating sums with "
                      "the program's helper",
     "ggpcheck._merge_lin": "written_out_axioms adds linear forms with the "
