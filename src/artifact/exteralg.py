@@ -12,12 +12,20 @@ import random
 from . import linalg
 
 
+def _square(matrix, n, name):
+ """matrix as n x n rows of Fractions; a ValueError naming the expected
+ shape if it is not n x n."""
+ if len(matrix) != n or any(len(row) != n for row in matrix):
+  raise ValueError("%s must be %d x %d" % (name, n, n))
+ return [[Fraction(x) for x in row] for row in matrix]
+
+
 class MetricSpaceQ:
  def __init__(self, dim, gram=None):
   self.dim = dim
   if gram is None:
    gram = linalg.identity(dim)
-  self.gram = [[Fraction(x) for x in row] for row in gram]
+  self.gram = _square(gram, dim, "gram matrix")
   for i in range(dim):
    for j in range(dim):
     if self.gram[i][j] != self.gram[j][i]:
@@ -65,7 +73,8 @@ def _check_index(idx, dim):
 
 
 class ExteriorElement:
- """Element of the exterior algebra, keyed by strictly increasing tuples."""
+ """Element of the exterior algebra, keyed by strictly increasing tuples;
+ the constructor checks every key."""
 
  def __init__(self, ambient, coeffs=None):
   self.ambient = ambient
@@ -113,6 +122,18 @@ class ExteriorElement:
                     for k, c in sorted(self.coeffs.items()))
 
 
+def _element(ambient, coeffs):
+ """The element with these coefficients, on keys that are valid by
+ construction (drawn from combinations, merged, cut from a checked key or
+ read off a compound table): the coefficients are normalized, int where
+ integral, and the zeros dropped, but the keys are not checked."""
+ el = ExteriorElement.__new__(ExteriorElement)
+ el.ambient = ambient
+ el.coeffs = {k: c.numerator if c.denominator == 1 else c
+              for k, c in coeffs.items() if c}
+ return el
+
+
 @functools.lru_cache(maxsize=4096)
 def _merge(a, b):
  """Concatenate index tuples, return (sign, sorted tuple) or None."""
@@ -137,7 +158,7 @@ def wedge(a, b):
    if m:
     s, key = m
     out[key] = out.get(key, 0) + s * ca * cb
- return ExteriorElement(a.ambient, out)
+ return _element(a.ambient, out)
 
 
 def contract(x, b):
@@ -153,7 +174,7 @@ def contract(x, b):
    if c:
     key = kb[:pos] + kb[pos + 1:]
     out[key] = out.get(key, 0) + ((-1) ** pos) * c * cb
- return ExteriorElement(b.ambient, out)
+ return _element(b.ambient, out)
 
 
 def eval_pairing(a, b):
@@ -179,28 +200,26 @@ def induced_inner(a, b):
  return total
 
 
-def _below(bits, n, k):
- """A uniform draw from range(n), k = n.bit_length(): k bits from bits,
- redrawn while they are >= n.  This is the rejection procedure of
- randint, so on bits = rng.getrandbits, _below(bits, b - a + 1, k) + a
- reads the stream exactly as rng.randint(a, b) does."""
- r = bits(k)
- while r >= n:
-  r = bits(k)
- return r
-
-
 def _rand_elem(ambient, degree, rng):
  """Coefficients n/d, n in [-9, 9] and d in [1, 5], times the lcm of the d:
  every checked identity is homogeneous, so the verdicts are those of n/d.
- Per basis index in combinations order, n = _below(bits, 19, 5) - 9 and
- then d = _below(bits, 5, 3) + 1 on bits = rng.getrandbits: the draws of
- rng.randint(-9, 9) and rng.randint(1, 5)."""
+ Per basis index in combinations order, with bits = rng.getrandbits,
+ n = bits(5) redrawn while it is >= 19, then d = bits(3) redrawn while it
+ is >= 5, and the coefficient is (n - 9) / (d + 1).  That is the rejection
+ procedure of randint, so these are the draws of rng.randint(-9, 9) and
+ rng.randint(1, 5)."""
  bits = rng.getrandbits
- draws = [(idx, _below(bits, 19, 5) - 9, _below(bits, 5, 3) + 1)
-          for idx in itertools.combinations(range(ambient.dim), degree)]
- lcm = math.lcm(*(d for _, _, d in draws))
- return ExteriorElement(ambient, {idx: n * (lcm // d) for idx, n, d in draws})
+ draws = []
+ for key in itertools.combinations(range(ambient.dim), degree):
+  n = bits(5)
+  while n >= 19:
+   n = bits(5)
+  d = bits(3)
+  while d >= 5:
+   d = bits(3)
+  draws.append((key, n - 9, d + 1))
+ lcm = math.lcm(*[d for _, _, d in draws])
+ return _element(ambient, {key: n * (lcm // d) for key, n, d in draws})
 
 
 def adjointness_check(space, trials, seed=20260823):
@@ -251,7 +270,7 @@ class TemperedCohomologyModel:
   self.space = MetricSpaceQ(delta, gram)
   if long_weyl is None:
    long_weyl = linalg.identity(delta)
-  self.w = [[Fraction(x) for x in row] for row in long_weyl]
+  self.w = _square(long_weyl, delta, "long Weyl involution")
   if linalg.matmul(self.w, self.w) != linalg.identity(delta):
    raise ValueError("long Weyl involution must square to the identity")
   # row s of the i-th compound of w^T is the image of e_s under the
@@ -262,7 +281,7 @@ class TemperedCohomologyModel:
                      for i in range(delta + 1)]
   if gen_matrix is None:
    gen_matrix = linalg.identity(k)
-  self.gen_matrix = [[Fraction(x) for x in row] for row in gen_matrix]
+  self.gen_matrix = _square(gen_matrix, k, "generator matrix")
 
  # module elements: dict (gen index, subset tuple) -> int or Fraction
  def basis_elems(self, degree):
@@ -305,7 +324,7 @@ class TemperedCohomologyModel:
    _check_index(s, self.delta)
    for t, minor in self.w_compound[len(s)][s].items():
     out[t] = out.get(t, 0) + c * minor
-  return ExteriorElement(self.space, out)
+  return _element(self.space, out)
 
  def pairing(self, f1, f2):
   """Top-degree pairing with the w twist folded into the second slot.  The
@@ -413,9 +432,9 @@ def isometry_check(model, trials=50, seed=20260823):
 
  The draws, from random.Random(seed): trials times a degree
  rng.randrange(delta + 1) and a _rand_elem of it; then, for each nonzero
- nu, three omegas, each with one coefficient per generator in order,
- _below(rng.getrandbits, 11, 4) - 5 (the draw of rng.randint(-5, 5)),
- its zero coefficients dropped."""
+ nu, three omegas, each with one coefficient per generator in order:
+ c = rng.getrandbits(4) redrawn while it is >= 11, and the coefficient
+ c - 5 (the draw of rng.randint(-5, 5)), its zero coefficients dropped."""
  if not _cauchy_binet_witness(model.space, random.Random(seed + 1)):
   return False
  rng = random.Random(seed)
@@ -435,9 +454,11 @@ def isometry_check(model, trials=50, seed=20260823):
   for _ in range(3):
    om = {}
    for key in gens:
-    c = _below(bits, 11, 4) - 5
-    if c:
-     om[key] = c
+    c = bits(4)
+    while c >= 11:
+     c = bits(4)
+    if c != 5:
+     om[key] = c - 5
    if not om:
     continue
    prod = act(om, nu)

@@ -69,6 +69,38 @@ class TestAlgebra:
    ex.MetricSpaceQ(2, [[1, 2], [3, 1]])
 
 
+class TestShapes:
+ """A matrix of the wrong size is rejected when it is given, with the
+ shape it should have, not read in part or failed on later."""
+
+ def test_gram_must_be_dim_by_dim(self):
+  # a larger gram used to be accepted, its compound tables holding index 2
+  with pytest.raises(ValueError, match="gram matrix must be 2 x 2"):
+   ex.MetricSpaceQ(2, GRAM3)
+  with pytest.raises(ValueError, match="gram matrix must be 3 x 3"):
+   ex.MetricSpaceQ(3, [[2, 1], [1, 2]])
+  with pytest.raises(ValueError, match="gram matrix must be 3 x 3"):
+   ex.MetricSpaceQ(3, [[2, 1, 0], [1, 3], [0, 1, 4]])
+  with pytest.raises(ValueError, match="gram matrix must be 3 x 3"):
+   ex.TemperedCohomologyModel(3, 1, 1, gram=GRAM4)
+
+ def test_model_matrices_must_match_delta_and_k(self):
+  with pytest.raises(ValueError, match="generator matrix must be 2 x 2"):
+   ex.TemperedCohomologyModel(2, 1, 2, gen_matrix=[[1]])
+  with pytest.raises(ValueError, match="generator matrix must be 2 x 2"):
+   ex.TemperedCohomologyModel(2, 1, 2, gen_matrix=[[1, 0], [0]])
+  with pytest.raises(ValueError,
+                     match="long Weyl involution must be 2 x 2"):
+   ex.TemperedCohomologyModel(2, 1, 1, long_weyl=[[1, 0, 0], [0, 1, 0],
+                                                   [0, 0, 1]])
+  with pytest.raises(ValueError,
+                     match="long Weyl involution must be 3 x 3"):
+   ex.TemperedCohomologyModel(3, 1, 1, long_weyl=[[0, 1], [1, 0]])
+  m = ex.TemperedCohomologyModel(2, 1, 2, long_weyl=[[0, 1], [1, 0]],
+                                 gen_matrix=[[1, 1], [0, 1]])
+  assert ex.freeness_check(m) and ex.poincare_adjoint_check(m)
+
+
 def _leibniz_det(m):
  """Determinant by the permutation expansion, independent of the
  elimination in the package."""
@@ -301,6 +333,57 @@ def test_flat_rows_match_per_pair_minors():
   assert ex.induced_inner(y, x) == _per_pair_inner(y, x)
   for g, h in ((f1, f1), (f1, f2), (f2, f1)):
    assert m.module_inner(g, h) == _per_pair_module_inner(m.space, g, h)
+
+ check()
+
+
+def test_kernel_results_are_what_the_checked_constructor_builds():
+ """_rand_elem, wedge, contract and apply_w build their results without
+ checking the keys; each result is the element the public constructor
+ makes of its coefficients, with no zero and every integral coefficient
+ an int."""
+ hyp = pytest.importorskip("hypothesis")
+ st = hyp.strategies
+
+ @st.composite
+ def draws(draw):
+  dim = draw(st.integers(1, 5))
+  keys = [s for deg in range(dim + 1)
+          for s in itertools.combinations(range(dim), deg)]
+  coeff = st.one_of(st.integers(-4, 4),
+                    st.fractions(-4, 4, max_denominator=6))
+  a, b = (draw(st.dictionaries(st.sampled_from(keys), coeff))
+          for _ in range(2))
+  x = draw(st.dictionaries(st.sampled_from(range(dim)), coeff))
+  # an involution: blocks [[1, c], [0, -1]] on disjoint pairs, signs on
+  # the rest
+  order = draw(st.permutations(range(dim)))
+  w = [[draw(st.sampled_from((1, -1))) if i == j else 0
+        for j in range(dim)] for i in range(dim)]
+  for i, j in zip(order[0::2], order[1::2]):
+   w[i][i], w[j][j], w[i][j] = 1, -1, draw(coeff)
+  return dim, a, b, x, w, draw(st.integers(0, 2 ** 32)), \
+      draw(st.integers(0, dim))
+
+ def assert_canonical(r):
+  assert ex.ExteriorElement(r.ambient, r.coeffs).coeffs == r.coeffs
+  assert all(r.coeffs.values())
+  assert all(type(c) is int for c in r.coeffs.values()
+             if c.denominator == 1)
+
+ @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+ @hyp.given(draws())
+ def check(drawn):
+  dim, a, b, x, w, seed, deg = drawn
+  m = ex.TemperedCohomologyModel(dim, 1, 1, long_weyl=w)
+  a, b = ex.ExteriorElement(m.space, a), ex.ExteriorElement(m.space, b)
+  x = ex.ExteriorElement(m.space, {(i,): c for i, c in x.items()})
+  results = [ex._rand_elem(m.space, deg, random.Random(seed)),
+             ex.wedge(a, b), ex.wedge(b, a), ex.wedge(x, a),
+             ex.contract(x, a), ex.contract(x, b), m.apply_w(a),
+             m.apply_w(x)]
+  for r in results:
+   assert_canonical(r)
 
  check()
 
@@ -573,6 +656,16 @@ class TestIntegerArithmetic:
   assert rng.random() == ref_rng.random()
 
 
+def _record_calls(owner, name, monkeypatch):
+ """Patch owner.name to record the arguments of every call."""
+ seen, fn = [], getattr(owner, name)
+ def record(*args):
+  seen.append(args)
+  return fn(*args)
+ monkeypatch.setattr(owner, name, record)
+ return seen
+
+
 class TestFractionReference:
  """The integer kernels reach the verdicts of the Fraction reference."""
 
@@ -618,6 +711,30 @@ class TestFractionReference:
    assert len(ratios) == 1
    lam, = ratios
    assert lam.denominator == 1 and lam > 0
+
+ @pytest.mark.parametrize("seed", [3, 29, 20260823])
+ @pytest.mark.parametrize("gram", [None, GRAM3_NONDIAG])
+ def test_adjointness_same_trials_as_the_reference(self, seed, gram,
+                                                  monkeypatch):
+  # both checks wedge the same X on the same A and contract it into the
+  # same B, each integer draw a positive integer multiple of the
+  # reference's n/d draw
+  sp = ex.MetricSpaceQ(3, gram)
+  calls = [_record_calls(ex, name, monkeypatch)
+           for name in ("wedge", "contract")]
+  ref_calls = [_record_calls(reference_kernels, name, monkeypatch)
+               for name in ("wedge", "contract")]
+  assert ex.adjointness_check(sp, trials=40, seed=seed) is True
+  assert fraction_adjointness_check(sp, trials=40, seed=seed) is True
+  for seen, ref_seen in zip(calls, ref_calls):
+   assert len(seen) == len(ref_seen) > 40
+   for args, ref_args in zip(seen, ref_seen):
+    for x, ref in zip(args, ref_args):
+     assert x.coeffs.keys() == ref.coeffs.keys()
+     ratios = {Fraction(c) / ref.coeffs[k] for k, c in x.coeffs.items()}
+     assert len(ratios) <= 1
+     for r in ratios:
+      assert r.denominator == 1 and r > 0
 
  @pytest.mark.parametrize("gram", [GRAM3_NONDIAG, GRAM3_RATIONAL])
  def test_gram(self, gram):
