@@ -13,63 +13,46 @@ from . import linalg
 
 
 def _square(matrix, n, name):
- """matrix as n x n rows of Fractions; a ValueError naming the expected
- shape if it is not n x n."""
+ """matrix as n x n rows, each entry an int where it is integral and a
+ Fraction otherwise; a ValueError naming the expected shape if it is not
+ n x n."""
  if len(matrix) != n or any(len(row) != n for row in matrix):
   raise ValueError("%s must be %d x %d" % (name, n, n))
- return [[Fraction(x) for x in row] for row in matrix]
+ return [[x.numerator if x.denominator == 1 else x
+          for x in map(Fraction, row)] for row in matrix]
+
+
+def _row(table, idx, dim):
+ """Row idx of a compound table over range(dim), whose keys are the
+ strictly increasing subsets; a ValueError for any other idx."""
+ row = table.get(idx)
+ if row is None:
+  raise ValueError("index tuple %r is not a strictly increasing subset "
+                   "of range(%d)" % (idx, dim))
+ return row
 
 
 class MetricSpaceQ:
  def __init__(self, dim, gram=None):
+  if dim < 0:
+   raise ValueError("dimension must be nonnegative")
   self.dim = dim
   if gram is None:
    gram = linalg.identity(dim)
   self.gram = _square(gram, dim, "gram matrix")
-  for i in range(dim):
-   for j in range(dim):
-    if self.gram[i][j] != self.gram[j][i]:
-     raise ValueError("gram matrix must be symmetric")
+  if self.gram != linalg.transpose(self.gram):
+   raise ValueError("gram matrix must be symmetric")
+  # the compound Gram table {r: {c: det(G[r, c])}}: by Cauchy-Binet, the
+  # inner product of the basis k-vectors e_r and e_c
+  self.rows = linalg.compound(self.gram)
   for k in range(1, dim + 1):
-   if linalg.det([row[:k] for row in self.gram[:k]]) <= 0:
+   lead = tuple(range(k))
+   if self.rows[lead].get(lead, 0) <= 0:
     raise ValueError("gram matrix must be positive definite")
-  self._compound = {}
-  # {index tuple: row} over every degree built so far; the rows are the
-  # lists of the per-degree tables, shared, not copied
-  self._rows = {}
-
- def compound_gram(self, k):
-  """The k-th compound Gram matrix: by Cauchy-Binet, the inner product of
-  the basis k-vectors e_ka and e_kb is the Gram minor det(G[ka, kb]).
-  Built once per degree k and stored sparsely, as linalg.compound."""
-  table = self._compound.get(k)
-  if table is None:
-   table = self._compound[k] = linalg.compound(self.gram, k)
-   self._rows.update(table)
-  return table
-
- def compound_row(self, idx):
-  """Row idx of the compound Gram matrix of degree len(idx); a miss
-  checks idx and builds its degree."""
-  row = self._rows.get(idx)
-  if row is None:
-   _check_index(idx, self.dim)
-   row = self.compound_gram(len(idx))[idx]
-  return row
 
  def __eq__(self, other):
   return isinstance(other, MetricSpaceQ) and self.dim == other.dim and \
       self.gram == other.gram
-
-
-@functools.lru_cache(maxsize=4096)
-def _check_index(idx, dim):
- """idx, if it is a strictly increasing subset of range(dim); a rejected
- tuple raises on every call, as exceptions are not cached."""
- if list(idx) != sorted(set(idx)) or any(not 0 <= i < dim for i in idx):
-  raise ValueError("index tuple %r is not a strictly increasing subset "
-                   "of range(%d)" % (idx, dim))
- return idx
 
 
 class ExteriorElement:
@@ -81,7 +64,8 @@ class ExteriorElement:
   self.coeffs = {}
   if coeffs:
    for idx, c in coeffs.items():
-    idx = _check_index(tuple(idx), ambient.dim)
+    idx = tuple(idx)
+    _row(ambient.rows, idx, ambient.dim)
     c = c.numerator if c.denominator == 1 else Fraction(c)
     if c:
      self.coeffs[idx] = c
@@ -184,16 +168,14 @@ def eval_pairing(a, b):
 
 
 def induced_inner(a, b):
- """Inner product on the exterior algebra induced by the gram matrix; the
- Gram minors are read from the ambient space's flat row map of its
- compound Gram matrices (Cauchy-Binet)."""
+ """Inner product on the exterior algebra induced by the gram matrix, the
+ Gram minors read from the ambient space's compound table
+ (Cauchy-Binet)."""
  a._same(b)
- space = a.ambient
- rows = space._rows
- bc = b.coeffs
+ rows, bc = a.ambient.rows, b.coeffs
  total = 0
  for ka, ca in a.coeffs.items():
-  for kb, minor in rows.get(ka) or space.compound_row(ka):
+  for kb, minor in _row(rows, ka, a.ambient.dim).items():
    cb = bc.get(kb)
    if cb:
     total += ca * cb * minor
@@ -273,15 +255,16 @@ class TemperedCohomologyModel:
   self.w = _square(long_weyl, delta, "long Weyl involution")
   if linalg.matmul(self.w, self.w) != linalg.identity(delta):
    raise ValueError("long Weyl involution must square to the identity")
-  # row s of the i-th compound of w^T is the image of e_s under the
+  # row s of the compound table of w^T is the image of e_s under the
   # multiplicative extension of w: the sum of det(w[t, s]) e_t
-  wt = linalg.transpose(self.w)
-  self.w_compound = [{s: dict(row) for s, row in
-                      linalg.compound(wt, i).items()}
-                     for i in range(delta + 1)]
+  self.w_rows = linalg.compound(linalg.transpose(self.w))
   if gen_matrix is None:
    gen_matrix = linalg.identity(k)
   self.gen_matrix = _square(gen_matrix, k, "generator matrix")
+  # the compound Gram table on the module's keys (g, s), the generators
+  # orthonormal: row (g, s) holds each ((g, t), det(G[s, t]))
+  self.rows = {(g, s): [((g, t), minor) for t, minor in row.items()]
+               for g in range(k) for s, row in self.space.rows.items()}
 
  # module elements: dict (gen index, subset tuple) -> int or Fraction
  def basis_elems(self, degree):
@@ -296,13 +279,28 @@ class TemperedCohomologyModel:
   return {(i, ()): self.gen_matrix[i][g] for i in range(self.k)
           if self.gen_matrix[i][g]}
 
+ def _reject(self, key):
+  """Raise the ValueError for a module key (g, s) that is no key of
+  self.rows: s is no index tuple of the space, or g is not in range(k)."""
+  g, s = key
+  _row(self.space.rows, s, self.delta)
+  raise ValueError("generator index %r is not in range(%d)" % (g, self.k))
+
+ def _check(self, f):
+  for key in f:
+   if key not in self.rows:
+    self._reject(key)
+
  def act(self, f, x):
   """Right action of an exterior element on a module element."""
   if x.ambient is not self.space and x.ambient != self.space:
    raise ValueError("ambient space mismatch")
+  rows = self.rows
   out = {}
-  for (g, s), c in f.items():
-   _check_index(s, self.delta)
+  for key, c in f.items():
+   if key not in rows:
+    self._reject(key)
+   g, s = key
    if not s:   # degree 0: e_() ^ e_kx = e_kx, no merge to look up
     for kx, cx in x.coeffs.items():
      key = (g, kx)
@@ -321,8 +319,7 @@ class TemperedCohomologyModel:
    raise ValueError("ambient space mismatch")
   out = {}
   for s, c in x.coeffs.items():
-   _check_index(s, self.delta)
-   for t, minor in self.w_compound[len(s)][s].items():
+   for t, minor in _row(self.w_rows, s, self.delta).items():
     out[t] = out.get(t, 0) + c * minor
   return _element(self.space, out)
 
@@ -330,33 +327,31 @@ class TemperedCohomologyModel:
   """Top-degree pairing with the w twist folded into the second slot.  The
   e_top coefficient of e_s1 ^ w(e_s2) is one minor: det(w[t, s2]) for the
   complement t of s1, times the sign that sorts s1 + t."""
-  for _, s2 in f2:
-   _check_index(s2, self.delta)
+  self._check(f1)
+  self._check(f2)
   total = 0
   for (g1, s1), c1 in f1.items():
-   _check_index(s1, self.delta)
    t = tuple(i for i in range(self.delta) if i not in s1)
    sign = _merge(s1, t)[0]
    for (g2, s2), c2 in f2.items():
-    if g1 == g2 and len(s2) == len(t):
-     total += sign * c1 * c2 * self.w_compound[len(t)][s2].get(t, 0)
+    if g1 == g2:
+     total += sign * c1 * c2 * self.w_rows[s2].get(t, 0)
   return total
 
  def module_inner(self, f1, f2):
   """Metric with orthonormal generators and the induced exterior metric,
-  read from the space's flat row map (Cauchy-Binet).  Every key of f1 is
-  checked by its own row lookup, so f2 is checked only when it is another
-  element."""
-  space = self.space
-  rows = space._rows
+  read from self.rows, the compound Gram table on module keys
+  (Cauchy-Binet)."""
+  rows = self.rows
   if f2 is not f1:
-   for _, s2 in f2:   # the keys that no row of f1 reaches
-    if s2 not in rows:
-     space.compound_row(s2)
+   self._check(f2)
   total = 0
-  for (g, s1), c1 in f1.items():
-   for s2, minor in rows.get(s1) or space.compound_row(s1):
-    c2 = f2.get((g, s2))
+  for key, c1 in f1.items():
+   row = rows.get(key)
+   if row is None:
+    self._reject(key)
+   for key2, minor in row:
+    c2 = f2.get(key2)
     if c2:
      total += c1 * c2 * minor
   return total
@@ -379,8 +374,7 @@ def freeness_check(model):
     cols.append(col)
   if len(cols) != len(target):
    return False
-  if linalg.det([[cols[c][r] for c in range(len(cols))]
-           for r in range(len(target))]) == 0:
+  if linalg.det(cols) == 0:   # the images as rows: the same determinant
    return False
  return True
 

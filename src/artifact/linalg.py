@@ -1,11 +1,12 @@
 """Exact linear algebra: determinant and compound matrices of square
-matrices of ints or Fractions, by Gaussian elimination, the identity,
+matrices of ints or Fractions, by fraction-free elimination, the identity,
 transpose and product of matrices over any ring, and the echelon of an
 integer row lattice with its residues and its sublattice of even rows."""
 
 from fractions import Fraction
 import functools
 import itertools
+import math
 import operator
 
 
@@ -26,36 +27,40 @@ def matmul(a, b):
 
 
 def det(m):
- n = len(m)
- m = [[Fraction(x) for x in row] for row in m]   # exact on int entries too
- det = Fraction(1)
+ """Determinant of a square matrix of ints or Fractions, an int where it
+ is integral: Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+ over Z on the matrix cleared of its denominators.  Each step's entries
+ are minors of the cleared matrix, so every division is exact."""
+ lcm = math.lcm(*[x.denominator for row in m for x in row])
+ rows = [[x.numerator * (lcm // x.denominator) for x in row] for row in m]
+ n, sign, prev = len(rows), 1, 1
  for c in range(n):
-  piv = next((r for r in range(c, n) if m[r][c]), None)
+  piv = next((r for r in range(c, n) if rows[r][c]), None)
   if piv is None:
-   return Fraction(0)
+   return 0
   if piv != c:
-   m[c], m[piv] = m[piv], m[c]
-   det = -det
-  det *= m[c][c]
-  for r in range(c + 1, n):
-   f = m[r][c] / m[c][c]
-   if f:
-    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
- return det
+   rows[c], rows[piv] = rows[piv], rows[c]
+   sign = -sign
+  top, p = rows[c], rows[c][c]
+  for row in rows[c + 1:]:
+   f = row[c]
+   row[c + 1:] = [(p * x - f * y) // prev
+                  for x, y in zip(row[c + 1:], top[c + 1:])]
+  prev = p
+ d, scale = sign * prev, lcm ** n
+ return d // scale if d % scale == 0 else Fraction(d, scale)
 
 
-def compound(m, k):
- """The k-th compound of the n x n matrix m, sparse: each strictly
- increasing k-subset r of range(n) maps to the (c, minor) pairs, c in
- increasing order, whose minor det(m[r, c]) is nonzero."""
- subsets = list(itertools.combinations(range(len(m)), k))
- out = {}
- for r in subsets:
-  out[r] = []
-  for c in subsets:
-   minor = det([[m[i][j] for j in c] for i in r])
-   if minor:   # an integral minor is stored as an int
-    out[r].append((c, minor.numerator if minor.denominator == 1 else minor))
+def compound(m):
+ """Every compound of the n x n matrix m, sparse: {r: {c: det(m[r, c])}}
+ over the strictly increasing subsets r and c of range(n) of one size,
+ nonzero minors only; every r is a key, its row empty if all vanish."""
+ n, out = len(m), {}
+ for k in range(n + 1):
+  subsets = list(itertools.combinations(range(n), k))
+  for r in subsets:
+   out[r] = {c: d for c in subsets
+             if (d := det([[m[i][j] for j in c] for i in r]))}
  return out
 
 

@@ -36,8 +36,7 @@ import math
 import random
 
 from artifact import cases, linalg, periodring, rootsys
-from artifact.exteralg import (ExteriorElement, _check_index, contract,
-                               eval_pairing, wedge)
+from artifact.exteralg import ExteriorElement, contract, eval_pairing, wedge
 from artifact.periodring import (PeriodScalar, InconsistentRelations,
                                  RelationSet)
 from artifact.ggpcheck import (TARGETS, LedgerUnderdetermined, QSqrt, _alt,
@@ -481,11 +480,20 @@ def fraction_rand_elem(ambient, degree, rng):
  return ExteriorElement(ambient, out)
 
 
+def check_index(idx, dim):
+ """idx, if it is a strictly increasing subset of range(dim); otherwise
+ the ValueError of the program's kernels."""
+ if list(idx) != sorted(set(idx)) or any(not 0 <= i < dim for i in idx):
+  raise ValueError("index tuple %r is not a strictly increasing subset "
+                   "of range(%d)" % (idx, dim))
+ return idx
+
+
 def fraction_induced_inner(a, b):
  a._same(b)
  total = Fraction(0)
  for ka, ca in a.coeffs.items():
-  for kb, minor in a.ambient.compound_row(ka):
+  for kb, minor in a.ambient.rows[ka].items():
    cb = b.coeffs.get(kb)
    if cb:
     total += ca * cb * minor
@@ -498,7 +506,7 @@ def fraction_act(model, f, x):
  takes one transposition per pair i in s, j in kx with i > j."""
  out = {}
  for (g, s), c in f.items():
-  _check_index(s, model.delta)
+  check_index(s, model.delta)
   c = Fraction(c)
   for kx, cx in x.coeffs.items():
    if set(s) & set(kx):
@@ -510,11 +518,11 @@ def fraction_act(model, f, x):
 
 
 def fraction_module_inner(model, f1, f2):
- for _, s2 in f2:
-  model.space.compound_row(s2)
+ for _, s in itertools.chain(f1, f2):
+  check_index(s, model.delta)
  total = Fraction(0)
  for (g, s1), c1 in f1.items():
-  for s2, minor in model.space.compound_row(s1):
+  for s2, minor in model.space.rows[s1].items():
    c2 = f2.get((g, s2))
    if c2:
     total += c1 * c2 * minor

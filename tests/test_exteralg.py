@@ -84,6 +84,15 @@ class TestShapes:
   with pytest.raises(ValueError, match="gram matrix must be 3 x 3"):
    ex.TemperedCohomologyModel(3, 1, 1, gram=GRAM4)
 
+ def test_dimension_must_be_nonnegative(self):
+  # a negative dimension used to reach the shape check, whose message
+  # named a "-1 x -1" gram matrix
+  for dim in (-1, -3):
+   for gram in (None, [], [[1]]):
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+     ex.MetricSpaceQ(dim, gram)
+  assert ex.MetricSpaceQ(0).rows == {(): {(): 1}}
+
  def test_model_matrices_must_match_delta_and_k(self):
   with pytest.raises(ValueError, match="generator matrix must be 2 x 2"):
    ex.TemperedCohomologyModel(2, 1, 2, gen_matrix=[[1]])
@@ -187,31 +196,50 @@ class TestInducedMetric:
    assert m.module_inner(f1, f2) == _per_pair_module_inner(m.space, f1, f2)
 
  def test_bad_index_tuples_rejected(self):
-  # in either slot, the same element in both, and on a fresh model, so the
-  # bad tuple's degree is not built yet
+  # in either slot and the same element in both
   good = {(0, (0, 1)): Fraction(1)}
+  m = ex.TemperedCohomologyModel(3, 1, 1)
   for bad in ((1, 0), (0, 0), (0, 3), (5,), (0, 1, 2, 3)):
    f = {(0, bad): Fraction(1)}
    for args in ((f, f), (f, good), (good, f)):
-    m = ex.TemperedCohomologyModel(3, 1, 1)
-    assert not m.space._compound
     with pytest.raises(ValueError, match=BAD_INDEX):
      m.module_inner(*args)
    with pytest.raises(ValueError, match=BAD_INDEX):
     m.act(f, E(m.space, (2,)))
 
 
+BAD_GENERATOR = "generator index .* is not in range"
+
+
 class TestIndexChecks:
- """Each index tuple is checked once, against the dimension too, and a bad
- one raises the ValueError of compound_row in every kernel."""
+ """An index tuple is valid exactly when it is a key of the space's
+ compound Gram table, and a bad one raises the same ValueError in every
+ kernel."""
+
+ @pytest.mark.parametrize("gram", [None, GRAM3, GRAM4])
+ def test_table_keys_are_the_valid_tuples(self, gram):
+  dim = 3 if gram is None else len(gram)
+  sp = ex.MetricSpaceQ(dim, gram)
+  valid = [s for k in range(dim + 1)
+           for s in itertools.combinations(range(dim), k)]
+  assert list(sp.rows) == valid
+  for s in itertools.product(range(-1, dim + 1), repeat=2):
+   try:
+    reference_kernels.check_index(s, dim)
+   except ValueError:
+    assert s not in sp.rows
+   else:
+    assert s in sp.rows
 
  def test_index_outside_the_dimension_rejected(self):
   sp = ex.MetricSpaceQ(3)
   for bad in ((7,), (3,), (-1,), (0, 3), (-1, 2)):
    with pytest.raises(ValueError, match=BAD_INDEX):
     ex.ExteriorElement.basis(sp, bad)
+   x = E(sp, (1,))
+   x.coeffs = {bad: 1}
    with pytest.raises(ValueError, match=BAD_INDEX):
-    sp.compound_row(bad)
+    ex.induced_inner(x, E(sp, (1,)))
   m = ex.TemperedCohomologyModel(3, 1, 1)
   with pytest.raises(ValueError, match=BAD_INDEX):
    m.act({(0, (3,)): 1}, E(m.space, ()))
@@ -226,6 +254,27 @@ class TestIndexChecks:
    with pytest.raises(ValueError, match=BAD_INDEX):
     m.pairing(good, {(0, bad): 1})
   assert m.pairing({(0, (0, 1)): 1}, {(0, (2,)): 1}) == 1
+
+ def test_bad_generators_rejected(self):
+  # a generator outside range(k) used to be carried into the result, and
+  # paired and normed as if it were one of the k
+  m = ex.TemperedCohomologyModel(3, 1, 1)
+  e0 = E(m.space, (0,))
+  good = {(0, (0,)): 1}
+  for g in (5, 1, -1, "x", None):
+   for s in ((), (0,), (1, 2)):
+    bad = {(g, s): 1}
+    with pytest.raises(ValueError, match=BAD_GENERATOR):
+     m.act(bad, e0)
+    for args in ((bad, bad), (bad, good), (good, bad)):
+     with pytest.raises(ValueError, match=BAD_GENERATOR):
+      m.module_inner(*args)
+     with pytest.raises(ValueError, match=BAD_GENERATOR):
+      m.pairing(*args)
+  m2 = ex.TemperedCohomologyModel(3, 1, 2)
+  assert m2.act({(1, ()): 1}, E(m2.space, (0,))) == {(1, (0,)): 1}
+  assert m2.module_inner({(1, (0,)): 1}, {(1, (0,)): 1}) == 1
+  assert m2.pairing({(1, (0, 1)): 1}, {(1, (2,)): 1}) == 1
 
  def test_apply_w_rejects_bad_tuples(self):
   m = ex.TemperedCohomologyModel(3, 1, 1)
@@ -254,12 +303,13 @@ class TestIndexChecks:
   assert m.apply_w(E(twin, (2,))) == E(m.space, (2,))
 
  def test_rejected_tuple_raises_on_every_check(self):
+  sp = ex.MetricSpaceQ(3)
   for _ in range(2):
    with pytest.raises(ValueError, match=BAD_INDEX):
-    ex._check_index((1, 0), 3)
+    ex.ExteriorElement(sp, {(1, 0): 1})
    with pytest.raises(ValueError, match=BAD_INDEX):
-    ex._check_index((0, 1), 1)
-   assert ex._check_index((0, 1), 3) == (0, 1)
+    ex.ExteriorElement(ex.MetricSpaceQ(1), {(0, 1): 1})
+   assert ex.ExteriorElement(sp, {(0, 1): 1}).coeffs == {(0, 1): 1}
   m = ex.TemperedCohomologyModel(3, 1, 1)
   for _ in range(2):
    with pytest.raises(ValueError, match=BAD_INDEX):
@@ -275,24 +325,29 @@ class TestIndexChecks:
   E(sp, (0,))._same(E(twin, (0,)))
   assert ex.induced_inner(E(sp, (0, 1)), E(twin, (0, 1))) == 5
 
- def test_compound_built_once_per_degree(self, monkeypatch):
-  m = ex.TemperedCohomologyModel(4, 3, 2)
+ def test_compound_built_once_per_matrix(self, monkeypatch):
   built = []
   compound = linalg.compound
 
-  def counting(mat, k):
-   built.append((id(mat), k))
-   return compound(mat, k)
+  def counting(mat):
+   built.append(mat)
+   return compound(mat)
 
   monkeypatch.setattr(linalg, "compound", counting)
+  m = ex.TemperedCohomologyModel(4, 3, 2, long_weyl=SKEW_INVOLUTIONS[1],
+                                 gram=GRAM4)
+  # at construction: the gram's table, then the table of w^T
+  assert built == [m.space.gram, linalg.transpose(m.w)]
+  assert built[0] is m.space.gram
   assert ex.isometry_check(m, trials=1000) is True
-  assert sorted(built) == [(id(m.space.gram), k) for k in range(5)]
+  assert ex.freeness_check(m) and ex.poincare_adjoint_check(m)
+  assert len(built) == 2
 
 
 def test_flat_rows_match_per_pair_minors():
- """On a fresh space, whatever the order in which the degrees are first
- touched, induced_inner and module_inner equal one Gram minor per pair:
- no row is served before its degree is built."""
+ """On a fresh space and model, whatever the order in which the degrees
+ are read, induced_inner and module_inner equal one Gram minor per
+ pair."""
  hyp = pytest.importorskip("hypothesis")
  st = hyp.strategies
 
@@ -471,6 +526,21 @@ class TestModel:
   y = ex._rand_elem(m.space, 1, rng)
   assert m.act(m.act(f, x), y) == m.act(f, ex.wedge(x, y))
 
+ @pytest.mark.parametrize("g", [0, 1])
+ def test_action_adds_products_on_one_key(self, g):
+  # the checks act with single-term factors or generator-degree ones, so
+  # no two products meet on a key there; these factors make them meet
+  m = ex.TemperedCohomologyModel(3, 1, 2)
+  x = E(m.space, (0,), 3) + E(m.space, (1,), 5)
+  f = {(g, (0,)): 1, (g, (1,)): 2}   # 5 e01 - 6 e01
+  assert m.act(f, x) == fraction_act(m, f, x) == {(g, (0, 1)): -1}
+  # a degree-0 term and a degree-1 term on one generator, in either
+  # order: 7 e1 + 2 e01 from e_(), and 21 e01 from 3 e0
+  y = E(m.space, (1,), 7) + E(m.space, (0, 1), 2)
+  for f in ({(g, ()): 1, (g, (0,)): 3}, {(g, (0,)): 3, (g, ()): 1}):
+   assert m.act(f, y) == fraction_act(m, f, y) == \
+       {(g, (1,)): 7, (g, (0, 1)): 23}
+
 
 class TestPoincareAdjoint:
  @pytest.mark.parametrize("delta,q,k", [(2, 1, 1), (3, 3, 1), (4, 2, 2)])
@@ -585,11 +655,11 @@ class TestIsometry:
 
 
 def _drop_mirrored_minors(space):
- """Break the induced metric: keep only the upper triangle of every
+ """Break the induced metric: keep only the upper triangle of the
  compound Gram table, as a table that forgot its mirrored entries would."""
- for k in range(space.dim + 1):
-  for ka, row in space.compound_gram(k).items():
-   row[:] = [(kb, minor) for kb, minor in row if kb >= ka]
+ for ka, row in space.rows.items():
+  for kb in [kb for kb in row if kb < ka]:
+   del row[kb]
 
 
 class TestIsometryWitness:
@@ -611,8 +681,7 @@ GRAM3_NONDIAG = [[2, 1, 0], [1, 2, 0], [0, 0, 5]]
 
 
 def _minors(space):
- return [minor for k in range(space.dim + 1)
-         for row in space.compound_gram(k).values() for _, minor in row]
+ return [minor for row in space.rows.values() for minor in row.values()]
 
 
 class TestIntegerArithmetic:

@@ -42,23 +42,53 @@ def _identity(n):
  return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _random_entry(rng, kind):
+ """An int, a Fraction, or either at random ("mixed")."""
+ if kind == "mixed":
+  kind = rng.choice(("int", "fraction"))
+ if kind == "int":
+  return rng.randint(-4, 4)
+ return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
 class TestDet:
- def test_matches_leibniz(self):
+ @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+ def test_matches_leibniz(self, kind):
   rng = random.Random(41)
-  for n in range(6):
+  for n in range(7):
    for _ in range(10):
-    m = _random_matrix(rng, n)
-    assert linalg.det(m) == _leibniz_det(m)
+    m = [[_random_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+    d = linalg.det(m)
+    assert d == _leibniz_det(m), m
+    assert type(d) is (int if d.denominator == 1 else Fraction)
+
+ def test_empty_matrix(self):
+  assert linalg.det([]) == 1 and type(linalg.det([])) is int
+
+ @pytest.mark.parametrize("m", [
+     [[0, 2, 1], [3, 0, 1], [1, 1, 0]],
+     [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+     # the second pivot vanishes after the first step: the swap and the
+     # exact division by the first pivot after it
+     [[2, 4, 6, 1], [1, 2, 5, 3], [3, 7, 1, 2], [1, 1, 1, 1]],
+     [[Fraction(1, 2), 1, 3], [1, 2, Fraction(5, 3)], [2, 1, 1]]])
+ def test_zero_pivot_swaps_rows(self, m):
+  assert linalg.det(m) == _leibniz_det(m) != 0
 
  def test_singular_is_zero_and_input_kept(self):
-  m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-  assert linalg.det(m) == 0
-  assert m == [[1, 2], [2, 4]]
+  for m in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+            [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
+   kept = [row[:] for row in m]
+   assert linalg.det(m) == 0
+   assert m == kept
 
  def test_integer_input_stays_exact(self):
-  for m in ([[2, 1], [1, 3]], [[1, 1, 1], [1, 2, 4], [1, 3, 9]]):
+  for m in ([[2, 1], [1, 3]], [[1, 1, 1], [1, 2, 4], [1, 3, 9]],
+            [[Fraction(1, 2), 1], [1, 4]]):
    d = linalg.det(m)
-   assert type(d) is Fraction and d == _leibniz_det(m)
+   assert type(d) is int and d == _leibniz_det(m)
+  d = linalg.det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
+  assert type(d) is Fraction and d == Fraction(1, 3)
 
 
 class TestInv:
@@ -91,31 +121,42 @@ class TestCompound:
   for n in range(5):
    for _ in range(5):
     m = _random_matrix(rng, n)
+    want = {}
     for k in range(n + 1):
      subsets = list(itertools.combinations(range(n), k))
-     want = {r: [(c, _leibniz_det([[m[i][j] for j in c] for i in r]))
-                 for c in subsets] for r in subsets}
-     want = {r: [(c, x) for c, x in row if x] for r, row in want.items()}
-     assert linalg.compound(m, k) == want, (m, k)
+     for r in subsets:
+      minors = {c: _leibniz_det([[m[i][j] for j in c] for i in r])
+                for c in subsets}
+      want[r] = {c: x for c, x in minors.items() if x}
+    assert linalg.compound(m) == want, m
 
  def test_degree_zero_and_transpose(self):
   m = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
-  assert linalg.compound(m, 0) == {(): [((), 1)]}
-  assert linalg.compound(m, 1) == {(0,): [((0,), 1), ((1,), 2)],
-                                   (1,): [((1,), 3)]}
-  assert linalg.compound(linalg.transpose(m), 1) == \
-      {(0,): [((0,), 1)], (1,): [((0,), 2), ((1,), 3)]}
-  assert linalg.compound(m, 2) == {(0, 1): [((0, 1), 3)]}
+  assert linalg.compound(m) == {(): {(): 1},
+                                (0,): {(0,): 1, (1,): 2}, (1,): {(1,): 3},
+                                (0, 1): {(0, 1): 3}}
+  assert linalg.compound(linalg.transpose(m)) == \
+      {(): {(): 1}, (0,): {(0,): 1}, (1,): {(0,): 2, (1,): 3},
+       (0, 1): {(0, 1): 3}}
+  assert linalg.compound([]) == {(): {(): 1}}
+
+ def test_every_subset_is_a_key(self):
+  # a row whose minors all vanish is kept, empty
+  assert linalg.compound([[1, 0], [0, 0]]) == \
+      {(): {(): 1}, (0,): {(0,): 1}, (1,): {}, (0, 1): {}}
 
  def test_integral_minors_are_int(self):
   m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-  for k in range(4):
-   for r, row in linalg.compound(m, k).items():
-    for c, minor in row:
+  for table in (linalg.compound(m),
+                linalg.compound([[Fraction(x) for x in row] for row in m])):
+   assert len(table) == 8
+   for r, row in table.items():
+    for c, minor in row.items():
      assert type(minor) is int
      assert minor == _leibniz_det([[m[i][j] for j in c] for i in r])
   half = [[Fraction(x, 2) for x in row] for row in m]
-  assert linalg.compound(half, 3) == {(0, 1, 2): [((0, 1, 2), Fraction(9, 4))]}
+  assert linalg.compound(half)[(0, 1, 2)] == {(0, 1, 2): Fraction(9, 4)}
+  assert type(linalg.compound(half)[(0,)][(0,)]) is int
 
 
 class TestProduct:

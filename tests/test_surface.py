@@ -317,7 +317,8 @@ def test_random_guard_fires():
  # another module are not the random module's private names
  planted = dict(PROGRAM)
  planted["exteralg"] += ("\nrandom.Random(3).getrandbits(5)\n"
-                         "MetricSpaceQ(2)._rows\nmath._inst\n")
+                         "ExteriorElement(MetricSpaceQ(2))._same\n"
+                         "math._inst\n")
  assert random_private_reads(planted) == set()
 
 
@@ -329,8 +330,6 @@ REFERENCES = os.path.join(os.path.dirname(__file__), "reference_kernels.py")
 # every private program name that tests/reference_kernels.py reads, with
 # the reason it borrows the program's version instead of writing its own
 REFERENCE_PRIVATE = {
-    "exteralg._check_index": "fraction_act rejects a bad index tuple as "
-                             "act does",
     "ggpcheck._alt": "written_out_axioms builds its alternating sums with "
                      "the program's helper",
     "ggpcheck._merge_lin": "written_out_axioms adds linear forms with the "
