@@ -108,9 +108,9 @@ class ExteriorElement:
 
 def _element(ambient, coeffs):
  """The element with these coefficients, on keys that are valid by
- construction (drawn from combinations, merged, cut from a checked key or
- read off a compound table): the coefficients are normalized, int where
- integral, and the zeros dropped, but the keys are not checked."""
+ construction (merged, cut from a checked key or read off a compound
+ table): the coefficients are normalized, int where integral, and the
+ zeros dropped, but the keys are not checked."""
  el = ExteriorElement.__new__(ExteriorElement)
  el.ambient = ambient
  el.coeffs = {k: c.numerator if c.denominator == 1 else c
@@ -189,9 +189,11 @@ def _rand_elem(ambient, degree, rng):
  n = bits(5) redrawn while it is >= 19, then d = bits(3) redrawn while it
  is >= 5, and the coefficient is (n - 9) / (d + 1).  That is the rejection
  procedure of randint, so these are the draws of rng.randint(-9, 9) and
- rng.randint(1, 5)."""
+ rng.randint(1, 5).  The zero coefficients are dropped as they are drawn,
+ their d still in the lcm, and the element is built in one pass: every
+ coefficient is already an int."""
  bits = rng.getrandbits
- draws = []
+ draws, dens = [], []
  for key in itertools.combinations(range(ambient.dim), degree):
   n = bits(5)
   while n >= 19:
@@ -199,15 +201,25 @@ def _rand_elem(ambient, degree, rng):
   d = bits(3)
   while d >= 5:
    d = bits(3)
-  draws.append((key, n - 9, d + 1))
- lcm = math.lcm(*[d for _, _, d in draws])
- return _element(ambient, {key: n * (lcm // d) for key, n, d in draws})
+  dens.append(d + 1)
+  if n != 9:
+   draws.append((key, n - 9, d + 1))
+ lcm = math.lcm(*dens)
+ el = ExteriorElement.__new__(ExteriorElement)
+ el.ambient = ambient
+ el.coeffs = {key: n * (lcm // d) for key, n, d in draws}
+ return el
 
 
 def adjointness_check(space, trials, seed=20260823):
  """<X ^ A, B> = <A, X -| B> for the evaluation pairing; exhaustive over
- basis triples, then seeded random trials."""
+ basis triples, then seeded random trials.  Each trial draws its degree
+ da as rng.randrange(dim) does, from bits = rng.getrandbits: bits(k) with
+ k = dim.bit_length(), redrawn while it is >= dim; then X, A and B.  At
+ dim 0 there is no degree-1 functional and the identity is vacuous."""
  d = space.dim
+ if not d:
+  return True
  for da in range(d):
   for i in range(d):
    X = ExteriorElement.basis(space, (i,))
@@ -218,8 +230,11 @@ def adjointness_check(space, trials, seed=20260823):
      if eval_pairing(wedge(X, Ae), Be) != eval_pairing(Ae, contract(X, Be)):
       return False
  rng = random.Random(seed)
+ bits, nbits = rng.getrandbits, d.bit_length()
  for _ in range(trials):
-  da = rng.randrange(d)
+  da = bits(nbits)
+  while da >= d:
+   da = bits(nbits)
   X = _rand_elem(space, 1, rng)
   A = _rand_elem(space, da, rng)
   B = _rand_elem(space, da + 1, rng)
@@ -402,7 +417,10 @@ def poincare_adjoint_check(model):
 
 def _cauchy_binet_witness(space, rng):
  """<v1^...^vk, w1^...^wk> = det[<vi, wj>] for random vectors and every
- k = 1..dim, with <vi, wj> read from the raw Gram matrix."""
+ k = 1..dim, with <vi, wj> read from the raw Gram matrix.  The two sides
+ take independent routes: the left reads the compound Gram table, built
+ by Laplace expansion, and the right is one Bareiss elimination of the
+ k x k matrix of inner products."""
  g = space.gram
  for k in range(1, space.dim + 1):
   vs = [_rand_elem(space, 1, rng) for _ in range(k)]
@@ -424,21 +442,26 @@ def isometry_check(model, trials=50, seed=20260823):
  is first checked on its own against Cauchy-Binet, with witness vectors
  drawn from a separate generator.
 
- The draws, from random.Random(seed): trials times a degree
- rng.randrange(delta + 1) and a _rand_elem of it; then, for each nonzero
- nu, three omegas, each with one coefficient per generator in order:
- c = rng.getrandbits(4) redrawn while it is >= 11, and the coefficient
- c - 5 (the draw of rng.randint(-5, 5)), its zero coefficients dropped."""
+ The draws, from random.Random(seed) with bits = rng.getrandbits: trials
+ times a degree and a _rand_elem of it, the degree bits(k) with
+ k = (delta + 1).bit_length() redrawn while it is >= delta + 1 (the draw
+ of rng.randrange(delta + 1)); then, for each nonzero nu, three omegas,
+ each with one coefficient per generator in order: c = bits(4) redrawn
+ while it is >= 11, and the coefficient c - 5 (the draw of
+ rng.randint(-5, 5)), its zero coefficients dropped."""
  if not _cauchy_binet_witness(model.space, random.Random(seed + 1)):
   return False
  rng = random.Random(seed)
  cases = [ExteriorElement(model.space, {s: 1})
           for i in range(model.delta + 1)
           for s in itertools.combinations(range(model.delta), i)]
+ bits, ndeg = rng.getrandbits, model.delta + 1
+ nbits = ndeg.bit_length()
  for _ in range(trials):
-  deg = rng.randrange(model.delta + 1)
+  deg = bits(nbits)
+  while deg >= ndeg:
+   deg = bits(nbits)
   cases.append(_rand_elem(model.space, deg, rng))
- bits = rng.getrandbits
  act, inner = model.act, model.module_inner
  gens = [(g, ()) for g in range(model.k)]
  for nu in cases:

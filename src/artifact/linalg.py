@@ -1,9 +1,11 @@
-"""Exact linear algebra: determinant and compound matrices of square
-matrices of ints or Fractions, by fraction-free elimination, the identity,
-transpose and product of matrices over any ring, and the echelon of an
-integer row lattice with its residues and its sublattice of even rows."""
+"""Exact linear algebra: the determinant of a square matrix of ints or
+Fractions by fraction-free elimination, its compound matrices by Laplace
+expansion over the cleared integer matrix, the identity, transpose and
+product of matrices over any ring, and the echelon of an integer row
+lattice with its residues and its sublattice of even rows."""
 
 from fractions import Fraction
+import bisect
 import functools
 import itertools
 import math
@@ -54,13 +56,37 @@ def det(m):
 def compound(m):
  """Every compound of the n x n matrix m, sparse: {r: {c: det(m[r, c])}}
  over the strictly increasing subsets r and c of range(n) of one size,
- nonzero minors only; every r is a key, its row empty if all vanish."""
- n, out = len(m), {}
- for k in range(n + 1):
-  subsets = list(itertools.combinations(range(n), k))
-  for r in subsets:
-   out[r] = {c: d for c in subsets
-             if (d := det([[m[i][j] for j in c] for i in r]))}
+ nonzero minors only, each an int where it is integral; every r is a key,
+ its row empty if all minors vanish.
+
+ Laplace expansion (Aitken, Determinants and Matrices, ch. V) over Z on
+ a = lcm * m, m cleared of its denominators: row r of degree k expands
+ along a[r[0]], each nonzero entry a[r[0]][j] times each nonzero minor of
+ the rows r[1:] on columns c' that avoid j, with the sign (-1)^p of j's
+ place p in c = c' + (j,) sorted.  The cost follows the nonzeros; the
+ stored minor is the cleared one over lcm^k."""
+ n = len(m)
+ lcm = math.lcm(*[x.denominator for row in m for x in row])
+ a = [[(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(row)
+       if x] for row in m]
+ out = {(): {(): 1}}
+ prev = {(): {(): 1}}   # the cleared minors of degree k - 1
+ for k in range(1, n + 1):
+  cur, scale = {}, lcm ** k
+  for r in itertools.combinations(range(n), k):
+   sub, acc = prev[r[1:]], {}
+   for j, x in a[r[0]]:
+    for c, d in sub.items():
+     p = bisect.bisect_left(c, j)
+     if p < len(c) and c[p] == j:
+      continue
+     key = c[:p] + (j,) + c[p:]
+     acc[key] = acc.get(key, 0) + (-x * d if p & 1 else x * d)
+   cur[r] = row = {c: d for c, d in acc.items() if d}
+   out[r] = row if scale == 1 else \
+       {c: d // scale if d % scale == 0 else Fraction(d, scale)
+        for c, d in row.items()}
+  prev = cur
  return out
 
 

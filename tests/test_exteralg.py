@@ -4,6 +4,7 @@ identity, all in exact rational arithmetic."""
 
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
@@ -148,6 +149,8 @@ def _per_pair_module_inner(space, f1, f2):
 
 GRAM3 = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
 GRAM4 = [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 5, 2], [1, 0, 2, 6]]
+GRAM5 = [[4, 1, 0, 1, 0], [1, 3, 1, 0, 0], [0, 1, 5, 2, 1], [1, 0, 2, 6, 0],
+         [0, 0, 1, 0, 3]]   # GRAM4 is its leading block
 
 
 class TestInducedMetric:
@@ -448,6 +451,11 @@ class TestAdjointness:
  def test_exhaustive_small(self, dim):
   assert ex.adjointness_check(ex.MetricSpaceQ(dim), trials=0)
 
+ @pytest.mark.parametrize("trials", [0, 5])
+ def test_dimension_zero_is_vacuous(self, trials):
+  # no degree-1 functional exists, so no trial degree is drawn
+  assert ex.adjointness_check(ex.MetricSpaceQ(0), trials=trials) is True
+
  def test_thousand_random_trials(self):
   assert ex.adjointness_check(ex.MetricSpaceQ(4), trials=1000)
 
@@ -725,6 +733,20 @@ class TestIntegerArithmetic:
   assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("seed", [5, 47])
+def test_draws_are_the_randint_draws_times_their_lcm(seed):
+ # the lcm runs over every drawn denominator, those of zero numerators too
+ sp = ex.MetricSpaceQ(4, GRAM4)
+ rng, ref_rng = random.Random(seed), random.Random(seed)
+ for deg in [0, 1, 2, 3, 4] * 20:
+  x = ex._rand_elem(sp, deg, rng)
+  draws = [(key, ref_rng.randint(-9, 9), ref_rng.randint(1, 5))
+           for key in itertools.combinations(range(4), deg)]
+  lcm = math.lcm(*[d for _, _, d in draws])
+  assert x.coeffs == {key: n * lcm // d for key, n, d in draws if n}
+ assert rng.random() == ref_rng.random()
+
+
 def _record_calls(owner, name, monkeypatch):
  """Patch owner.name to record the arguments of every call."""
  seen, fn = [], getattr(owner, name)
@@ -750,13 +772,17 @@ class TestFractionReference:
     assert fraction_isometry_check(m, trials=1000, seed=seed) is True
 
  @pytest.mark.parametrize("seed", [3, 29, 20260823])
- @pytest.mark.parametrize("delta,q,k", [(2, 1, 2), (3, 2, 1), (4, 1, 3)])
+ @pytest.mark.parametrize("delta,q,k", [(1, 2, 3), (2, 1, 2), (3, 2, 1),
+                                       (4, 1, 3), (5, 2, 1)])
  def test_same_trials_as_the_reference(self, seed, delta, q, k,
                                        monkeypatch):
   # both checks act with the same omegas on the same nus, the integer nu
-  # a positive integer multiple of the reference's n/d draw
+  # a positive integer multiple of the reference's n/d draw; the trial
+  # degree is a draw of randrange(delta + 1): at delta 1 of randrange(2),
+  # at delta 3 of randrange(4), which never redraws, and at delta 5 of
+  # randrange(6), which rejects 6 and 7
   m = ex.TemperedCohomologyModel(delta, q, k,
-                                 gram=[row[:delta] for row in GRAM4[:delta]])
+                                 gram=[row[:delta] for row in GRAM5[:delta]])
   seen, ref_seen = [], []
   act = m.act
   def record(f, x):
@@ -767,8 +793,9 @@ class TestFractionReference:
    ref_seen.append((f, x))
    return fraction_act(model, f, x)
   monkeypatch.setattr(reference_kernels, "fraction_act", ref_record)
-  assert ex.isometry_check(m, trials=40, seed=seed) is True
-  assert reference_kernels.fraction_isometry_check(m, trials=40,
+  # 50 trials: at delta 1 a nu has one coefficient, zero one time in 19
+  assert ex.isometry_check(m, trials=50, seed=seed) is True
+  assert reference_kernels.fraction_isometry_check(m, trials=50,
                                                    seed=seed) is True
   assert len(seen) == len(ref_seen) > 3 * 40
   for (om, nu), (ref_om, ref_nu) in zip(seen, ref_seen):
@@ -782,13 +809,17 @@ class TestFractionReference:
    assert lam.denominator == 1 and lam > 0
 
  @pytest.mark.parametrize("seed", [3, 29, 20260823])
- @pytest.mark.parametrize("gram", [None, GRAM3_NONDIAG])
- def test_adjointness_same_trials_as_the_reference(self, seed, gram,
+ @pytest.mark.parametrize("dim,gram", [
+     (1, None), (1, [[2]]), (2, None), (2, [[2, 1], [1, 2]]),
+     (3, None), (3, GRAM3_NONDIAG), (4, None), (4, GRAM4)])
+ def test_adjointness_same_trials_as_the_reference(self, seed, dim, gram,
                                                   monkeypatch):
   # both checks wedge the same X on the same A and contract it into the
   # same B, each integer draw a positive integer multiple of the
-  # reference's n/d draw
-  sp = ex.MetricSpaceQ(3, gram)
+  # reference's n/d draw; the degree of A is a draw of randrange(dim): at
+  # dim 1 of randrange(1), which reads getrandbits(1) until it is 0, and
+  # at dim 4 of randrange(4), which never redraws
+  sp = ex.MetricSpaceQ(dim, gram)
   calls = [_record_calls(ex, name, monkeypatch)
            for name in ("wedge", "contract")]
   ref_calls = [_record_calls(reference_kernels, name, monkeypatch)

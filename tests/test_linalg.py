@@ -159,6 +159,88 @@ class TestCompound:
   assert type(linalg.compound(half)[(0,)][(0,)]) is int
 
 
+def _minorwise_compound(m):
+ """The compound table with one determinant per minor: an independent
+ route to every entry of linalg.compound."""
+ n, out = len(m), {}
+ for k in range(n + 1):
+  subsets = list(itertools.combinations(range(n), k))
+  for r in subsets:
+   out[r] = {c: d for c in subsets
+             if (d := linalg.det([[m[i][j] for j in c] for i in r]))}
+ return out
+
+
+class TestLaplaceCompound:
+ """compound expands each minor along its first row over the table of one
+ degree lower; every entry is checked against an elimination of its own,
+ and the whole table against Cauchy-Binet."""
+
+ def test_matches_minorwise_det(self):
+  hyp = pytest.importorskip("hypothesis")
+  st = hyp.strategies
+
+  @st.composite
+  def matrices(draw):
+   n = draw(st.integers(0, 7))
+   kind = draw(st.sampled_from(("int", "fraction", "singular", "banded")))
+   entry = st.fractions(-4, 4, max_denominator=5) if kind == "fraction" \
+       else st.integers(-4, 4)
+   m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+   if kind == "singular" and n:
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    f = draw(st.integers(-2, 2))
+    m[i] = [f * x for x in m[j]] if i != j else [0] * n
+   elif kind == "banded":
+    width = draw(st.integers(0, 2))
+    m = [[x if abs(i - j) <= width else 0 for j, x in enumerate(row)]
+         for i, row in enumerate(m)]
+   return m
+
+  @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+  @hyp.given(matrices())
+  def check(m):
+   table = linalg.compound(m)
+   assert table == _minorwise_compound(m)
+   for row in table.values():
+    for minor in row.values():
+     assert type(minor) is (int if minor.denominator == 1 else Fraction)
+
+  check()
+
+ def test_cauchy_binet_multiplicative(self):
+  # C_k(AB) = C_k(A) C_k(B) for every k, at d = 8
+  rng = random.Random(61)
+  n = 8
+  for _ in range(2):
+   a, b = ([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+           for _ in range(2))
+   ca, cb = linalg.compound(a), linalg.compound(b)
+   product = {}
+   for r, row in ca.items():
+    acc = {}
+    for t, x in row.items():
+     for c, y in cb[t].items():
+      acc[c] = acc.get(c, 0) + x * y
+    product[r] = {c: v for c, v in acc.items() if v}
+   assert linalg.compound(linalg.matmul(a, b)) == product
+   assert len(product) == 2 ** n
+
+ def test_identity_is_the_diagonal_table(self):
+  table = linalg.compound(linalg.identity(10))
+  assert len(table) == 1024
+  assert table == {r: {r: 1} for r in table}
+  assert all(type(row[r]) is int for r, row in table.items())
+
+ def test_does_not_call_det(self, monkeypatch):
+  m = [[2, 1, 0], [1, 3, 1], [Fraction(1, 2), 1, 4]]
+  want = _minorwise_compound(m)
+  def no_det(m):
+   raise AssertionError("compound called det")
+  monkeypatch.setattr(linalg, "det", no_det)
+  assert linalg.compound(m) == want
+
+
 class TestProduct:
  def test_identity_and_transpose(self):
   assert linalg.identity(0) == []
