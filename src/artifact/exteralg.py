@@ -280,6 +280,12 @@ class TemperedCohomologyModel:
   # orthonormal: row (g, s) holds each ((g, t), det(G[s, t]))
   self.rows = {(g, s): [((g, t), minor) for t, minor in row.items()]
                for g in range(k) for s, row in self.space.rows.items()}
+  # the complement t of each index tuple s and the sign that sorts s + t:
+  # e_s ^ e_t = sign e_top
+  self.complement = {}
+  for s in self.space.rows:
+   t = tuple(i for i in range(delta) if i not in s)
+   self.complement[s] = (t, _merge(s, t)[0])
 
  # module elements: dict (gen index, subset tuple) -> int or Fraction
  def basis_elems(self, degree):
@@ -341,16 +347,18 @@ class TemperedCohomologyModel:
  def pairing(self, f1, f2):
   """Top-degree pairing with the w twist folded into the second slot.  The
   e_top coefficient of e_s1 ^ w(e_s2) is one minor: det(w[t, s2]) for the
-  complement t of s1, times the sign that sorts s1 + t."""
+  complement t of s1, times the sign that sorts s1 + t.  Both are read
+  from self.complement, built once at construction; both slots are still
+  checked on every call."""
   self._check(f1)
   self._check(f2)
+  complement, w_rows = self.complement, self.w_rows
   total = 0
   for (g1, s1), c1 in f1.items():
-   t = tuple(i for i in range(self.delta) if i not in s1)
-   sign = _merge(s1, t)[0]
+   t, sign = complement[s1]
    for (g2, s2), c2 in f2.items():
     if g1 == g2:
-     total += sign * c1 * c2 * self.w_rows[s2].get(t, 0)
+     total += sign * c1 * c2 * w_rows[s2].get(t, 0)
   return total
 
  def module_inner(self, f1, f2):
@@ -396,21 +404,30 @@ def freeness_check(model):
 
 def poincare_adjoint_check(model):
  """<f1 . X, f2> = (-1)^(deg f2 - q) <f1, (wX) . f2> over all basis
- triples; the sign is the exact one in our conventions."""
+ triples; the sign is the exact one in our conventions.
+
+ Each value is built once, at the loop level of the indices it depends
+ on: X = e_r and w(X) once per r, f1 . X once per (g, s1, r) and
+ (wX) . f2 once per (g, s2, r) for each degree of f1.  Every basis triple
+ still takes its two pairing calls and the signed comparison."""
  d = model.delta
+ act, pairing = model.act, model.pairing
+ xs = [ExteriorElement.basis(model.space, (r,)) for r in range(d)]
+ wxs = [model.apply_w(X) for X in xs]
  for d1 in range(d):
   d2 = d - 1 - d1
+  sign = (-1) ** d2
   for g in range(model.k):
+   rights = []   # (f2, [(wX) . f2 for each r]) for each s2
+   for s2 in itertools.combinations(range(d), d2):
+    f2 = {(g, s2): 1}
+    rights.append((f2, [act(f2, wX) for wX in wxs]))
    for s1 in itertools.combinations(range(d), d1):
     f1 = {(g, s1): 1}
-    for r in range(d):
-     X = ExteriorElement.basis(model.space, (r,))
-     wX = model.apply_w(X)
-     for s2 in itertools.combinations(range(d), d2):
-      f2 = {(g, s2): 1}
-      lhs = model.pairing(model.act(f1, X), f2)
-      rhs = model.pairing(f1, model.act(f2, wX))
-      if lhs != ((-1) ** len(s2)) * rhs:
+    for r, X in enumerate(xs):
+     left = act(f1, X)
+     for f2, right in rights:
+      if pairing(left, f2) != sign * pairing(f1, right[r]):
        return False
  return True
 

@@ -68,6 +68,11 @@ def commands():
   for q, k in ((1, 1), (2, 1), (3, 2)):
    out.append(["cohomology-model", "--delta", str(delta), "--q", str(q),
                "--k", str(k)])
+ # the case groups' scale: delta 5..8 at (q, k) = (1, 1), and delta 8 at
+ # (2, 2)
+ for delta, q, k in [(d, 1, 1) for d in range(5, 9)] + [(8, 2, 2)]:
+  out.append(["cohomology-model", "--delta", str(delta), "--q", str(q),
+              "--k", str(k)])
  for group in GROUPS:
   out.append(["invariants", "--group", group])
   out.append(["invariants", "--group", group, "--json"])

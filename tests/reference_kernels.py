@@ -9,7 +9,8 @@ at sqrt(Q*) meets the lattice with 2Z^n by a block Hermite form), the
 three-reduction case verdict, the dense Fraction Gauss-Jordan ledger
 solve, the ledger's scaling class with its integer rows built through
 Fraction, the long Weyl map and twisted pairing of the exterior
-model built by wedging degree-1 images, the exterior-model checks in
+model built by wedging degree-1 images, the twisted Poincare check with
+every value rebuilt per basis triple, the exterior-model checks in
 Fraction arithmetic: random elements with their raw n/d coefficients and
 every sum seeded with Fraction(0), and the hand-written group data
 (dimensions, ranks, the maximal compact subgroups and the four discriminant
@@ -471,6 +472,29 @@ def wedge_pairing(model, f1, f2):
    prod = wedge(ExteriorElement(model.space, {s1: Fraction(1)}), e2)
    total += c1 * c2 * prod.coeffs.get(top, Fraction(0))
  return total
+
+
+def poincare_triples(model):
+ """(lhs, signed rhs) of the twisted Poincare identity for each basis
+ triple (f1, e_r, f2), in the order of poincare_adjoint_check, with X,
+ w(X) and both actions rebuilt for every triple."""
+ d = model.delta
+ for d1 in range(d):
+  for g in range(model.k):
+   for s1 in itertools.combinations(range(d), d1):
+    f1 = {(g, s1): Fraction(1)}
+    for r in range(d):
+     X = ExteriorElement.basis(model.space, (r,))
+     for s2 in itertools.combinations(range(d), d - 1 - d1):
+      f2 = {(g, s2): Fraction(1)}
+      lhs = model.pairing(model.act(f1, X), f2)
+      rhs = model.pairing(f1, model.act(f2, model.apply_w(X)))
+      yield lhs, ((-1) ** len(s2)) * rhs
+
+
+def per_triple_poincare_check(model):
+ """The twisted Poincare verdict with every value rebuilt per triple."""
+ return all(lhs == rhs for lhs, rhs in poincare_triples(model))
 
 
 def fraction_rand_elem(ambient, degree, rng):

@@ -2,6 +2,7 @@
 adjointness, freeness, the twisted top-degree pairing, and the isometry
 identity, all in exact rational arithmetic."""
 
+import collections
 from fractions import Fraction
 import itertools
 import math
@@ -15,6 +16,7 @@ import reference_kernels
 from reference_kernels import (fraction_adjointness_check, fraction_act,
                                fraction_induced_inner, fraction_isometry_check,
                                fraction_module_inner, fraction_rand_elem,
+                               per_triple_poincare_check, poincare_triples,
                                wedge_apply_w, wedge_pairing)
 
 
@@ -569,22 +571,96 @@ class TestPoincareAdjoint:
  def test_sign_convention_is_sharp(self):
   # flipping the asserted sign must break the signed comparison
   m = ex.TemperedCohomologyModel(3, 1, 1)
-  d = m.delta
   found_nonzero = False
-  for d1 in range(d):
-   for s1 in itertools.combinations(range(d), d1):
-    f1 = {(0, s1): Fraction(1)}
-    for r in range(d):
-     X = ex.ExteriorElement.basis(m.space, (r,))
-     for s2 in itertools.combinations(range(d), d - 1 - d1):
-      f2 = {(0, s2): Fraction(1)}
-      lhs = m.pairing(m.act(f1, X), f2)
-      rhs = m.pairing(f1, m.act(f2, m.apply_w(X)))
-      if lhs:
-       found_nonzero = True
-       assert lhs == ((-1) ** len(s2)) * rhs
-       assert lhs != -((-1) ** len(s2)) * rhs
+  for lhs, rhs in poincare_triples(m):
+   if lhs:
+    found_nonzero = True
+    assert lhs == rhs
+    assert lhs != -rhs
   assert found_nonzero
+
+
+# planted faults, each of which the check must see: the model is built
+# sound and one value that the check reads is broken in place
+POINCARE_W = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
+
+
+def _poincare_model():
+ return ex.TemperedCohomologyModel(4, 1, 2, long_weyl=POINCARE_W)
+
+
+def _flip_w_minor(m, s):
+ row = m.w_rows[s]
+ c = min(row)
+ row[c] = -row[c]
+
+
+def _flip_complement_sign(m, s):
+ t, sign = m.complement[s]
+ m.complement[s] = (t, -sign)
+
+
+def _drop_act_term(m, key):
+ act = m.act
+ m.act = lambda f, x: {k: v for k, v in act(f, x).items() if k != key}
+
+
+_SUBSETS4 = [s for i in range(5) for s in itertools.combinations(range(4), i)]
+
+
+class TestPoincareSeesFaults:
+ """poincare_adjoint_check returns False on each planted fault, as does
+ the per-triple reference loop on the same model."""
+
+ def test_sound_model_passes(self):
+  m = _poincare_model()
+  assert ex.poincare_adjoint_check(m) and per_triple_poincare_check(m)
+
+ @pytest.mark.parametrize("s", _SUBSETS4, ids=str)
+ def test_w_minor_sign_flipped(self, s):
+  m = _poincare_model()
+  _flip_w_minor(m, s)
+  assert not ex.poincare_adjoint_check(m)
+  assert not per_triple_poincare_check(m)
+
+ @pytest.mark.parametrize("s", _SUBSETS4, ids=str)
+ def test_complement_sign_flipped(self, s):
+  m = _poincare_model()
+  _flip_complement_sign(m, s)
+  assert not ex.poincare_adjoint_check(m)
+  assert not per_triple_poincare_check(m)
+
+ @pytest.mark.parametrize("key", [(0, (2,)), (1, (0, 3)), (0, (0, 1, 3)),
+                                  (1, (0, 1, 2, 3))], ids=str)
+ def test_act_drops_a_term(self, key):
+  m = _poincare_model()
+  _drop_act_term(m, key)
+  assert not ex.poincare_adjoint_check(m)
+  assert not per_triple_poincare_check(m)
+
+
+class TestPoincareTraffic:
+ """Each basis triple takes its two pairing calls; the actions and w(X)
+ are built once each, not once per triple."""
+
+ def test_kernel_calls(self):
+  d, k = 4, 2
+  counts = {}
+  for check in (ex.poincare_adjoint_check, per_triple_poincare_check):
+   m = ex.TemperedCohomologyModel(d, 1, k)
+   calls = counts[check] = collections.Counter()
+   for name in ("pairing", "act", "apply_w"):
+    def counted(*args, _name=name, _f=getattr(m, name)):
+     calls[_name] += 1
+     return _f(*args)
+    setattr(m, name, counted)
+   assert check(m)
+  got, ref = counts[ex.poincare_adjoint_check], \
+      counts[per_triple_poincare_check]
+  assert got["pairing"] == ref["pairing"] == \
+      2 * k * d * math.comb(2 * d, d - 1)
+  assert got["act"] <= 2 * k * d * (2 ** d - 1) < ref["act"]
+  assert got["apply_w"] == d
 
 
 # involutions that are not symmetric: w and its transpose act differently

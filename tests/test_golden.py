@@ -1,9 +1,10 @@
 """CLI outputs pinned byte for byte: verify-all --n-max 12, torsion, check
 and lfactor (text and --json) and every hodge --show for every case and n,
-period reductions under both moduli, cohomology-model for delta 0..4,
-invariants (text and --json) for the acceptance groups, and rotation on the
-matrix files under tests/data/rotation.  Regenerate with
-tests/make_golden.py only when a change of output is intended."""
+period reductions under both moduli, cohomology-model for delta 0..4 and
+at the case groups' scale (delta 5..8), invariants (text and --json) for
+the acceptance groups, and rotation on the matrix files under
+tests/data/rotation.  Regenerate with tests/make_golden.py only when a
+change of output is intended."""
 
 import json
 
@@ -29,7 +30,7 @@ def test_golden_covers_every_command():
  assert sum(e["argv"][0] == "check" for e in GOLDEN) == 96
  assert sum(e["argv"][0] == "lfactor" for e in GOLDEN) == 96
  assert sum(e["argv"][0] == "hodge" for e in GOLDEN) == 240
- assert sum(e["argv"][0] == "cohomology-model" for e in GOLDEN) == 15
+ assert sum(e["argv"][0] == "cohomology-model" for e in GOLDEN) == 20
  assert sum(e["argv"][0] == "invariants" for e in GOLDEN) == 2 * len(GROUPS)
  rotations = [e for e in GOLDEN if e["argv"][0] == "rotation"]
  assert len(rotations) == len(ROTATIONS)

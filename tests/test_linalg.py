@@ -75,6 +75,52 @@ class TestDet:
  def test_zero_pivot_swaps_rows(self, m):
   assert linalg.det(m) == _leibniz_det(m) != 0
 
+ def test_row_skip_on_sparse_matrices(self):
+  # a row with 0 in the pivot column is left as it is only when the pivot
+  # equals the previous one; the "scaled pivot" matrices have zeros under
+  # a first pivot |p| > 1, rows that the step must still scale
+  hyp = pytest.importorskip("hypothesis")
+  st = hyp.strategies
+
+  @st.composite
+  def matrices(draw):
+   n = draw(st.integers(1, 6))
+   entry = draw(st.sampled_from((st.integers(-4, 4),
+                                 st.fractions(-4, 4, max_denominator=5))))
+   kind = draw(st.sampled_from(("sparse", "signed permutation",
+                                "block diagonal", "scaled pivot")))
+   if kind == "signed permutation":
+    one = draw(st.sampled_from((1, Fraction(1))))
+    perm = draw(st.permutations(range(n)))
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+     m[i][j] = draw(st.sampled_from((one, -one)))
+    return m
+   if kind == "block diagonal":
+    cut = draw(st.integers(0, n))
+    return [[draw(entry) if (i < cut) == (j < cut) else 0
+             for j in range(n)] for i in range(n)]
+   m = [[draw(entry) if draw(st.integers(0, 2)) == 0 else 0
+         for _ in range(n)] for _ in range(n)]
+   if kind == "scaled pivot":
+    m[0][0] = draw(st.sampled_from((-1, 1))) * draw(st.integers(2, 9))
+    for row in m[1:]:
+     row[0] = 0
+   return m
+
+  @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+  @hyp.given(matrices())
+  @hyp.example([[2, 0], [0, 3]])
+  @hyp.example([[-3, 1, 0], [0, 2, 0], [0, 0, 5]])
+  @hyp.example([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+  @hyp.example([[Fraction(2, 3), 0, 1], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+  def check(m):
+   d = linalg.det(m)
+   assert d == _leibniz_det(m)
+   assert type(d) is (int if d.denominator == 1 else Fraction)
+
+  check()
+
  def test_singular_is_zero_and_input_kept(self):
   for m in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
             [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
