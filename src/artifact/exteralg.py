@@ -118,7 +118,7 @@ def _element(ambient, coeffs):
  return el
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _merge(a, b):
  """Concatenate index tuples, return (sign, sorted tuple) or None."""
  if set(a) & set(b):
@@ -183,27 +183,19 @@ def induced_inner(a, b):
 
 
 def _rand_elem(ambient, degree, rng):
- """Coefficients n/d, n in [-9, 9] and d in [1, 5], times the lcm of the d:
+ """Coefficients n/d, n in [-8, 7] and d in [1, 4], times the lcm of the d:
  every checked identity is homogeneous, so the verdicts are those of n/d.
- Per basis index in combinations order, with bits = rng.getrandbits,
- n = bits(5) redrawn while it is >= 19, then d = bits(3) redrawn while it
- is >= 5, and the coefficient is (n - 9) / (d + 1).  That is the rejection
- procedure of randint, so these are the draws of rng.randint(-9, 9) and
- rng.randint(1, 5).  The zero coefficients are dropped as they are drawn,
- their d still in the lcm, and the element is built in one pass: every
- coefficient is already an int."""
+ Per basis index in combinations order, x = rng.getrandbits(6) gives
+ n = (x & 15) - 8 and d = (x >> 4) + 1.  A zero n is dropped, its d still
+ in the lcm, and the element is built in one pass."""
  bits = rng.getrandbits
  draws, dens = [], []
  for key in itertools.combinations(range(ambient.dim), degree):
-  n = bits(5)
-  while n >= 19:
-   n = bits(5)
-  d = bits(3)
-  while d >= 5:
-   d = bits(3)
-  dens.append(d + 1)
-  if n != 9:
-   draws.append((key, n - 9, d + 1))
+  x = bits(6)
+  d = (x >> 4) + 1
+  dens.append(d)
+  if x & 15 != 8:
+   draws.append((key, (x & 15) - 8, d))
  lcm = math.lcm(*dens)
  el = ExteriorElement.__new__(ExteriorElement)
  el.ambient = ambient
@@ -213,10 +205,8 @@ def _rand_elem(ambient, degree, rng):
 
 def adjointness_check(space, trials, seed=20260823):
  """<X ^ A, B> = <A, X -| B> for the evaluation pairing; exhaustive over
- basis triples, then seeded random trials.  Each trial draws its degree
- da as rng.randrange(dim) does, from bits = rng.getrandbits: bits(k) with
- k = dim.bit_length(), redrawn while it is >= dim; then X, A and B.  At
- dim 0 there is no degree-1 functional and the identity is vacuous."""
+ basis triples, then seeded random trials, A of degree rng.randrange(dim).
+ At dim 0 there is no degree-1 functional and the identity is vacuous."""
  d = space.dim
  if not d:
   return True
@@ -230,11 +220,8 @@ def adjointness_check(space, trials, seed=20260823):
      if eval_pairing(wedge(X, Ae), Be) != eval_pairing(Ae, contract(X, Be)):
       return False
  rng = random.Random(seed)
- bits, nbits = rng.getrandbits, d.bit_length()
  for _ in range(trials):
-  da = bits(nbits)
-  while da >= d:
-   da = bits(nbits)
+  da = rng.randrange(d)
   X = _rand_elem(space, 1, rng)
   A = _rand_elem(space, da, rng)
   B = _rand_elem(space, da + 1, rng)
@@ -395,8 +382,6 @@ def freeness_check(model):
     for key, c in img.items():
      col[index[key]] = c
     cols.append(col)
-  if len(cols) != len(target):
-   return False
   if linalg.det(cols) == 0:   # the images as rows: the same determinant
    return False
  return True
@@ -451,7 +436,7 @@ def _cauchy_binet_witness(space, rng):
  return True
 
 
-def isometry_check(model, trials=50, seed=20260823):
+def isometry_check(model, trials, seed=20260823):
  """Multiplication from the generator degree scales norms exactly:
  |omega.nu|^2 / |omega|^2 = |nu|^2 for omega spanned by the generators.
 
@@ -459,27 +444,18 @@ def isometry_check(model, trials=50, seed=20260823):
  is first checked on its own against Cauchy-Binet, with witness vectors
  drawn from a separate generator.
 
- The draws, from random.Random(seed) with bits = rng.getrandbits: trials
- times a degree and a _rand_elem of it, the degree bits(k) with
- k = (delta + 1).bit_length() redrawn while it is >= delta + 1 (the draw
- of rng.randrange(delta + 1)); then, for each nonzero nu, three omegas,
- each with one coefficient per generator in order: c = bits(4) redrawn
- while it is >= 11, and the coefficient c - 5 (the draw of
- rng.randint(-5, 5)), its zero coefficients dropped."""
+ The nus are the basis elements and trials _rand_elem draws of degree
+ rng.randrange(delta + 1).  Each nonzero nu takes three omegas, each with
+ one coefficient rng.getrandbits(3) - 4 per generator, zeros dropped."""
  if not _cauchy_binet_witness(model.space, random.Random(seed + 1)):
   return False
  rng = random.Random(seed)
  cases = [ExteriorElement(model.space, {s: 1})
           for i in range(model.delta + 1)
           for s in itertools.combinations(range(model.delta), i)]
- bits, ndeg = rng.getrandbits, model.delta + 1
- nbits = ndeg.bit_length()
  for _ in range(trials):
-  deg = bits(nbits)
-  while deg >= ndeg:
-   deg = bits(nbits)
-  cases.append(_rand_elem(model.space, deg, rng))
- act, inner = model.act, model.module_inner
+  cases.append(_rand_elem(model.space, rng.randrange(model.delta + 1), rng))
+ act, inner, bits = model.act, model.module_inner, rng.getrandbits
  gens = [(g, ()) for g in range(model.k)]
  for nu in cases:
   if nu.is_zero():
@@ -488,11 +464,9 @@ def isometry_check(model, trials=50, seed=20260823):
   for _ in range(3):
    om = {}
    for key in gens:
-    c = bits(4)
-    while c >= 11:
-     c = bits(4)
-    if c != 5:
-     om[key] = c - 5
+    c = bits(3) - 4
+    if c:
+     om[key] = c
    if not om:
     continue
    prod = act(om, nu)

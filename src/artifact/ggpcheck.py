@@ -321,13 +321,6 @@ def _det3_sqrt(p, q, b):
          trace_of_product(_adj3(p), q) + b * _det3(q))
 
 
-def _cleared(m):
- """(W, e): e is the lcm of the denominators of m (ints or Fractions) and
- W = e m is integral."""
- e = math.lcm(*(x.denominator for row in m for x in row))
- return [[x.numerator * (e // x.denominator) for x in row] for row in m], e
-
-
 def _qsqrt_mat(b, p, q, d):
  return [[QSqrt(b, Fraction(x, d), Fraction(y, d)) for x, y in zip(*rows)]
          for rows in zip(p, q)]
@@ -359,7 +352,7 @@ def rotation_check(v1, v2, sigma):
  integral, and V^-1 = e adj(W)/det W.
  """
  matmul, transpose = linalg.matmul, linalg.transpose
- s, es = _cleared(sigma)
+ s, es = linalg.cleared(sigma)
  st = transpose(s)
  if matmul(st, s) != _scalar(es * es):
   raise ValueError("sigma is not orthogonal")
@@ -367,7 +360,7 @@ def rotation_check(v1, v2, sigma):
   raise ValueError("sigma must have order exactly 3")
  lattices = []
  for name, basis in (("v1", v1), ("v2", v2)):
-  w, e = _cleared(basis)
+  w, e = linalg.cleared(basis)
   det = _det3(w)
   if det == 0:
    raise ValueError("%s is not a basis" % name)

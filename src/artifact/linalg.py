@@ -1,8 +1,9 @@
-"""Exact linear algebra: the determinant of a square matrix of ints or
-Fractions by fraction-free elimination, its compound matrices by Laplace
-expansion over the cleared integer matrix, the identity, transpose and
-product of matrices over any ring, and the echelon of an integer row
-lattice with its residues and its sublattice of even rows."""
+"""Exact linear algebra: a matrix of ints or Fractions cleared of its
+denominators, the determinant of a square one by fraction-free
+elimination, its compound matrices by Laplace expansion over the cleared
+integer matrix, the identity, transpose and product of matrices over any
+ring, and the echelon of an integer row lattice with its residues and its
+sublattice of even rows."""
 
 from fractions import Fraction
 import bisect
@@ -28,6 +29,14 @@ def matmul(a, b):
           for col in cols] for row in a]
 
 
+def cleared(m):
+ """(rows, lcm): lcm is the lcm of the denominators of m (ints or
+ Fractions) and rows = lcm * m, integral."""
+ lcm = math.lcm(*[x.denominator for row in m for x in row])
+ return [[x.numerator * (lcm // x.denominator) for x in row]
+         for row in m], lcm
+
+
 def det(m):
  """Determinant of a square matrix of ints or Fractions, an int where it
  is integral: Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
@@ -36,8 +45,7 @@ def det(m):
  with 0 in the pivot column is skipped when the pivot equals the previous
  one, the step leaving it unchanged: on sparse matrices with pivots 1, such
  as freeness_check's images, most rows are."""
- lcm = math.lcm(*[x.denominator for row in m for x in row])
- rows = [[x.numerator * (lcm // x.denominator) for x in row] for row in m]
+ rows, lcm = cleared(m)
  n, sign, prev = len(rows), 1, 1
  for c in range(n):
   piv = next((r for r in range(c, n) if rows[r][c]), None)
@@ -70,9 +78,8 @@ def compound(m):
  place p in c = c' + (j,) sorted.  The cost follows the nonzeros; the
  stored minor is the cleared one over lcm^k."""
  n = len(m)
- lcm = math.lcm(*[x.denominator for row in m for x in row])
- a = [[(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(row)
-       if x] for row in m]
+ rows, lcm = cleared(m)
+ a = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
  out = {(): {(): 1}}
  prev = {(): {(): 1}}   # the cleared minors of degree k - 1
  for k in range(1, n + 1):

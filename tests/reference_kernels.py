@@ -498,9 +498,12 @@ def per_triple_poincare_check(model):
 
 
 def fraction_rand_elem(ambient, degree, rng):
+ """Each coefficient n/d from one x = rng.getrandbits(6), in combinations
+ order: n = (x & 15) - 8 and d = (x >> 4) + 1."""
  out = {}
  for idx in itertools.combinations(range(ambient.dim), degree):
-  out[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+  x = rng.getrandbits(6)
+  out[idx] = Fraction((x & 15) - 8, (x >> 4) + 1)
  return ExteriorElement(ambient, out)
 
 
@@ -605,7 +608,7 @@ def fraction_isometry_check(model, trials=50, seed=20260823):
    continue
   n_nu = fraction_induced_inner(nu, nu)
   for _ in range(3):
-   om = {(g, ()): Fraction(rng.randint(-5, 5)) for g in range(model.k)}
+   om = {(g, ()): Fraction(rng.getrandbits(3) - 4) for g in range(model.k)}
    om = {k: v for k, v in om.items() if v}
    if not om:
     continue

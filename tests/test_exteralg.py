@@ -663,6 +663,18 @@ class TestPoincareTraffic:
   assert got["apply_w"] == d
 
 
+def test_merge_cache_keeps_every_pair_at_delta_9():
+ # act merges each subset s with one index r: 9 * 2^9 = 4608 pairs at
+ # delta 9, so a second pass over them must not miss
+ pairs = [(s, (r,)) for i in range(10)
+          for s in itertools.combinations(range(9), i) for r in range(9)]
+ ex._merge.cache_clear()
+ for _ in range(2):
+  for s, r in pairs:
+   ex._merge(s, r)
+ assert ex._merge.cache_info().misses == len(pairs)
+
+
 # involutions that are not symmetric: w and its transpose act differently
 # on the exterior algebra, while the Poincare identity holds for both
 SKEW_INVOLUTIONS = [
@@ -810,17 +822,26 @@ class TestIntegerArithmetic:
 
 
 @pytest.mark.parametrize("seed", [5, 47])
-def test_draws_are_the_randint_draws_times_their_lcm(seed):
- # the lcm runs over every drawn denominator, those of zero numerators too
+def test_draws_are_the_six_bit_rule_times_their_lcm(seed):
+ # one getrandbits(6) per basis index: n = (x & 15) - 8, d = (x >> 4) + 1;
+ # a zero n is dropped, but the lcm runs over every drawn d
  sp = ex.MetricSpaceQ(4, GRAM4)
- rng, ref_rng = random.Random(seed), random.Random(seed)
+ rng, twin = random.Random(seed), random.Random(seed)
+ zeros = lcm_moved = 0
  for deg in [0, 1, 2, 3, 4] * 20:
   x = ex._rand_elem(sp, deg, rng)
-  draws = [(key, ref_rng.randint(-9, 9), ref_rng.randint(1, 5))
-           for key in itertools.combinations(range(4), deg)]
+  draws = []
+  for key in itertools.combinations(range(4), deg):
+   b = twin.getrandbits(6)
+   draws.append((key, (b & 15) - 8, (b >> 4) + 1))
   lcm = math.lcm(*[d for _, _, d in draws])
   assert x.coeffs == {key: n * lcm // d for key, n, d in draws if n}
- assert rng.random() == ref_rng.random()
+  assert all(type(c) is int for c in x.coeffs.values())
+  zeros += sum(1 for _, n, _ in draws if not n)
+  lcm_moved += lcm != math.lcm(*[d for _, n, d in draws if n])
+ # the seeds reach both a dropped zero and an lcm that only a zero's d moves
+ assert zeros and lcm_moved
+ assert rng.random() == twin.random()
 
 
 def _record_calls(owner, name, monkeypatch):
@@ -853,10 +874,7 @@ class TestFractionReference:
  def test_same_trials_as_the_reference(self, seed, delta, q, k,
                                        monkeypatch):
   # both checks act with the same omegas on the same nus, the integer nu
-  # a positive integer multiple of the reference's n/d draw; the trial
-  # degree is a draw of randrange(delta + 1): at delta 1 of randrange(2),
-  # at delta 3 of randrange(4), which never redraws, and at delta 5 of
-  # randrange(6), which rejects 6 and 7
+  # a positive integer multiple of the reference's n/d draw
   m = ex.TemperedCohomologyModel(delta, q, k,
                                  gram=[row[:delta] for row in GRAM5[:delta]])
   seen, ref_seen = [], []
@@ -869,7 +887,7 @@ class TestFractionReference:
    ref_seen.append((f, x))
    return fraction_act(model, f, x)
   monkeypatch.setattr(reference_kernels, "fraction_act", ref_record)
-  # 50 trials: at delta 1 a nu has one coefficient, zero one time in 19
+  # 50 trials: at delta 1 a nu has one coefficient, zero one time in 16
   assert ex.isometry_check(m, trials=50, seed=seed) is True
   assert reference_kernels.fraction_isometry_check(m, trials=50,
                                                    seed=seed) is True
@@ -892,9 +910,7 @@ class TestFractionReference:
                                                   monkeypatch):
   # both checks wedge the same X on the same A and contract it into the
   # same B, each integer draw a positive integer multiple of the
-  # reference's n/d draw; the degree of A is a draw of randrange(dim): at
-  # dim 1 of randrange(1), which reads getrandbits(1) until it is 0, and
-  # at dim 4 of randrange(4), which never redraws
+  # reference's n/d draw
   sp = ex.MetricSpaceQ(dim, gram)
   calls = [_record_calls(ex, name, monkeypatch)
            for name in ("wedge", "contract")]

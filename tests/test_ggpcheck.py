@@ -464,7 +464,7 @@ class TestIntegerRotation:
   assert len(self.LATTICES) >= 20
   classes = {qsqrt_rotation_check(*lat)[1]["b"] for lat in self.LATTICES}
   assert classes == {1, 3}
-  assert any(gc._cleared(frac_mat(s))[1] > 1 for _, _, s in self.LATTICES)
+  assert any(linalg.cleared(frac_mat(s))[1] > 1 for _, _, s in self.LATTICES)
 
  @pytest.mark.parametrize("k", range(len(LATTICES)))
  def test_desc_equals_reference(self, k):
@@ -482,7 +482,7 @@ class TestIntegerRotation:
   desc = rotation_check(v1, v2, sigma)[1]
   p, q, d = integer_parts(desc["alpha"])
   gc._rotation_identities(p, q, d, desc["b"],
-                          gc._cleared(frac_mat(sigma))[0])
+                          linalg.cleared(frac_mat(sigma))[0])
 
  @pytest.mark.parametrize("k", [0, 1, 2, 5])
  def test_doubled_sqrt_part_fails_orthogonality(self, k):
@@ -494,7 +494,7 @@ class TestIntegerRotation:
   q2 = [[2 * x for x in row] for row in q]
   with pytest.raises(AssertionError, match="not orthogonal"):
    gc._rotation_identities(p, q2, d, desc["b"],
-                           gc._cleared(frac_mat(sigma))[0])
+                           linalg.cleared(frac_mat(sigma))[0])
 
  @pytest.mark.parametrize("k", [0, 1, 2, 5])
  def test_broken_commutation_fails_equivariance(self, k):
@@ -505,7 +505,7 @@ class TestIntegerRotation:
   p[0][0] += 1
   with pytest.raises(AssertionError, match="commute with sigma"):
    gc._rotation_identities(p, q, d, desc["b"],
-                           gc._cleared(frac_mat(sigma))[0])
+                           linalg.cleared(frac_mat(sigma))[0])
 
  def test_no_fraction_matrix_path(self):
   # regression guard: the checks run on integer matrices, so the program
@@ -626,7 +626,7 @@ def test_drawn_rotations_equal_reference():
   axis = next(row for row in proj if any(row))
   for basis in (v1, v2):
    assert any(any(_cross(row, axis)) for row in basis)
-   assert any(matmul([axis], gc._adj3(gc._cleared(basis)[0]))[0])
+   assert any(matmul([axis], gc._adj3(linalg.cleared(basis)[0]))[0])
   ok, desc = rotation_check(v1, v2, sigma)
   ok_ref, ref = qsqrt_rotation_check(v1, v2, sigma)
   assert ok is ok_ref is True

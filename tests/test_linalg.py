@@ -137,6 +137,15 @@ class TestDet:
   assert type(d) is Fraction and d == Fraction(1, 3)
 
 
+def test_cleared_scales_by_the_lcm_of_the_denominators():
+ m = [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), Fraction(4), 1]]
+ rows, lcm = linalg.cleared(m)
+ assert (rows, lcm) == ([[3, 18, 0], [-4, 24, 6]], 6)
+ assert all(type(x) is int for row in rows for x in row)
+ assert linalg.cleared([[2, -1], [0, 5]]) == ([[2, -1], [0, 5]], 1)
+ assert linalg.cleared([]) == ([], 1)
+
+
 class TestInv:
  def test_inverse(self):
   rng = random.Random(43)
@@ -322,13 +331,13 @@ class TestProduct:
 
 # linalg.Lattice is the one integer echelon: no module keeps a second
 HAND_ROLLED = ("_matmul", "_transpose", "_block_diag", "_hnf", "_residue",
-               "_scale_sub")
+               "_scale_sub", "_cleared")
 
 
 def hand_rolled_kernels(source):
  """Lines that define a private matrix product, transpose, block diagonal,
- integer echelon, residue or row subtraction, or build an identity entry
- as int(i == j) with i, j names."""
+ integer echelon, residue, row subtraction or denominator clearing, or
+ build an identity entry as int(i == j) with i, j names."""
  hits = set()
  for node in ast.walk(ast.parse(source)):
   if isinstance(node, ast.FunctionDef) and node.name in HAND_ROLLED:
@@ -353,8 +362,9 @@ class TestOneKernel:
          'x = QSqrt(b, int(r == c))\n'
          'def _hnf(rows, n):\n pass\n'
          'def _residue(t, basis):\n pass\n'
-         'def _scale_sub(acc, f, form):\n pass\n')
-  assert hand_rolled_kernels(src) == [1, 3, 5, 7, 9, 10, 12, 14]
+         'def _scale_sub(acc, f, form):\n pass\n'
+         'def _cleared(m):\n pass\n')
+  assert hand_rolled_kernels(src) == [1, 3, 5, 7, 9, 10, 12, 14, 16]
   assert hand_rolled_kernels('sign = int(kind == "C")\n'
                              'def matmul(a, b):\n pass\n') == []
 
