@@ -61,17 +61,6 @@ class HodgeStructure:
   """Multiplicities sorted by decreasing p."""
   return sorted(self.mult.items(), key=lambda kv: -kv[0][0])
 
- def __eq__(self, other):
-  return isinstance(other, HodgeStructure) and \
-      (self.weight, self.mult, self.trace) == \
-      (other.weight, other.mult, other.trace)
-
- def __repr__(self):
-  body = ", ".join("(%d,%d):%d" % (p, q, m) for (p, q), m in self.pieces())
-  tag = " over_e" if self.over_e else " f+=%d f-=%d" % (self.fplus,
-                                                        self.fminus)
-  return "HodgeStructure(w=%d, {%s}%s)" % (self.weight, body, tag)
-
 
 def direct_sum(a, b):
  if a.weight != b.weight:

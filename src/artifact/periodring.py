@@ -47,10 +47,6 @@ class PeriodScalar:
      self.exps[g] = e
 
  @staticmethod
- def one():
-  return PeriodScalar()
-
- @staticmethod
  def gen(name, exp=1):
   return PeriodScalar({name: exp})
 
@@ -401,7 +397,7 @@ def parse_expr(text):
     args.append(read())
   pos[0] += 1
   if op == "mul":
-   out = PeriodScalar.one()
+   out = PeriodScalar()
    for a in args:
     out = out * a
    return out

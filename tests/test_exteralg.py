@@ -30,15 +30,16 @@ class TestAlgebra:
 
  def test_wedge_anticommutes_degree_one(self):
   a, b = E(self.sp, (0,)), E(self.sp, (2,))
-  assert ex.wedge(a, b) == ex.wedge(b, a).scale(-1)
+  assert ex.wedge(a, b).coeffs == {(0, 2): 1}
+  assert ex.wedge(b, a).coeffs == {(0, 2): -1}
 
  def test_wedge_square_zero(self):
-  a = E(self.sp, (1,)) + E(self.sp, (3,), 2)
-  assert ex.wedge(a, a).is_zero()
+  a = ex.ExteriorElement(self.sp, {(1,): 1, (3,): 2})
+  assert ex.wedge(a, a).coeffs == {}
 
  def test_wedge_sign(self):
-  assert ex.wedge(E(self.sp, (1,)), E(self.sp, (0,))) == \
-      E(self.sp, (0, 1), -1)
+  assert ex.wedge(E(self.sp, (1,)), E(self.sp, (0,))).coeffs == \
+      {(0, 1): -1}
 
  def test_wedge_associative(self):
   rng = random.Random(3)
@@ -46,7 +47,8 @@ class TestAlgebra:
    a = ex._rand_elem(self.sp, 1, rng)
    b = ex._rand_elem(self.sp, 1, rng)
    c = ex._rand_elem(self.sp, 2, rng)
-   assert ex.wedge(ex.wedge(a, b), c) == ex.wedge(a, ex.wedge(b, c))
+   assert ex.wedge(ex.wedge(a, b), c).coeffs == \
+       ex.wedge(a, ex.wedge(b, c)).coeffs
 
  def test_contract_is_derivation(self):
   # x -| (a ^ b) = (x -| a) ^ b + (-1)^deg(a) a ^ (x -| b)
@@ -57,9 +59,10 @@ class TestAlgebra:
     a = ex._rand_elem(self.sp, da, rng)
     b = ex._rand_elem(self.sp, 1, rng)
     lhs = ex.contract(x, ex.wedge(a, b))
-    rhs = ex.wedge(ex.contract(x, a), b) + \
-        ex.wedge(a, ex.contract(x, b)).scale((-1) ** da)
-    assert lhs == rhs
+    rhs = dict(ex.wedge(ex.contract(x, a), b).coeffs)
+    for k, c in ex.wedge(a, ex.contract(x, b)).coeffs.items():
+     rhs[k] = rhs.get(k, 0) + (-1) ** da * c
+    assert lhs.coeffs == {k: c for k, c in rhs.items() if c}
 
  def test_contract_needs_degree_one(self):
   with pytest.raises(ValueError):
@@ -178,12 +181,13 @@ class TestInducedMetric:
   sp = ex.MetricSpaceQ(len(gram), gram)
   rng = random.Random(29)
   for _ in range(20):
-   a = b = E(sp, (), 0)
-   for deg in range(sp.dim + 1):
+   a, b = {}, {}
+   for deg in range(sp.dim + 1):   # one degree per draw: no key repeats
     if rng.random() < 0.6:
-     a = a + ex._rand_elem(sp, deg, rng)
+     a.update(ex._rand_elem(sp, deg, rng).coeffs)
     if rng.random() < 0.6:
-     b = b + ex._rand_elem(sp, deg, rng)
+     b.update(ex._rand_elem(sp, deg, rng).coeffs)
+   a, b = ex.ExteriorElement(sp, a), ex.ExteriorElement(sp, b)
    assert ex.induced_inner(a, b) == _per_pair_inner(a, b)
    assert ex.induced_inner(a, b) == ex.induced_inner(b, a)
 
@@ -240,7 +244,7 @@ class TestIndexChecks:
   sp = ex.MetricSpaceQ(3)
   for bad in ((7,), (3,), (-1,), (0, 3), (-1, 2)):
    with pytest.raises(ValueError, match=BAD_INDEX):
-    ex.ExteriorElement.basis(sp, bad)
+    ex.ExteriorElement(sp, {bad: 1})
    x = E(sp, (1,))
    x.coeffs = {bad: 1}
    with pytest.raises(ValueError, match=BAD_INDEX):
@@ -305,7 +309,8 @@ class TestIndexChecks:
   twin = ex.MetricSpaceQ(3)
   assert twin is not m.space
   assert m.act({(0, ()): 1}, E(twin, (2,))) == {(0, (2,)): 1}
-  assert m.apply_w(E(twin, (2,))) == E(m.space, (2,))
+  image = m.apply_w(E(twin, (2,)))
+  assert image.ambient is m.space and image.coeffs == {(2,): 1}
 
  def test_rejected_tuple_raises_on_every_check(self):
   sp = ex.MetricSpaceQ(3)
@@ -541,12 +546,12 @@ class TestModel:
   # the checks act with single-term factors or generator-degree ones, so
   # no two products meet on a key there; these factors make them meet
   m = ex.TemperedCohomologyModel(3, 1, 2)
-  x = E(m.space, (0,), 3) + E(m.space, (1,), 5)
+  x = ex.ExteriorElement(m.space, {(0,): 3, (1,): 5})
   f = {(g, (0,)): 1, (g, (1,)): 2}   # 5 e01 - 6 e01
   assert m.act(f, x) == fraction_act(m, f, x) == {(g, (0, 1)): -1}
   # a degree-0 term and a degree-1 term on one generator, in either
   # order: 7 e1 + 2 e01 from e_(), and 21 e01 from 3 e0
-  y = E(m.space, (1,), 7) + E(m.space, (0, 1), 2)
+  y = ex.ExteriorElement(m.space, {(1,): 7, (0, 1): 2})
   for f in ({(g, ()): 1, (g, (0,)): 3}, {(g, (0,)): 3, (g, ()): 1}):
    assert m.act(f, y) == fraction_act(m, f, y) == \
        {(g, (1,)): 7, (g, (0, 1)): 23}
@@ -699,9 +704,8 @@ class TestLongWeylOrientation:
 
  def test_image_is_a_column(self):
   m = ex.TemperedCohomologyModel(3, 1, 1, long_weyl=SKEW_INVOLUTIONS[0])
-  assert m.apply_w(E(m.space, (1,))) == E(m.space, (0,)) - E(m.space, (1,))
-  assert m.apply_w(E(m.space, (1, 2))) == \
-      E(m.space, (0, 2)) - E(m.space, (1, 2))
+  assert m.apply_w(E(m.space, (1,))).coeffs == {(0,): 1, (1,): -1}
+  assert m.apply_w(E(m.space, (1, 2))).coeffs == {(0, 2): 1, (1, 2): -1}
 
  @pytest.mark.parametrize("w", SKEW_INVOLUTIONS)
  def test_apply_w_matches_wedge_reference(self, w):
@@ -709,10 +713,11 @@ class TestLongWeylOrientation:
   rng = random.Random(37)
   for deg in range(m.delta + 1):
    for s in itertools.combinations(range(m.delta), deg):
-    assert m.apply_w(E(m.space, s)) == wedge_apply_w(m, E(m.space, s))
+    assert m.apply_w(E(m.space, s)).coeffs == \
+        wedge_apply_w(m, E(m.space, s)).coeffs
    for _ in range(5):
     x = ex._rand_elem(m.space, deg, rng)
-    assert m.apply_w(x) == wedge_apply_w(m, x)
+    assert m.apply_w(x).coeffs == wedge_apply_w(m, x).coeffs
 
  @pytest.mark.parametrize("w", SKEW_INVOLUTIONS)
  def test_pairing_matches_wedge_reference(self, w):
@@ -744,7 +749,7 @@ class TestIsometry:
   # |omega.nu|^2 = |omega|^2 |nu|^2 exactly, for generator-degree omega
   m = ex.TemperedCohomologyModel(3, 2, 2)
   om = {(0, ()): Fraction(3), (1, ()): Fraction(-2)}
-  nu = E(m.space, (0, 2), 5) + E(m.space, (1, 2), -1)
+  nu = ex.ExteriorElement(m.space, {(0, 2): 5, (1, 2): -1})
   prod = m.act(om, nu)
   assert m.module_inner(prod, prod) == \
       m.module_inner(om, om) * ex.induced_inner(nu, nu)

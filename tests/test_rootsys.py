@@ -14,6 +14,7 @@ from artifact import rootsys as rs
 from artifact.cases import CASES
 from artifact.periodring import PeriodScalar
 
+from make_golden import GROUPS
 from reference_kernels import (WRITTEN_OUT_DISCRIMINANTS, WRITTEN_OUT_GROUPS,
                                fraction_generic_orbit, fraction_reflect,
                                inverse_dual_trace_form, written_out_invariants)
@@ -262,6 +263,19 @@ class TestCaseGroups:
    assert repr(group) == repr(ref)
    assert rs.invariants(group).as_dict() == rs.invariants(ref).as_dict()
    assert rs.discriminant(group) == rs.discriminant(ref)
+
+ def test_repr_inverts_parse(self):
+  # repr writes a group in the notation that parse reads, the one the
+  # invariants command takes and the families' groups are written out in
+  groups = [rs.GroupDescriptor.parse(t) for t in GROUPS]
+  assert [repr(g) for g in groups] == [t.replace("/R", "") for t in GROUPS]
+  for case in CASES:
+   for n in range(1, 13):
+    spec = cases.get(case, n)
+    groups += rs.case_groups(spec.factors(n), spec.over_e)
+  assert len(groups) == len(GROUPS) + 96
+  for g in groups:
+   assert repr(rs.GroupDescriptor.parse(repr(g))) == repr(g)
 
  def test_no_column_fails(self):
   assert failing_columns() == {}

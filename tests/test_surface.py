@@ -4,7 +4,10 @@ code in src/artifact or by the benchmark (perfbench/*.py).  A cross-check
 or helper that only tests call belongs in tests/.  An identifier counts as a reference wherever it occurs,
 so the guard can miss a dead def that shares its name with something else,
 but never flags a used one: periodring.condensate, say, would pass on
-run_case's local and CaseReport's attribute of that name alone.
+run_case's local and CaseReport's attribute of that name alone.  Methods,
+dunders among them, are never checked here: tests/test_reach.py requires
+every def, methods and nested functions included, to be entered by a
+command or a benchmark workload.
 
 Also the layering of the modules: which sibling modules each may import,
 that the import graph has no cycle, and that no module reads a sibling's
