@@ -300,22 +300,23 @@ class TemperedCohomologyModel:
     out[t] = out.get(t, 0) + c * minor
   return _element(self.space, out)
 
- def pairing(self, f1, f2):
-  """Top-degree pairing with the w twist folded into the second slot.  The
-  e_top coefficient of e_s1 ^ w(e_s2) is one minor: det(w[t, s2]) for the
-  complement t of s1, times the sign that sorts s1 + t.  Both are read
-  from self.complement, built once at construction; both slots are still
-  checked on every call."""
-  self._check(f1)
-  self._check(f2)
+ def pairing_against(self, f):
+  """The top-degree pairing with the w twist folded into the second slot,
+  as a functional of the first: {(g, u): <e_(g,u), f>}, nonzero values
+  only.  The e_top coefficient of e_u ^ w(e_v) is one minor: det(w[t, v])
+  for the complement t of u, times the sign that sorts u + t.  So each
+  entry of row v of self.w_rows pairs e_(g,v) with e_(g,u) for the
+  complement u of its key t; u and its sign are read from
+  self.complement.  f is checked once."""
+  self._check(f)
   complement, w_rows = self.complement, self.w_rows
-  total = 0
-  for (g1, s1), c1 in f1.items():
-   t, sign = complement[s1]
-   for (g2, s2), c2 in f2.items():
-    if g1 == g2:
-     total += sign * c1 * c2 * w_rows[s2].get(t, 0)
-  return total
+  out = {}
+  for (g, v), c in f.items():
+   for t, minor in w_rows[v].items():
+    u = complement[t][0]
+    key = (g, u)
+    out[key] = out.get(key, 0) + complement[u][1] * c * minor
+  return {k: x for k, x in out.items() if x}
 
  def module_inner(self, f1, f2):
   """Metric with orthonormal generators and the induced exterior metric,
@@ -360,29 +361,42 @@ def poincare_adjoint_check(model):
  """<f1 . X, f2> = (-1)^(deg f2 - q) <f1, (wX) . f2> over all basis
  triples; the sign is the exact one in our conventions.
 
- Each value is built once, at the loop level of the indices it depends
- on: X = e_r and w(X) once per r, f1 . X once per (g, s1, r) and
- (wX) . f2 once per (g, s2, r) for each degree of f1.  Every basis triple
- still takes its two pairing calls and the signed comparison."""
+ The pairing is read through pairing_against, once per module key.  For
+ each degree d1 of f1, generator g and X = e_r, the two sides are sparse
+ dicts over the basis pairs (s1, s2), nonzero values only, so they are
+ equal exactly when every triple agrees.  The left side pairs each key of
+ e_(g,s1) . X against the functional of e_(g,s2); the right side reads
+ the functional of each key of (wX) . e_(g,s2) at (g, s1).  The cost
+ follows the nonzeros of the actions and the functionals, not the
+ triples."""
  d = model.delta
- act, pairing = model.act, model.pairing
+ act = model.act
  xs = [ExteriorElement(model.space, {(r,): 1}) for r in range(d)]
  wxs = [model.apply_w(X) for X in xs]
+ pair = {key: model.pairing_against({key: 1}) for key in model.rows}
  for d1 in range(d):
-  d2 = d - 1 - d1
-  sign = (-1) ** d2
+  sign = (-1) ** (d - 1 - d1)
+  s1s = list(itertools.combinations(range(d), d1))
+  s2s = list(itertools.combinations(range(d), d - 1 - d1))
   for g in range(model.k):
-   rights = []   # (f2, [(wX) . f2 for each r]) for each s2
-   for s2 in itertools.combinations(range(d), d2):
-    f2 = {(g, s2): 1}
-    rights.append((f2, [act(f2, wX) for wX in wxs]))
-   for s1 in itertools.combinations(range(d), d1):
-    f1 = {(g, s1): 1}
-    for r, X in enumerate(xs):
-     left = act(f1, X)
-     for f2, right in rights:
-      if pairing(left, f2) != sign * pairing(f1, right[r]):
-       return False
+   for X, wX in zip(xs, wxs):
+    image = {}   # (g, u) -> [(s1, c)] for each c e_(g,u) in e_(g,s1) . X
+    for s1 in s1s:
+     for key, c in act({(g, s1): 1}, X).items():
+      image.setdefault(key, []).append((s1, c))
+    left = {}
+    for s2 in s2s:
+     for key, p in pair[(g, s2)].items():
+      for s1, c in image.get(key, ()):
+       left[s1, s2] = left.get((s1, s2), 0) + c * p
+    right = {}
+    for s2 in s2s:
+     for key, c in act({(g, s2): 1}, wX).items():
+      for (_, s1), p in pair[key].items():
+       right[s1, s2] = right.get((s1, s2), 0) + sign * c * p
+    if {k: v for k, v in left.items() if v} != \
+        {k: v for k, v in right.items() if v}:
+     return False
  return True
 
 

@@ -10,7 +10,8 @@ three-reduction case verdict, the dense Fraction Gauss-Jordan ledger
 solve, the ledger's scaling class with its integer rows built through
 Fraction, the long Weyl map and twisted pairing of the exterior
 model built by wedging degree-1 images, the twisted Poincare check with
-every value rebuilt per basis triple, the exterior-model checks in
+every value rebuilt per basis triple on the two-slot pairing, one term per
+pair of keys, that the check once called, the exterior-model checks in
 Fraction arithmetic: random elements with their raw n/d coefficients and
 every sum seeded with Fraction(0), and the hand-written group data
 (dimensions, ranks, the maximal compact subgroups and the four discriminant
@@ -475,10 +476,28 @@ def wedge_pairing(model, f1, f2):
  return total
 
 
+def twisted_pairing(model, f1, f2):
+ """Top-degree pairing with the w twist folded into the second slot, one
+ term per pair of keys.  The e_top coefficient of e_s1 ^ w(e_s2) is one
+ minor: det(w[t, s2]) for the complement t of s1, times the sign that
+ sorts s1 + t, both read live from model.complement and model.w_rows;
+ both slots are checked on every call."""
+ model._check(f1)
+ model._check(f2)
+ complement, w_rows = model.complement, model.w_rows
+ total = 0
+ for (g1, s1), c1 in f1.items():
+  t, sign = complement[s1]
+  for (g2, s2), c2 in f2.items():
+   if g1 == g2:
+    total += sign * c1 * c2 * w_rows[s2].get(t, 0)
+ return total
+
+
 def poincare_triples(model):
  """(lhs, signed rhs) of the twisted Poincare identity for each basis
- triple (f1, e_r, f2), in the order of poincare_adjoint_check, with X,
- w(X) and both actions rebuilt for every triple."""
+ triple (f1, e_r, f2), with X, w(X) and both actions rebuilt for every
+ triple and each side one twisted_pairing call."""
  d = model.delta
  for d1 in range(d):
   for g in range(model.k):
@@ -488,8 +507,8 @@ def poincare_triples(model):
      X = ExteriorElement(model.space, {(r,): 1})
      for s2 in itertools.combinations(range(d), d - 1 - d1):
       f2 = {(g, s2): Fraction(1)}
-      lhs = model.pairing(model.act(f1, X), f2)
-      rhs = model.pairing(f1, model.act(f2, model.apply_w(X)))
+      lhs = twisted_pairing(model, model.act(f1, X), f2)
+      rhs = twisted_pairing(model, f1, model.act(f2, model.apply_w(X)))
       yield lhs, ((-1) ** len(s2)) * rhs
 
 

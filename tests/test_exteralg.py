@@ -17,7 +17,7 @@ from reference_kernels import (fraction_adjointness_check, fraction_act,
                                fraction_induced_inner, fraction_isometry_check,
                                fraction_module_inner, fraction_rand_elem,
                                per_triple_poincare_check, poincare_triples,
-                               wedge_apply_w, wedge_pairing)
+                               twisted_pairing, wedge_apply_w, wedge_pairing)
 
 
 def E(sp, idx, c=1):
@@ -254,15 +254,12 @@ class TestIndexChecks:
    m.act({(0, (3,)): 1}, E(m.space, ()))
   assert m.act({(0, ()): 1}, E(m.space, (2,))) == {(0, (2,)): 1}
 
- def test_pairing_rejects_bad_tuples_in_either_slot(self):
+ def test_pairing_against_rejects_bad_tuples(self):
   m = ex.TemperedCohomologyModel(3, 1, 1)
-  good = {(0, (0,)): 1}
   for bad in ((1, 0), (2, 1), (0, 0), (3,), (0, 3)):
    with pytest.raises(ValueError, match=BAD_INDEX):
-    m.pairing({(0, bad): 1}, {(0, (2,)): 1})
-   with pytest.raises(ValueError, match=BAD_INDEX):
-    m.pairing(good, {(0, bad): 1})
-  assert m.pairing({(0, (0, 1)): 1}, {(0, (2,)): 1}) == 1
+    m.pairing_against({(0, bad): 1})
+  assert m.pairing_against({(0, (2,)): 1}) == {(0, (0, 1)): 1}
 
  def test_bad_generators_rejected(self):
   # a generator outside range(k) used to be carried into the result, and
@@ -278,12 +275,12 @@ class TestIndexChecks:
     for args in ((bad, bad), (bad, good), (good, bad)):
      with pytest.raises(ValueError, match=BAD_GENERATOR):
       m.module_inner(*args)
-     with pytest.raises(ValueError, match=BAD_GENERATOR):
-      m.pairing(*args)
+    with pytest.raises(ValueError, match=BAD_GENERATOR):
+     m.pairing_against(bad)
   m2 = ex.TemperedCohomologyModel(3, 1, 2)
   assert m2.act({(1, ()): 1}, E(m2.space, (0,))) == {(1, (0,)): 1}
   assert m2.module_inner({(1, (0,)): 1}, {(1, (0,)): 1}) == 1
-  assert m2.pairing({(1, (0, 1)): 1}, {(1, (2,)): 1}) == 1
+  assert m2.pairing_against({(1, (2,)): 1}) == {(1, (0, 1)): 1}
 
  def test_apply_w_rejects_bad_tuples(self):
   m = ex.TemperedCohomologyModel(3, 1, 1)
@@ -644,28 +641,46 @@ class TestPoincareSeesFaults:
   assert not per_triple_poincare_check(m)
 
 
-class TestPoincareTraffic:
- """Each basis triple takes its two pairing calls; the actions and w(X)
- are built once each, not once per triple."""
+def _count_kernel_calls(m):
+ """Wrap m's act, apply_w and pairing_against to count their calls."""
+ calls = collections.Counter()
+ for name in ("act", "apply_w", "pairing_against"):
+  def counted(*args, _name=name, _f=getattr(m, name)):
+   calls[_name] += 1
+   return _f(*args)
+  setattr(m, name, counted)
+ return calls
 
- def test_kernel_calls(self):
+
+class TestPoincareTraffic:
+ """The check takes one functional per module key and builds each action
+ and w(X) once, where the per-triple reference takes two pairings per
+ basis triple: a return to per-triple work fails these counts."""
+
+ def _pin(self, d, q, k):
+  m = ex.TemperedCohomologyModel(d, q, k)
+  calls = _count_kernel_calls(m)
+  assert ex.poincare_adjoint_check(m)
+  assert calls["apply_w"] == d
+  assert calls["act"] <= 2 * k * d * (2 ** d - 1)
+  # every module key has degree q + |s| >= 1 at q >= 1
+  assert calls["pairing_against"] <= len(m.rows) == k * 2 ** d
+  return calls
+
+ def test_kernel_calls(self, monkeypatch):
   d, k = 4, 2
-  counts = {}
-  for check in (ex.poincare_adjoint_check, per_triple_poincare_check):
-   m = ex.TemperedCohomologyModel(d, 1, k)
-   calls = counts[check] = collections.Counter()
-   for name in ("pairing", "act", "apply_w"):
-    def counted(*args, _name=name, _f=getattr(m, name)):
-     calls[_name] += 1
-     return _f(*args)
-    setattr(m, name, counted)
-   assert check(m)
-  got, ref = counts[ex.poincare_adjoint_check], \
-      counts[per_triple_poincare_check]
-  assert got["pairing"] == ref["pairing"] == \
-      2 * k * d * math.comb(2 * d, d - 1)
-  assert got["act"] <= 2 * k * d * (2 ** d - 1) < ref["act"]
-  assert got["apply_w"] == d
+  got = self._pin(d, 1, k)
+  m = ex.TemperedCohomologyModel(d, 1, k)
+  ref = _count_kernel_calls(m)
+  pairings = _record_calls(reference_kernels, "twisted_pairing", monkeypatch)
+  assert per_triple_poincare_check(m)
+  assert len(pairings) == 2 * k * d * math.comb(2 * d, d - 1)
+  assert got["act"] < ref["act"]
+
+ def test_kernel_calls_at_delta_10(self):
+  # 3.36 M pairings per triple at (10, 1, 1); the check takes 1024
+  # functionals and at most 20 460 actions
+  self._pin(10, 1, 1)
 
 
 def test_merge_cache_keeps_every_pair_at_delta_9():
@@ -725,8 +740,87 @@ class TestLongWeylOrientation:
   rng = random.Random(41)
   for _ in range(20):
    f1, f2 = _rand_module_elem(m, rng), _rand_module_elem(m, rng)
-   assert m.pairing(f1, f2) == wedge_pairing(m, f1, f2)
+   want = wedge_pairing(m, f1, f2)
+   assert twisted_pairing(m, f1, f2) == want
+   against = m.pairing_against(f2)
+   assert sum(c * against.get(key, 0) for key, c in f1.items()) == want
   assert ex.poincare_adjoint_check(m)
+
+
+def _flip_w_entry(m, s, t):
+ m.w_rows[s][t] = -m.w_rows[s][t]
+
+
+# every single planted fault of a model: each entry of each w_rows row
+# sign-flipped, each complement sign flipped, each act output key dropped
+def _single_faults(m):
+ return ([(_flip_w_entry, s, t) for s, row in m.w_rows.items()
+          for t in row] +
+         [(_flip_complement_sign, s) for s in m.complement] +
+         [(_drop_act_term, key) for key in m.rows])
+
+
+class TestPoincareMatchesPerTriple:
+ """The sparse comparison of the two sides gives the verdict of the
+ per-triple reference loop, on sound models and on each planted fault."""
+
+ @pytest.mark.parametrize("args,w", [
+     ((delta, q, k), None) for delta in range(1, 5)
+     for q, k in ((1, 1), (2, 1), (3, 2))] + [
+     ((4, 1, 2), POINCARE_W)] + [
+     ((len(w), q, k), w) for w in SKEW_INVOLUTIONS
+     for q, k in ((1, 1), (2, 2))], ids=str)
+ def test_sound_models(self, args, w):
+  m = ex.TemperedCohomologyModel(*args, long_weyl=w)
+  assert ex.poincare_adjoint_check(m) is per_triple_poincare_check(m) \
+      is True
+
+ @pytest.mark.parametrize("w", [POINCARE_W, SKEW_INVOLUTIONS[1]],
+                          ids=["poincare_w", "skew"])
+ def test_each_single_fault(self, w):
+  faults = _single_faults(ex.TemperedCohomologyModel(4, 1, 2, long_weyl=w))
+  assert len(faults) >= 16 + 16 + 32
+  seen = 0
+  for plant, *where in faults:
+   m = ex.TemperedCohomologyModel(4, 1, 2, long_weyl=w)
+   plant(m, *where)
+   got = ex.poincare_adjoint_check(m)
+   assert got == per_triple_poincare_check(m), (plant.__name__, where)
+   seen += not got
+  assert seen
+
+ def test_drawn_involutions(self):
+  # w = P diag(+-1) P^-1, P a product of elementary unimodular matrices
+  hyp = pytest.importorskip("hypothesis")
+  st = hyp.strategies
+
+  @st.composite
+  def involutions(draw):
+   d = draw(st.integers(1, 4))
+   p, p_inv = linalg.identity(d), linalg.identity(d)
+   pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+   for _ in range(draw(st.integers(0, 6)) if pairs else 0):
+    i, j = draw(st.sampled_from(pairs))
+    c = draw(st.sampled_from((-2, -1, 1, 2)))
+    for row in p:   # P E for E = 1 + c e_ij
+     row[j] += c * row[i]
+    # E^-1 P^-1 for E^-1 = 1 - c e_ij
+    p_inv[i] = [a - c * b for a, b in zip(p_inv[i], p_inv[j])]
+   signs = [[draw(st.sampled_from((1, -1))) if i == j else 0
+             for j in range(d)] for i in range(d)]
+   return p, p_inv, signs, draw(st.integers(0, 2)), draw(st.integers(1, 2))
+
+  @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+  @hyp.given(involutions())
+  def check(drawn):
+   p, p_inv, signs, q, k = drawn
+   assert linalg.matmul(p, p_inv) == linalg.identity(len(p))
+   w = linalg.matmul(linalg.matmul(p, signs), p_inv)
+   m = ex.TemperedCohomologyModel(len(w), q, k, long_weyl=w)
+   assert ex.poincare_adjoint_check(m) is per_triple_poincare_check(m) \
+       is True
+
+  check()
 
 
 class TestIsometry:
