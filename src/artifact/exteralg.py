@@ -1,6 +1,9 @@
 """Exterior algebra over Q with a metric, and the free graded module model
 for tempered cohomology: wedge/contraction duality, the long-Weyl twisted
-Poincare adjointness, freeness and the isometry property.
+Poincare adjointness, freeness and the isometry property.  Freeness is a
+rank test over Z: the products of the generators with the exterior basis
+are the sparse integer rows of one linalg.Lattice, and the module is free
+exactly when its rank is their number.
 """
 
 from fractions import Fraction
@@ -243,19 +246,6 @@ class TemperedCohomologyModel:
    t = tuple(i for i in range(delta) if i not in s)
    self.complement[s] = (t, _merge(s, t)[0])
 
- # module elements: dict (gen index, subset tuple) -> int or Fraction
- def basis_elems(self, degree):
-  i = degree - self.q
-  if i < 0 or i > self.delta:
-   return []
-  return [(g, s) for g in range(self.k)
-          for s in itertools.combinations(range(self.delta), i)]
-
- def generator(self, g):
-  """Image of abstract generator g under the generator matrix."""
-  return {(i, ()): self.gen_matrix[i][g] for i in range(self.k)
-          if self.gen_matrix[i][g]}
-
  def _reject(self, key):
   """Raise the ValueError for a module key (g, s) that is no key of
   self.rows: s is no index tuple of the space, or g is not in range(k)."""
@@ -338,23 +328,27 @@ class TemperedCohomologyModel:
 
 
 def freeness_check(model):
- """Wedge from degree-q generators tensor degree-i exterior basis must hit
- a basis of each graded piece."""
- for i in range(model.delta + 1):
-  cols = []
-  target = model.basis_elems(model.q + i)
-  index = {b: t for t, b in enumerate(target)}
-  for g in range(model.k):
-   gen = model.generator(g)
-   for s in itertools.combinations(range(model.delta), i):
-    img = model.act(gen, ExteriorElement(model.space, {s: 1}))
-    col = [0] * len(target)
-    for key, c in img.items():
-     col[index[key]] = c
-    cols.append(col)
-  if linalg.det(cols) == 0:   # the images as rows: the same determinant
+ """The module is free on its generators: the products gen_g . e_s, gen_g
+ the image of generator g under the generator matrix, form a basis of
+ every graded piece.
+
+ A rank test over Z (Cohen, GTM 138, sec. 2.4).  The generator matrix is
+ cleared of its denominators once, so each product is a sparse integer
+ row over the module keys (g, t), with at most k nonzeros, all scaled by
+ one nonzero integer.  They go into one linalg.Lattice: products of
+ different degrees occupy disjoint columns, and rank over Z is rank over
+ Q, so the module is free exactly when the lattice ends with one basis
+ row per added row.  A product with a key outside the graded piece of its
+ degree fails the check."""
+ cols, _ = linalg.cleared(linalg.transpose(model.gen_matrix))
+ gens = [{(i, ()): a for i, a in enumerate(col) if a} for col in cols]
+ rows, lattice = model.rows, linalg.Lattice()
+ for g, s in rows:
+  img = model.act(gens[g], ExteriorElement(model.space, {s: 1}))
+  if any(key not in rows or len(key[1]) != len(s) for key in img):
    return False
- return True
+  lattice.add(img, (g, s))
+ return len(lattice.basis) == len(rows)
 
 
 def poincare_adjoint_check(model):

@@ -41,10 +41,7 @@ def det(m):
  """Determinant of a square matrix of ints or Fractions, an int where it
  is integral: Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
  over Z on the matrix cleared of its denominators.  Each step's entries
- are minors of the cleared matrix, so every division is exact.  A row
- with 0 in the pivot column is skipped when the pivot equals the previous
- one, the step leaving it unchanged: on sparse matrices with pivots 1, such
- as freeness_check's images, most rows are."""
+ are minors of the cleared matrix, so every division is exact."""
  rows, lcm = cleared(m)
  n, sign, prev = len(rows), 1, 1
  for c in range(n):
@@ -57,9 +54,8 @@ def det(m):
   top, p = rows[c], rows[c][c]
   for row in rows[c + 1:]:
    f = row[c]
-   if f or p != prev:   # else (p * x - 0 * y) // prev is x: row unchanged
-    row[c + 1:] = [(p * x - f * y) // prev
-                   for x, y in zip(row[c + 1:], top[c + 1:])]
+   row[c + 1:] = [(p * x - f * y) // prev
+                  for x, y in zip(row[c + 1:], top[c + 1:])]
   prev = p
  d, scale = sign * prev, lcm ** n
  return d // scale if d % scale == 0 else Fraction(d, scale)

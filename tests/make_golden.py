@@ -70,9 +70,10 @@ def commands():
                "--k", str(k)])
  # the case groups' scale: delta 5..8 at (q, k) = (1, 1), and delta 8 at
  # (2, 2); then delta 9 (so-odd n = 4, pgl-e n = 5) and delta 10 (so-even
- # n = 5, pgl-q n = 6) at (1, 1)
+ # n = 5, pgl-q n = 6) at (1, 1); then delta 12 at (1, 1), where a dense
+ # matrix per degree in the freeness check would show in the suite's time
  for delta, q, k in [(d, 1, 1) for d in range(5, 9)] + [(8, 2, 2)] + \
-     [(d, 1, 1) for d in (9, 10)]:
+     [(d, 1, 1) for d in (9, 10, 12)]:
   out.append(["cohomology-model", "--delta", str(delta), "--q", str(q),
               "--k", str(k)])
  for group in GROUPS:

@@ -11,7 +11,8 @@ solve, the ledger's scaling class with its integer rows built through
 Fraction, the long Weyl map and twisted pairing of the exterior
 model built by wedging degree-1 images, the twisted Poincare check with
 every value rebuilt per basis triple on the two-slot pairing, one term per
-pair of keys, that the check once called, the exterior-model checks in
+pair of keys, that the check once called, the freeness check as one dense
+determinant per degree, the exterior-model checks in
 Fraction arithmetic: random elements with their raw n/d coefficients and
 every sum seeded with Fraction(0), and the hand-written group data
 (dimensions, ranks, the maximal compact subgroups and the four discriminant
@@ -515,6 +516,31 @@ def poincare_triples(model):
 def per_triple_poincare_check(model):
  """The twisted Poincare verdict with every value rebuilt per triple."""
  return all(lhs == rhs for lhs, rhs in poincare_triples(model))
+
+
+def dense_freeness_check(model):
+ """The freeness verdict as one dense determinant per degree: the k
+ C(delta, i) images gen_g . e_s of degree q + i, gen_g column g of the
+ generator matrix in degree 0, are the rows of a square matrix over the
+ basis of that graded piece, and the module is free exactly when no
+ determinant vanishes.  An image key outside the piece raises KeyError."""
+ for i in range(model.delta + 1):
+  target = [(g, s) for g in range(model.k)
+            for s in itertools.combinations(range(model.delta), i)]
+  index = {b: t for t, b in enumerate(target)}
+  rows = []
+  for g in range(model.k):
+   gen = {(j, ()): model.gen_matrix[j][g] for j in range(model.k)
+          if model.gen_matrix[j][g]}
+   for s in itertools.combinations(range(model.delta), i):
+    img = model.act(gen, ExteriorElement(model.space, {s: 1}))
+    row = [0] * len(target)
+    for key, c in img.items():
+     row[index[key]] = c
+    rows.append(row)
+  if linalg.det(rows) == 0:
+   return False
+ return True
 
 
 def fraction_rand_elem(ambient, degree, rng):

@@ -554,6 +554,100 @@ class TestModel:
        {(g, (1,)): 7, (g, (0, 1)): 23}
 
 
+def _act_dropping_degree0_generators(real):
+ """act whose degree-0 path drops every generator g >= 1."""
+ def act(self, f, x):
+  return real(self, {key: c for key, c in f.items() if key[1] or key[0] < 1},
+              x)
+ return act
+
+
+def _act_into_complements(real):
+ """act that moves each image key (g, t) to (g, complement of t): a
+ bijection of the module keys, so the images keep full rank, but every key
+ with 2 len(t) != delta leaves the degree of its product."""
+ def act(self, f, x):
+  return {(g, self.complement[t][0]): c
+          for (g, t), c in real(self, f, x).items()}
+ return act
+
+
+class TestFreeness:
+ """freeness_check is a rank test on one integer lattice; the dense
+ determinant per degree is its reference."""
+
+ def test_matches_dense_reference(self):
+  hyp = pytest.importorskip("hypothesis")
+  st = hyp.strategies
+
+  @st.composite
+  def models(draw):
+   delta, q, k = draw(st.integers(0, 6)), draw(st.integers(0, 3)), \
+       draw(st.integers(1, 3))
+   kind = draw(st.sampled_from(("singular", "unimodular", "permutation",
+                                "fraction")))
+   entry = st.integers(-3, 3)
+   if kind == "fraction":
+    entry = st.fractions(-3, 3, max_denominator=4)
+   m = [[draw(entry) for _ in range(k)] for _ in range(k)]
+   if kind == "singular":   # the last row a combination of the others
+    a = [draw(st.integers(-2, 2)) for _ in range(k - 1)]
+    m[-1] = [sum(c * row[j] for c, row in zip(a, m)) for j in range(k)]
+   elif kind == "unimodular":   # unit upper times unit lower triangular
+    up = [[draw(entry) if i < j else (i == j) * draw(st.sampled_from((-1, 1)))
+           for j in range(k)] for i in range(k)]
+    low = [[draw(entry) if i > j else int(i == j) for j in range(k)]
+           for i in range(k)]
+    m = linalg.matmul(up, low)
+   elif kind == "permutation":   # a permutation, each entry scaled
+    perm = draw(st.permutations(range(k)))
+    m = [[draw(st.sampled_from((-2, -1, 1, 3))) if j == perm[i] else 0
+          for j in range(k)] for i in range(k)]
+   return ex.TemperedCohomologyModel(delta, q, k, gen_matrix=m)
+
+  @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+  @hyp.given(models())
+  @hyp.example(ex.TemperedCohomologyModel(2, 1, 2, gen_matrix=[[1, 1],
+                                                               [1, 1]]))
+  @hyp.example(ex.TemperedCohomologyModel(3, 0, 2, gen_matrix=[[2, 0],
+                                                               [0, 3]]))
+  def check(m):
+   assert ex.freeness_check(m) is reference_kernels.dense_freeness_check(m)
+
+  check()
+
+ def test_calls_no_det(self, monkeypatch):
+  def no_det(m):
+   raise AssertionError("freeness_check called det")
+
+  monkeypatch.setattr(linalg, "det", no_det)
+  for gen in ([[1, 0], [0, 1]], [[Fraction(1, 2), 1], [0, Fraction(2, 3)]],
+              [[0, 2], [-3, 0]]):
+   assert ex.freeness_check(ex.TemperedCohomologyModel(4, 1, 2,
+                                                       gen_matrix=gen))
+  assert not ex.freeness_check(
+      ex.TemperedCohomologyModel(4, 1, 2, gen_matrix=[[1, 2], [2, 4]]))
+
+ @pytest.mark.parametrize("delta", range(4))
+ def test_fails_when_act_drops_a_generator(self, delta, monkeypatch):
+  m = ex.TemperedCohomologyModel(delta, 1, 2)
+  assert ex.freeness_check(m)
+  monkeypatch.setattr(ex.TemperedCohomologyModel, "act",
+                      _act_dropping_degree0_generators(
+                          ex.TemperedCohomologyModel.act))
+  assert not ex.freeness_check(m)
+
+ @pytest.mark.parametrize("delta,k", [(1, 1), (3, 2), (4, 1)])
+ def test_fails_on_a_key_of_the_wrong_degree(self, delta, k, monkeypatch):
+  m = ex.TemperedCohomologyModel(delta, 2, k)
+  assert ex.freeness_check(m)
+  monkeypatch.setattr(ex.TemperedCohomologyModel, "act",
+                      _act_into_complements(ex.TemperedCohomologyModel.act))
+  assert not ex.freeness_check(m)
+  with pytest.raises(KeyError):
+   reference_kernels.dense_freeness_check(m)
+
+
 class TestPoincareAdjoint:
  @pytest.mark.parametrize("delta,q,k", [(2, 1, 1), (3, 3, 1), (4, 2, 2)])
  def test_identity_weyl(self, delta, q, k):

@@ -76,9 +76,9 @@ class TestDet:
   assert linalg.det(m) == _leibniz_det(m) != 0
 
  def test_row_skip_on_sparse_matrices(self):
-  # a row with 0 in the pivot column is left as it is only when the pivot
-  # equals the previous one; the "scaled pivot" matrices have zeros under
-  # a first pivot |p| > 1, rows that the step must still scale
+  # det on sparse matrices, with many zeros in the pivot columns: rows that
+  # a step must still scale by the pivot, as in the "scaled pivot"
+  # matrices, whose first pivot |p| > 1 has zeros under it
   hyp = pytest.importorskip("hypothesis")
   st = hyp.strategies
 
