@@ -9,7 +9,8 @@ Subcommands:
  check             full verdict for one case and n
  torsion           volume-ledger derivations
  rotation          quadratic-field rotation between two lattices
- verify-all        run every identity up to a bound; exit 0 iff all pass
+ verify-all        run the case identities up to a bound and the ledger;
+                   exit 0 iff all pass
 
 Exit status: 0 when every identity checked passes, 1 when one fails, 2 on a
 usage error (a bad argument or input file), reported as one line on stderr.
@@ -261,7 +262,8 @@ def build_parser():
  q.add_argument("--sigma", required=True)
  q.set_defaults(func=cmd_rotation)
 
- q = sub.add_parser("verify-all", help="run every identity")
+ q = sub.add_parser("verify-all",
+                    help="run the case identities and the ledger")
  q.add_argument("--n-max", type=int, required=True)
  q.set_defaults(func=cmd_verify_all)
  return p

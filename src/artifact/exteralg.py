@@ -395,20 +395,22 @@ def poincare_adjoint_check(model):
 
 
 def _cauchy_binet_witness(space, rng):
- """<v1^...^vk, w1^...^wk> = det[<vi, wj>] for random vectors and every
- k = 1..dim, with <vi, wj> read from the raw Gram matrix.  The two sides
- take independent routes: the left reads the compound Gram table, built
- by Laplace expansion, and the right is one Bareiss elimination of the
- k x k matrix of inner products."""
- g = space.gram
- for k in range(1, space.dim + 1):
-  vs = [_rand_elem(space, 1, rng) for _ in range(k)]
-  ws = [_rand_elem(space, 1, rng) for _ in range(k)]
-  inner = [[sum(v.coeffs.get((a,), 0) * g[a][b] * w.coeffs.get((b,), 0)
-                for a in range(space.dim) for b in range(space.dim))
-            for w in ws] for v in vs]
-  if induced_inner(functools.reduce(wedge, vs),
-                   functools.reduce(wedge, ws)) != linalg.det(inner):
+ """<v1^...^vk, w1^...^wk> = det[<vi, wj>] for k = 1..dim, over dim random
+ vectors per side, the wedges their running prefixes, with <vi, wj> read
+ from the raw Gram matrix.  The two sides take independent routes: the
+ left reads the compound Gram table, built by Laplace expansion, and the
+ right is one Bareiss elimination of the leading k x k block of the
+ matrix of inner products."""
+ g, dim = space.gram, space.dim
+ vs = [_rand_elem(space, 1, rng) for _ in range(dim)]
+ ws = [_rand_elem(space, 1, rng) for _ in range(dim)]
+ inner = [[sum(v.coeffs.get((a,), 0) * g[a][b] * w.coeffs.get((b,), 0)
+               for a in range(dim) for b in range(dim))
+           for w in ws] for v in vs]
+ prefixes = zip(itertools.accumulate(vs, wedge),
+                itertools.accumulate(ws, wedge))
+ for k, (v, w) in enumerate(prefixes, 1):
+  if induced_inner(v, w) != linalg.det([row[:k] for row in inner[:k]]):
    return False
  return True
 

@@ -458,35 +458,26 @@ def verify_all(n_max):
  Returns (exit_status, reports, lines); exit status 0 iff everything
  passes."""
  check_n(n_max, "n-max")
- reports = []
- lines = []
- status = 0
- first_fail = None
+ reports, lines, fails = [], [], []
  for case in cases.CASES:
   for n in range(1, n_max + 1):
    rep = run_case(case, n)
    reports.append(rep)
    verdict = "pass" if rep.passed() else "FAIL(%s)" % rep.failing()
    lines.append("%-8s n=%-2d m=%-3d %s" % (case, n, rep.m_expected, verdict))
-   if not rep.passed() and first_fail is None:
-    first_fail = "%s n=%d %s" % (case, n, rep.failing())
-    status = 1
+   if not rep.passed():
+    fails.append("%s n=%d %s" % (case, n, rep.failing()))
  try:
   ledger = torsion_ledger()
   for name, rec in sorted(ledger.derivations.items()):
    ok = ledger.replay(rec)
    lines.append("ledger %-10s class=%-7s %s" %
                 (name, rec["class"], "pass" if ok else "FAIL"))
-   if not ok and first_fail is None:
-    first_fail = "ledger %s" % name
-    status = 1
+   if not ok:
+    fails.append("ledger %s" % name)
  except LedgerUnderdetermined as e:
   lines.append("ledger FAIL: %s" % e)
-  if first_fail is None:
-   first_fail = "ledger"
-   status = 1
- if first_fail:
-  lines.append("first failing identity: %s" % first_fail)
- else:
-  lines.append("all identities verified")
- return status, reports, lines
+  fails.append("ledger")
+ lines.append("first failing identity: %s" % fails[0] if fails else
+              "all identities verified")
+ return int(bool(fails)), reports, lines

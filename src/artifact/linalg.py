@@ -2,8 +2,7 @@
 denominators, the determinant of a square one by fraction-free
 elimination, its compound matrices by Laplace expansion over the cleared
 integer matrix, the identity, transpose and product of matrices over any
-ring, and the echelon of an integer row lattice with its residues and its
-sublattice of even rows."""
+ring, and the echelon of an integer row lattice with its residues."""
 
 from fractions import Fraction
 import bisect
@@ -151,34 +150,3 @@ class Lattice:
     _axpy(r, -q, piv)
     _axpy(combo, q, pcombo)
   return r, combo
-
- def even(self):
-  """The sublattice of the even rows, L meet 2Z^n, as a Lattice: 2L and,
-  for each set of basis rows whose parities cancel (a kernel basis of the
-  basis mod 2, by elimination over GF(2) on bit masks), the sum of those
-  rows; every even row of L is such a sum plus a row of 2L.  The added
-  rows are labelled ("2L", j) and ("kernel", rows as a bit mask).  self
-  when every basis row is already even."""
-  if not any(a & 1 for row, _ in self.basis.values() for a in row.values()):
-   return self
-  rows = [row for row, _ in self.basis.values()]
-  out = Lattice()
-  pivots = {}  # lowest set bit -> (parity mask, set of rows as a bit mask)
-  for j, row in enumerate(rows):
-   out.add({k: 2 * a for k, a in row.items()}, ("2L", j))
-   m, t = sum(1 << k for k, a in row.items() if a & 1), 1 << j
-   while m:
-    low = m & -m
-    if low not in pivots:
-     pivots[low] = (m, t)
-     break
-    pm, pt = pivots[low]
-    m ^= pm
-    t ^= pt
-   else:   # the rows of t sum to an even row
-    v = {}
-    for i, r in enumerate(rows):
-     if t >> i & 1:
-      _axpy(v, 1, r)
-    out.add(v, ("kernel", t))
-  return out

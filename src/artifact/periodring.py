@@ -19,7 +19,7 @@ orders its columns by:
 Kinds 1 and 2 are of rational square class.  Triviality modulo Q* or
 sqrt(Q*) is decided by integer lattice reduction against a declared
 relation set, so the orientation in which each relation is written never
-matters.
+matters; a relation modulo Q* has integral exponents.
 """
 
 from fractions import Fraction
@@ -94,18 +94,22 @@ class PeriodScalar:
 class RelationSet:
  """Declared multiplicative relations among period generators.
 
- Each relation (x, level) asserts x ~ 1 modulo Q* (level "Q") or modulo
- sqrt(Q*) (level "sqrtQ").  The set is closed under complex conjugation on
- construction.  rational_gens lists indeterminates known to be rational.
+ Each relation (x, level) asserts x ~ 1 modulo Q* (level "Q"), x with
+ integral exponents, or modulo sqrt(Q*) (level "sqrtQ").  The set is
+ closed under complex conjugation on construction.  rational_gens lists
+ indeterminates known to be rational.
  """
 
  def __init__(self, relations=(), rational_gens=()):
   # each relation and its conjugate, in order, an equal repeat dropped
   self.relations = list(dict.fromkeys(
       (y, level) for x, level in relations for y in (x, x.conj())))
-  for _y, level in self.relations:
+  for y, level in self.relations:
    if level not in ("Q", "sqrtQ"):
     raise ValueError("unknown relation level: %r" % (level,))
+   if level == "Q" and any(type(e) is not int for e in y.exps.values()):
+    raise ValueError("relation modulo Q* with a non-integral exponent: %r"
+                     % (y,))
   self.rational_gens = tuple(rational_gens)
 
 
@@ -144,12 +148,12 @@ def reduce(x, rels, mod="Q"):
  and then by name, so that pi and twopii come last.
  A relation modulo Q* spans itself and one modulo sqrt(Q*) its square; a
  generator of rational square class spans its square and a rational one
- itself.  y is trivial modulo sqrt(Q*) exactly when y^2 is modulo Q*, so
- at sqrtQ the residue of x^2 is halved; x^2 is reduced modulo the even
- rows of the lattice alone, as the representatives y of x, those with
- y^2 = x^2 modulo Q* and of exponent denominator at most 2, have y^2 in
- x^2 plus those rows.  So the residue is again such a y, and reducing it
- gives it back.
+ itself.  Every row is even: a relation modulo Q* has integral exponents
+ (RelationSet checks it), a square has doubled ones and the units are 4
+ or 2.  y is trivial modulo sqrt(Q*) exactly when y^2 is modulo Q*, so at
+ sqrtQ x^2 is reduced against the same lattice and the residue halved;
+ as the lattice is even, the residue has exponent denominators at most 2
+ again, and reducing it gives it back.
  """
  if mod not in ("Q", "sqrtQ"):
   raise ValueError("mod must be 'Q' or 'sqrtQ'")
@@ -178,9 +182,7 @@ def reduce(x, rels, mod="Q"):
     "relation set forces a rational relation among pi powers: " +
     "*".join("%s^%s" % (cols[k], Fraction(row[k], 2))
              for k in sorted(row) if row[k]))
- scale = 1
- if mod == "sqrtQ":
-  scale, lattice = 2, lattice.even()
+ scale = 2 if mod == "sqrtQ" else 1
  t, _combo = lattice.residue(_to_int_vector(x, index, scale))
  return PeriodScalar({cols[k]: Fraction(a, 2 * scale)
                       for k, a in sorted(t.items())})

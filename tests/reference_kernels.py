@@ -33,7 +33,6 @@ written out."""
 
 import collections
 from fractions import Fraction
-import functools
 import itertools
 import math
 import random
@@ -625,15 +624,17 @@ def fraction_adjointness_check(space, trials, seed=20260823):
 
 
 def _fraction_cauchy_binet_witness(space, rng):
- g = space.gram
- for k in range(1, space.dim + 1):
-  vs = [fraction_rand_elem(space, 1, rng) for _ in range(k)]
-  ws = [fraction_rand_elem(space, 1, rng) for _ in range(k)]
-  inner = [[sum(v.coeffs.get((a,), 0) * g[a][b] * w.coeffs.get((b,), 0)
-                for a in range(space.dim) for b in range(space.dim))
-            for w in ws] for v in vs]
-  if fraction_induced_inner(functools.reduce(wedge, vs),
-                            functools.reduce(wedge, ws)) != linalg.det(inner):
+ g, dim = space.gram, space.dim
+ vs = [fraction_rand_elem(space, 1, rng) for _ in range(dim)]
+ ws = [fraction_rand_elem(space, 1, rng) for _ in range(dim)]
+ inner = [[sum(v.coeffs.get((a,), 0) * g[a][b] * w.coeffs.get((b,), 0)
+               for a in range(dim) for b in range(dim))
+           for w in ws] for v in vs]
+ prefixes = zip(itertools.accumulate(vs, wedge),
+                itertools.accumulate(ws, wedge))
+ for k, (v, w) in enumerate(prefixes, 1):
+  if fraction_induced_inner(v, w) != \
+      linalg.det([row[:k] for row in inner[:k]]):
    return False
  return True
 

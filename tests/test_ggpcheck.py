@@ -658,6 +658,36 @@ class TestVerifyAll:
   assert status != 0
   assert any("first failing identity: so-even n=2" in l for l in lines)
 
+ def test_underdetermined_ledger_fails(self, monkeypatch):
+  def underdetermined():
+   raise LedgerUnderdetermined("oinkA: target underdetermined")
+  monkeypatch.setattr(gc, "torsion_ledger", underdetermined)
+  status, _, lines = verify_all(2)
+  assert status == 1
+  assert lines[-2:] == ["ledger FAIL: oinkA: target underdetermined",
+                        "first failing identity: ledger"]
+
+ def test_failed_replay_names_the_first_target(self, monkeypatch):
+  # buggerme replays; oink1 and oinkA, after it in name order, do not
+  monkeypatch.setattr(gc.VolumeLedger, "replay",
+                      lambda self, rec: rec is self.derivations["buggerme"])
+  status, _, lines = verify_all(2)
+  assert status == 1
+  ledger = [l.split() for l in lines if l.startswith("ledger ")]
+  assert [(w[1], w[-1]) for w in ledger] == \
+      [("buggerme", "pass"), ("oink1", "FAIL"), ("oinkA", "FAIL")]
+  assert lines[-1] == "first failing identity: ledger oink1"
+
+ def test_a_case_failure_comes_before_the_ledger(self, monkeypatch):
+  def faulty(case, n):
+   extra = PeriodScalar.gen("twopii") if case == "so-odd" else None
+   return run_case(case, n, extra=extra)
+  monkeypatch.setattr(gc, "run_case", faulty)
+  monkeypatch.setattr(gc.VolumeLedger, "replay", lambda self, rec: False)
+  status, _, lines = verify_all(2)
+  assert status == 1
+  assert lines[-1].startswith("first failing identity: so-odd n=1 ")
+
 
 # ---------------------------------------------------------------------------
 # sparse kernels against the dense references

@@ -20,7 +20,7 @@ from artifact.periodring import (PeriodScalar, RelationSet,
 from make_period_data import PATH as PERIOD_DATA, period_data
 import oracle_periods as orc
 from reference_kernels import (FractionScalar, condensate_residual,
-                               dense_even_part, dense_hnf, dense_reduce,
+                               dense_hnf, dense_reduce,
                                dense_residue,
                                written_out_case_data,
                                written_out_case_relations,
@@ -29,6 +29,19 @@ from reference_kernels import (FractionScalar, condensate_residual,
 
 g = PeriodScalar.gen
 half = Fraction(1, 2)
+_half_exponents = st.builds(Fraction, st.integers(-4, 4),
+                            st.sampled_from((1, 2)))
+
+
+def _relations(gens):
+ """A drawn relation (exponents, level) over one to three of gens:
+ integral exponents at level Q, as RelationSet requires, and
+ half-integral ones at level sqrtQ."""
+ return st.sampled_from(("Q", "sqrtQ")).flatmap(lambda lev: st.tuples(
+     st.dictionaries(st.sampled_from(gens), st.integers(-4, 4)
+                     if lev == "Q" else _half_exponents,
+                     min_size=1, max_size=3),
+     st.just(lev)))
 
 
 class TestScalarAlgebra:
@@ -111,13 +124,8 @@ class TestFractionReference:
 
 # drawn relation sets over pi, twopii and four eliminable generators
 _message_gens = ("Q0", "Q1.s", "i", "sqrtD", "pi", "twopii")
-_relation = st.tuples(
-    st.dictionaries(st.sampled_from(_message_gens),
-                    st.builds(Fraction, st.integers(-4, 4),
-                              st.sampled_from((1, 2))),
-                    min_size=1, max_size=3),
-    st.sampled_from(("Q", "sqrtQ")))
-_relation_orders = st.lists(_relation, min_size=1, max_size=4).flatmap(
+_relation_orders = st.lists(_relations(_message_gens), min_size=1,
+                            max_size=4).flatmap(
     lambda rels: st.tuples(st.just(rels), st.permutations(rels)))
 
 
@@ -205,9 +213,12 @@ class TestReduce:
     reduce(g("Q0.s"), rels, mod)
 
  def test_half_integral_relation_at_sqrt_level(self):
-  # Q0 R0 is the square of the relation, so Q0 is R0^-1 modulo sqrt(Q*)
-  rels = RelationSet([(g("Q0", half) * g("R0", half), "Q")])
+  # Q0 R0 is trivial modulo Q*, so Q0 is R0^-1 modulo sqrt(Q*) too; its
+  # square root, half-integral, is no relation modulo Q*
+  rels = RelationSet([(g("Q0") * g("R0"), "Q")])
   assert reduce(g("Q0"), rels, "sqrtQ") == g("R0", -1)
+  with pytest.raises(ValueError, match="non-integral exponent"):
+   RelationSet([(g("Q0", half) * g("R0", half), "Q")])
 
 
 with open(PERIOD_DATA) as _fh:
@@ -488,18 +499,14 @@ def _random_scalar(rng, gens):
  return PeriodScalar(exps)
 
 
-# drawn relation sets with half-integral exponents: free names, both
-# embeddings of one, every special generator, and rational generators; x
-# also over names that the set does not mention
+# drawn relation sets, half-integral exponents at level sqrtQ: free names,
+# both embeddings of one, every special generator, and rational
+# generators; x, half-integral too, also over names that the set does not
+# mention
 _SET_GENS = ("Q0", "R0", "Q1.s", "Q1.sb", "sqrtD", "sqrtdisc.3", "i", "pi",
              "twopii")
-_half_exponents = st.builds(Fraction, st.integers(-4, 4),
-                            st.sampled_from((1, 2)))
 _relation_sets = st.tuples(
-    st.lists(st.tuples(st.dictionaries(st.sampled_from(_SET_GENS),
-                                       _half_exponents, min_size=1,
-                                       max_size=3),
-                       st.sampled_from(("Q", "sqrtQ"))), max_size=4),
+    st.lists(_relations(_SET_GENS), max_size=4),
     st.lists(st.sampled_from(("Q0", "R0", "Q1.s")), max_size=2),
     st.dictionaries(st.sampled_from(_SET_GENS + ("free", "sqrtdisc.7")),
                     _half_exponents, max_size=5),
@@ -509,9 +516,8 @@ _relation_sets = st.tuples(
 class TestSparseReduce:
  @settings(max_examples=400, deadline=None, derandomize=True)
  @given(_relation_sets)
- # a half-integral relation at level Q: Q0 R0 is its square, so Q0 is
- # R0^-1 modulo sqrt(Q*); the dense reference once rejected the set there
- @example(([({"Q0": half, "R0": half}, "Q")], [], {"Q0": 1}, "sqrtQ"))
+ # Q0 R0 at level sqrtQ: Q0 is R0^-1 modulo sqrt(Q*)
+ @example(([({"Q0": 1, "R0": 1}, "sqrtQ")], [], {"Q0": 1}, "sqrtQ"))
  def test_drawn_sets_match_dense_reference(self, data):
   relations, rational, x, mod = data
   rels = RelationSet([(PeriodScalar(e), lev) for e, lev in relations],
@@ -567,7 +573,7 @@ class TestSparseReduce:
    with pytest.raises(ValueError, match="denominator beyond 2"):
     reduce(g(name, Fraction(1, 3)), rels, "Q")
   with pytest.raises(ValueError, match="denominator beyond 2"):
-   reduce(g("Q0"), RelationSet([(g("Q0", Fraction(1, 3)), "Q")]), "Q")
+   reduce(g("Q0"), RelationSet([(g("Q0", Fraction(1, 3)), "sqrtQ")]), "Q")
 
  def test_bad_mod(self):
   with pytest.raises(ValueError, match="mod must be"):
@@ -587,15 +593,19 @@ class TestSqrtLevelResidue:
   return y
 
  def test_odd_relation_row(self):
-  # the doubled row (3, 1) is odd: Q0 once reduced to Q0^1/4*R0^-1/4,
-  # whose own reduction then raised
-  rels = RelationSet([(g("Q0", Fraction(3, 2)) * g("R0", half), "Q")])
-  assert self._check(g("Q0"), rels) == g("Q0")
+  # a relation modulo Q* with a half-integral exponent would give an odd
+  # row at doubled scale, (3, 1) for the first; RelationSet rejects it,
+  # and its conjugate too, and takes the same scalar at level sqrtQ
+  for exps in ({"Q0": Fraction(3, 2), "R0": half}, {"Q0": half, "R0": half},
+               {"Q1.s": half}):
+   for x in (PeriodScalar(exps), PeriodScalar(exps).conj()):
+    with pytest.raises(ValueError, match="non-integral exponent: "):
+     RelationSet([(g("Q0"), "Q"), (x, "Q")])
+    self._check(g("Q0"), RelationSet([(x, "sqrtQ")]))
 
  @settings(max_examples=300, deadline=None, derandomize=True)
  @given(_relation_sets)
- @example(([({"Q0": Fraction(3, 2), "R0": half}, "Q")], [], {"Q0": 1},
-           "sqrtQ"))
+ @example(([({"Q0": 3, "R0": 1}, "sqrtQ")], [], {"Q0": half}, "sqrtQ"))
  def test_drawn_sets(self, data):
   relations, rational, x, _mod = data
   rels = RelationSet([(PeriodScalar(e), lev) for e, lev in relations],
@@ -605,6 +615,49 @@ class TestSqrtLevelResidue:
   except InconsistentRelations:
    assume(False)
   self._check(PeriodScalar(x), rels)
+
+
+def _lattice_rows(x, rels, mod):
+ """The rows that reduce(x, rels, mod) adds to its lattice."""
+ rows, add = [], linalg.Lattice.add
+ def record(self, row, label):
+  rows.append(row)
+  return add(self, row, label)
+ with pytest.MonkeyPatch.context() as mp:
+  mp.setattr(linalg.Lattice, "add", record)
+  try:
+   reduce(x, rels, mod)
+  except InconsistentRelations:
+   pass
+ return rows
+
+
+def _assert_even(rows):
+ assert rows
+ for row in rows:
+  assert all(a % 2 == 0 for a in row.values()), row
+
+
+class TestEvenRows:
+ """Every row of a relation lattice is even at the doubled scale, so the
+ lattice is its own meet with 2Z^n and reduce reduces x^2 against it
+ unchanged at sqrt(Q*)."""
+
+ @pytest.mark.parametrize("case", CASES)
+ def test_case_lattices(self, case):
+  for n in range(1, 13):
+   mot = CaseMotives(case, n)
+   for mod in ("Q", "sqrtQ"):
+    _assert_even(_lattice_rows(period_ratio(mot), case_relations(mot),
+                               mod))
+
+ @settings(max_examples=300, deadline=None, derandomize=True)
+ @given(_relation_sets)
+ def test_drawn_sets(self, data):
+  relations, rational, x, mod = data
+  rels = RelationSet([(PeriodScalar(e), lev) for e, lev in relations],
+                     rational_gens=rational)
+  _assert_even(_lattice_rows(PeriodScalar(x), rels, mod))
 
 
 def _residue(basis, t):
@@ -672,35 +725,3 @@ class TestHnfProperties:
   for row, rcombo in list(lattice.basis.values()) + \
       [({k: a - r.get(k, 0) for k, a in enumerate(t)}, combo)]:
    assert [row.get(k, 0) for k in range(n)] == _combine(rcombo, rows, n)
-
-
-class TestEvenPart:
- @settings(max_examples=300, deadline=None, derandomize=True)
- @given(_rows)
- @example(([[3, 1]], [4, 0], [0] * 5))
- def test_matches_block_hermite_reference(self, data):
-  rows, t, coeffs = data
-  n = len(t)
-  lattice = linalg.Lattice()
-  for j, row in enumerate(rows):
-   lattice.add(dict(enumerate(row)), j)
-  even = lattice.even()
-  if all(a % 2 == 0 for row in rows for a in row):
-   assert even is lattice
-  want = dense_even_part(rows, n)
-  assert [(c, even.basis[c][0][c]) for c in sorted(even.basis)] == \
-      [(c, row[c]) for c, row in want]
-  for row, _combo in even.basis.values():
-   assert all(a % 2 == 0 for a in row.values())
-  r, _combo = even.residue(dict(enumerate(t)))
-  ref = list(t)
-  for c, row in want:
-   q = ref[c] // row[c]
-   ref = [a - q * b for a, b in zip(ref, row)]
-  assert [r.get(k, 0) for k in range(n)] == ref
-  # every even combination of the rows lies in it, and an odd one does not
-  comb = [0] * n
-  for c, row in zip(coeffs, rows):
-   comb = [a + c * b for a, b in zip(comb, row)]
-  r, _combo = even.residue(dict(enumerate(comb)))
-  assert (not r) == all(a % 2 == 0 for a in comb)
