@@ -7,7 +7,7 @@ Subcommands:
  lfactor           computed vs closed-form exponent row for one case
  period            ad-hoc reduction of a period s-expression
  check             full verdict for one case and n
- torsion           volume-ledger derivations
+ torsion           volume-ledger statements, derived and replayed
  rotation          quadratic-field rotation between two lattices
  verify-all        run the case identities up to a bound and the ledger;
                    exit 0 iff all pass
@@ -152,16 +152,13 @@ def cmd_torsion(args):
  except ggpcheck.LedgerUnderdetermined as e:
   print("FAIL: %s" % e)
   return 1
- ok = True
- for name, rec in sorted(ledger.derivations.items()):
-  replay = ledger.replay(rec)
-  ok = ok and replay
+ for rec, replay in ledger:
   print("%-10s class=%-7s conditional=%-5s replay=%s" %
-        (name, rec["class"], rec["conditional"],
+        (rec["target"], rec["class"], rec["conditional"],
          "pass" if replay else "FAIL"))
   for ax, c in sorted(rec["coefficients"].items()):
    print("   %+s * %s" % (c, ax))
- return 0 if ok else 1
+ return 0 if all(replay for _, replay in ledger) else 1
 
 
 def _read_matrix(path):
@@ -253,7 +250,7 @@ def build_parser():
  q.add_argument("--json", action="store_true")
  q.set_defaults(func=cmd_check)
 
- q = sub.add_parser("torsion", help="volume ledger derivations")
+ q = sub.add_parser("torsion", help="derive and replay the volume ledger")
  q.set_defaults(func=cmd_torsion)
 
  q = sub.add_parser("rotation", help="quadratic rotation between lattices")

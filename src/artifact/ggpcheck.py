@@ -1,6 +1,6 @@
 """End-to-end case drivers: per-case reports combining the exponent table,
-the symbolic period cancellation, the torsion/volume ledger with verifiable
-derivations, and the quadratic-field rotation lemma."""
+the symbolic period cancellation, the torsion/volume ledger with replayed
+records, and the quadratic-field rotation lemma."""
 
 from fractions import Fraction
 import math
@@ -177,7 +177,6 @@ class VolumeLedger:
   names = [name for name, _, _ in self.axioms]
   if len(set(names)) < len(names):
    raise ValueError("repeated axiom name %r" % max(names, key=names.count))
-  self.derivations = {}
 
  def without(self, *names):
   return VolumeLedger([a for a in self.axioms if a[0] not in names])
@@ -186,17 +185,15 @@ class VolumeLedger:
   """(class, coefficients) of the target: the first of _CLASSES whose
   scale times the target is an integer combination of the axioms, with
   the coefficients of that combination divided by the scale; else
-  LedgerUnderdetermined."""
+  LedgerUnderdetermined.  The rows have a column per symbol, so the
+  pivots go in symbol order, and each axiom row is labelled by its index,
+  so the coefficients come in axiom order."""
   forms = [form for _, form, _ in self.axioms]
   den = math.lcm(*(x.denominator for form in forms + [target]
                    for x in form.values()))
-  index = {}
-  for form in forms + [target]:
-   for s in form:
-    index.setdefault(s, len(index))
 
   def ints(form, scale):
-   return {index[s]: x.numerator * (den // x.denominator) * scale
+   return {s: x.numerator * (den // x.denominator) * scale
            for s, x in form.items()}
 
   lattice = linalg.Lattice()
@@ -210,17 +207,15 @@ class VolumeLedger:
   raise LedgerUnderdetermined("underdetermined")
 
  def derive(self, name):
-  """Derive the named target; records and returns the derivation."""
+  """The derivation record of the named target."""
   if name not in TARGETS:
    raise ValueError("unknown target %r" % (name,))
   klass, coeffs = self._combination(TARGETS[name])
   kinds = {n: k for n, _, k in self.axioms}
-  record = {"target": name,
-            "coefficients": coeffs,
-            "class": klass,
-            "conditional": any(kinds[a] == "conditional" for a in coeffs)}
-  self.derivations[name] = record
-  return record
+  return {"target": name,
+          "coefficients": coeffs,
+          "class": klass,
+          "conditional": any(kinds[a] == "conditional" for a in coeffs)}
 
  def replay(self, record):
   """Recombine the logged axioms and check the target is reproduced, by
@@ -241,10 +236,11 @@ class VolumeLedger:
 
 
 def torsion_ledger():
+ """[(record, replayed)] for the three period statements in name order,
+ each derived on the default ledger and replayed once."""
  ledger = VolumeLedger()
- for name in ("oinkA", "oink1", "buggerme"):
-  ledger.derive(name)
- return ledger
+ return [(rec, ledger.replay(rec))
+         for rec in map(ledger.derive, ("buggerme", "oink1", "oinkA"))]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def rotation_check(v1, v2, sigma):
 # top-level driver
 
 def verify_all(n_max):
- """Run every case for n = 1..n_max plus the ledger derivations.
+ """Run every case for n = 1..n_max plus the replayed ledger.
 
  Returns (exit_status, reports, lines); exit status 0 iff everything
  passes."""
@@ -468,13 +464,11 @@ def verify_all(n_max):
    if not rep.passed():
     fails.append("%s n=%d %s" % (case, n, rep.failing()))
  try:
-  ledger = torsion_ledger()
-  for name, rec in sorted(ledger.derivations.items()):
-   ok = ledger.replay(rec)
+  for rec, ok in torsion_ledger():
    lines.append("ledger %-10s class=%-7s %s" %
-                (name, rec["class"], "pass" if ok else "FAIL"))
+                (rec["target"], rec["class"], "pass" if ok else "FAIL"))
    if not ok:
-    fails.append("ledger %s" % name)
+    fails.append("ledger %s" % rec["target"])
  except LedgerUnderdetermined as e:
   lines.append("ledger FAIL: %s" % e)
   fails.append("ledger")

@@ -110,15 +110,17 @@ def test_exterior_algebra_model():
 
 
 def test_torsion_ledger_and_rotation():
- led = gc.torsion_ledger()
- # the three period statements are derived from the axioms, with the
- # derivations replayable coefficient by coefficient
- for name, cls in (("oinkA", "sqrtQ*"), ("oink1", "Q*"),
-                   ("buggerme", "sqrtQ*")):
-  rec = led.derivations[name]
-  assert rec["class"] == cls
+ # the three period statements are derived from the axioms, in name
+ # order, each replayed coefficient by coefficient
+ led = gc.VolumeLedger()
+ got = gc.torsion_ledger()
+ for (rec, replayed), (name, cls) in zip(got, (("buggerme", "sqrtQ*"),
+                                               ("oink1", "Q*"),
+                                               ("oinkA", "sqrtQ*"))):
+  assert rec["target"] == name and rec["class"] == cls
   assert not rec["conditional"]
-  assert led.replay(rec)
+  assert replayed and led.replay(rec)
+ assert len(got) == 3
  # negative control: one axiom removed breaks exactly the statement
  # that needs it
  with pytest.raises(gc.LedgerUnderdetermined):

@@ -302,11 +302,15 @@ class TestIndexChecks:
     m.apply_w(x)
   with pytest.raises(ValueError, match="ambient space mismatch"):
    m.act({(0, ()): 1}, E(ex.MetricSpaceQ(8), (7,)))
-  # an equal space that is another object is the model's space
+  # an element's space is the space object it was made on: an equal
+  # space that is another object is not the model's
   twin = ex.MetricSpaceQ(3)
-  assert twin is not m.space
-  assert m.act({(0, ()): 1}, E(twin, (2,))) == {(0, (2,)): 1}
-  image = m.apply_w(E(twin, (2,)))
+  with pytest.raises(ValueError, match="ambient space mismatch"):
+   m.act({(0, ()): 1}, E(twin, (2,)))
+  with pytest.raises(ValueError, match="ambient space mismatch"):
+   m.apply_w(E(twin, (2,)))
+  assert m.act({(0, ()): 1}, E(m.space, (2,))) == {(0, (2,)): 1}
+  image = m.apply_w(E(m.space, (2,)))
   assert image.ambient is m.space and image.coeffs == {(2,): 1}
 
  def test_rejected_tuple_raises_on_every_check(self):
@@ -324,13 +328,14 @@ class TestIndexChecks:
 
  def test_same_compares_the_gram_matrix_of_another_space(self):
   sp = ex.MetricSpaceQ(3, GRAM3)
-  for other in (ex.MetricSpaceQ(3), ex.MetricSpaceQ(4)):
+  twin = ex.MetricSpaceQ(3, GRAM3)
+  for other in (ex.MetricSpaceQ(3), ex.MetricSpaceQ(4), twin):
    with pytest.raises(ValueError, match="ambient space mismatch"):
     E(sp, (0,))._same(E(other, (0,)))
-  twin = ex.MetricSpaceQ(3, GRAM3)
-  assert twin is not sp
-  E(sp, (0,))._same(E(twin, (0,)))
-  assert ex.induced_inner(E(sp, (0, 1)), E(twin, (0, 1))) == 5
+  with pytest.raises(ValueError, match="ambient space mismatch"):
+   ex.induced_inner(E(sp, (0, 1)), E(twin, (0, 1)))
+  E(sp, (0,))._same(E(sp, (1,)))
+  assert ex.induced_inner(E(sp, (0, 1)), E(sp, (0, 1))) == 5
 
  def test_compound_built_once_per_matrix(self, monkeypatch):
   built = []

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from artifact import cli
 from artifact import exteralg
 from artifact import ggpcheck as gc
 from artifact import hodge as hg
@@ -151,36 +152,48 @@ def zero_entry_ledger():
  return VolumeLedger(axioms)
 
 
+def torsion_records():
+ """The records of torsion_ledger, by target."""
+ return {rec["target"]: rec for rec, _ in torsion_ledger()}
+
+
 class TestLedger:
  def test_targets_derive(self):
-  led = torsion_ledger()
-  assert set(led.derivations) == {"oinkA", "oink1", "buggerme"}
+  # one (record, replayed) pair per target, in name order
+  assert [rec["target"] for rec, _ in torsion_ledger()] == \
+      ["buggerme", "oink1", "oinkA"]
 
  def test_classes(self):
-  led = torsion_ledger()
-  assert led.derivations["oinkA"]["class"] == "sqrtQ*"
-  assert led.derivations["oink1"]["class"] == "Q*"
-  assert led.derivations["buggerme"]["class"] == "sqrtQ*"
+  recs = torsion_records()
+  assert recs["oinkA"]["class"] == "sqrtQ*"
+  assert recs["oink1"]["class"] == "Q*"
+  assert recs["buggerme"]["class"] == "sqrtQ*"
 
  def test_oink1_integer_coefficients(self):
-  rec = torsion_ledger().derivations["oink1"]
+  rec = torsion_records()["oink1"]
   assert all(c.denominator == 1 for c in rec["coefficients"].values())
 
  def test_half_coefficients(self):
-  led = torsion_ledger()
+  recs = torsion_records()
   for name in ("oinkA", "buggerme"):
-   cs = led.derivations[name]["coefficients"].values()
+   cs = recs[name]["coefficients"].values()
    assert all(c.denominator <= 2 for c in cs)
    assert any(c.denominator == 2 for c in cs)
 
  def test_replay_is_exact(self):
-  led = torsion_ledger()
-  for rec in led.derivations.values():
-   assert led.replay(rec)
+  # the replay verdicts torsion_ledger returns, and a fresh ledger's
+  led = VolumeLedger()
+  for rec, replayed in torsion_ledger():
+   assert replayed and led.replay(rec)
 
  def test_unconditional(self):
-  led = torsion_ledger()
-  assert not any(rec["conditional"] for rec in led.derivations.values())
+  assert not any(rec["conditional"] for rec, _ in torsion_ledger())
+
+ def test_derive_stores_nothing(self):
+  # a ledger is its axioms: deriving leaves no state behind
+  led = VolumeLedger()
+  assert led.derive("oinkA") == led.derive("oinkA")
+  assert vars(led) == {"axioms": led.axioms}
 
  def test_conditional_reported(self):
   led = VolumeLedger()
@@ -670,13 +683,30 @@ class TestVerifyAll:
  def test_failed_replay_names_the_first_target(self, monkeypatch):
   # buggerme replays; oink1 and oinkA, after it in name order, do not
   monkeypatch.setattr(gc.VolumeLedger, "replay",
-                      lambda self, rec: rec is self.derivations["buggerme"])
+                      lambda self, rec: rec["target"] == "buggerme")
   status, _, lines = verify_all(2)
   assert status == 1
   ledger = [l.split() for l in lines if l.startswith("ledger ")]
   assert [(w[1], w[-1]) for w in ledger] == \
       [("buggerme", "pass"), ("oink1", "FAIL"), ("oinkA", "FAIL")]
   assert lines[-1] == "first failing identity: ledger oink1"
+
+ def test_one_replay_per_target(self, monkeypatch):
+  # torsion and verify-all print from torsion_ledger's records, each
+  # replayed once there, and make no replay call of their own
+  calls = []
+  replay = gc.VolumeLedger.replay
+
+  def counted(self, rec):
+   calls.append(rec["target"])
+   return replay(self, rec)
+
+  monkeypatch.setattr(gc.VolumeLedger, "replay", counted)
+  assert cli.main(["torsion"]) == 0
+  assert calls == ["buggerme", "oink1", "oinkA"]
+  calls.clear()
+  assert verify_all(1)[0] == 0
+  assert calls == ["buggerme", "oink1", "oinkA"]
 
  def test_a_case_failure_comes_before_the_ledger(self, monkeypatch):
   def faulty(case, n):
@@ -843,8 +873,8 @@ class TestIntegerLedger:
 class TestReplayClass:
  def test_replay_rejects_a_finer_class(self):
   # oinkA's coefficients are +-1/2: they witness sqrtQ*, not Q*
-  led = torsion_ledger()
-  rec = led.derivations["oinkA"]
+  led = VolumeLedger()
+  rec = torsion_records()["oinkA"]
   assert led.replay(rec)
   assert led.replay(dict(rec, **{"class": "sqrtQ*"}))
   assert not led.replay(dict(rec, **{"class": "Q*"}))
@@ -853,14 +883,14 @@ class TestReplayClass:
  def test_replay_accepts_a_coarser_class(self):
   # an integer combination lies in sqrtQ* as well: replay certifies an
   # upper bound on the class, not that it is the smallest
-  led = torsion_ledger()
-  rec = led.derivations["oink1"]
+  led = VolumeLedger()
+  rec = torsion_records()["oink1"]
   assert rec["class"] == "Q*"
   assert led.replay(dict(rec, **{"class": "sqrtQ*"}))
 
  def test_replay_still_checks_the_target(self):
-  led = torsion_ledger()
-  rec = led.derivations["oink1"]
+  led = VolumeLedger()
+  rec = torsion_records()["oink1"]
   name, c = next(iter(rec["coefficients"].items()))
   coeffs = dict(rec["coefficients"], **{name: c + 1})
   assert not led.replay(dict(rec, coefficients=coeffs))

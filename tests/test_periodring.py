@@ -659,6 +659,28 @@ class TestEvenRows:
                      rational_gens=rational)
   _assert_even(_lattice_rows(PeriodScalar(x), rels, mod))
 
+ def test_square_root_relations_of_the_case_sets(self):
+  # no command builds a relation modulo sqrt(Q*), so the case sets are
+  # restated: each relation r in turn as (r^(1/2), "sqrtQ"), which the
+  # lattice must add squared, giving the set back.  Reduction must not
+  # change, of the period ratio or of r^(1/2), at either level
+  probes = 0
+  for case in CASES:
+   for n in range(1, 13):
+    mot = CaseMotives(case, n)
+    rels = case_relations(mot)
+    for j, (r, lev) in enumerate(rels.relations):
+     assert lev == "Q"
+     restated = list(rels.relations)
+     restated[j] = (r ** half, "sqrtQ")
+     other = RelationSet(restated, rels.rational_gens)
+     for p in (period_ratio(mot), r ** half):
+      for mod in ("Q", "sqrtQ"):
+       assert reduce(p, other, mod) == reduce(p, rels, mod), \
+           (case, n, j, p, mod)
+       probes += 1
+  assert probes == 2088
+
 
 def _residue(basis, t):
  """Residue of t against the echelon rows, each expanded to a dense row."""

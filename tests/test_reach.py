@@ -30,11 +30,6 @@ SRC = os.path.dirname(artifact.__file__)
 ALLOWED = {
     "cases.CaseSpec.__init__":
         "runs when cases is imported, before any profile is set",
-    "exteralg.MetricSpaceQ.__eq__":
-        "an element of an equal but distinct space is accepted "
-        "(test_model_rejects_an_element_of_another_space)",
-    "exteralg.TemperedCohomologyModel._reject":
-        "the error path for a bad module key (TestIndexChecks)",
     "ggpcheck.QSqrt.__eq__":
         "the program's output values are compared by it, and the "
         "reference FieldQSqrt inherits it",
